@@ -14,7 +14,6 @@ from rankfuse import (
     cross_validated_fusion,
     curve_csv,
     generate_synthetic,
-    incremental_fusion_curve,
 )
 
 runs, qrels = generate_synthetic(
@@ -35,7 +34,7 @@ final = [r for r in rows if r.num_systems in (1, len(runs))]
 print("\n" + curve_csv(final))
 
 # adding systems best-first: the curve climbs, then flattens
-curve = incremental_fusion_curve(runs, qrels, qrels)
+curve = compare_methods(runs, qrels, qrels, methods=["LC-mlr"])
 print("fused MAP by number of systems:")
 for row in curve:
     bar = "#" * int(row.map * 40)

@@ -165,8 +165,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     runs = _load_runs(args.runs)
     official = load_qrels(args.qrels)
     training = official if args.training_qrels is None else load_qrels(args.training_qrels)
-    rows = harness.incremental_fusion_curve(
-        runs, training, official, args.constant, args.depth
+    rows = harness.compare_methods(
+        runs, training, official, ("LC-mlr",), args.constant, args.depth
     )
     _emit(harness.curve_csv(rows), args.out)
     return 0

@@ -2,18 +2,21 @@
 
 Ranked lists are first normalized with the reciprocal model
 score(d) = 1/(constant + rank(d)), then combined per query over the
-union of retrieved documents. Fusion methods: weighted linear
-combination, CombSum, CombMNZ, and Borda count. Every fused run is
-sorted score-descending with doc_id-ascending tie-break, densely
+union of retrieved documents, held as one systems x candidates table
+that each method reduces column by column. Fusion methods: weighted
+linear combination, CombSum, CombMNZ, and Borda count. Every fused run
+is sorted score-descending with doc_id-ascending tie-break, densely
 ranked, and truncated to the output depth, so identical inputs yield
 byte-identical output.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .trec import RunList, sort_query_ids
 
@@ -23,8 +26,8 @@ if TYPE_CHECKING:  # import cycle: regression trains on ScoredList
 DEFAULT_RECIPROCAL_CONSTANT = 60.0
 DEFAULT_OUTPUT_DEPTH = 1000
 
-# A fused run is an ordinary RunList whose tag names the method.
-FusedRun = RunList
+# (values, present) of one query's candidate table -> one score per candidate
+_Reduce = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -73,24 +76,54 @@ def _select_queries(
     return sort_query_ids(seen)
 
 
-def _fuse_by_doc(
-    scored: Sequence[ScoredList],
+def _candidate_table(
+    per_system: Sequence[Mapping[str, float]],
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """One query's candidates as a table.
+
+    Returns the sorted union C of the systems' docs, a systems x |C|
+    matrix of each system's value per candidate (0 where the system did
+    not rank it) and the matching boolean presence mask.
+    """
+    candidates = sorted(set().union(*per_system))
+    column = {doc_id: index for index, doc_id in enumerate(candidates)}
+    values = np.zeros((len(per_system), len(candidates)))
+    present = np.zeros(values.shape, dtype=bool)
+    for row, docs in enumerate(per_system):
+        columns = [column[doc_id] for doc_id in docs]
+        values[row, columns] = list(docs.values())
+        present[row, columns] = True
+    return candidates, values, present
+
+
+def _fuse_query(per_system: Sequence[Mapping[str, float]], reduce: _Reduce) -> dict[str, float]:
+    """Score each candidate by ``reduce(values, present)``, one value per column.
+
+    The table is local, so it is freed as soon as its query is fused.
+    """
+    candidates, values, present = _candidate_table(per_system)
+    return dict(zip(candidates, reduce(values, present).tolist()))
+
+
+def _fuse(
+    per_system: Sequence[Mapping[str, Mapping[str, float]]],
     queries: Iterable[str] | None,
-    combine,
-) -> dict[str, dict[str, float]]:
-    """Apply ``combine(per-system scores for one doc)`` over each query's union."""
+    reduce: _Reduce,
+    run_tag: str,
+    depth: int,
+) -> RunList:
+    """One fused run; a query that no system ranked anything for is left out."""
     fused: dict[str, dict[str, float]] = {}
-    for query_id in _select_queries([s.scores for s in scored], queries):
-        union: set[str] = set()
-        for system in scored:
-            union.update(system.scores.get(query_id, {}))
-        if not union:
-            continue
-        fused[query_id] = {
-            doc_id: combine([system.scores.get(query_id, {}).get(doc_id) for system in scored])
-            for doc_id in sorted(union)
-        }
-    return fused
+    for query_id in _select_queries(per_system, queries):
+        scores = _fuse_query([system.get(query_id, {}) for system in per_system], reduce)
+        if scores:
+            fused[query_id] = scores
+    return RunList.from_scores(run_tag, fused, depth=depth)
+
+
+# The reductions below keep to elementwise products and sum(axis=0), which
+# adds the systems' rows in order; a BLAS product could reorder the sum and
+# change the last bit of a fused score.
 
 
 def linear_combine(
@@ -99,7 +132,7 @@ def linear_combine(
     depth: int = DEFAULT_OUTPUT_DEPTH,
     run_tag: str = "LC-mlr",
     queries: Iterable[str] | None = None,
-) -> FusedRun:
+) -> RunList:
     """Fuse by fused(d) = intercept + sum_j w_j * score_j(d), missing = 0.
 
     The scored lists must line up one-to-one with w.system_order. The
@@ -114,14 +147,12 @@ def linear_combine(
         raise ValueError(
             f"scored runs {tags} do not match weight vector systems {w.system_order}"
         )
-    weights = [float(x) for x in w.weights]
-
-    def combine(values: list[float | None]) -> float:
-        return w.intercept + sum(
-            weight * value for weight, value in zip(weights, values) if value is not None
-        )
-
-    return RunList.from_scores(run_tag, _fuse_by_doc(scored, queries, combine), depth=depth)
+    weights = np.asarray(w.weights, dtype=float)[:, None]
+    return _fuse(
+        [system.scores for system in scored], queries,
+        lambda values, present: w.intercept + (weights * values).sum(axis=0),
+        run_tag, depth,
+    )
 
 
 def comb_sum(
@@ -129,15 +160,15 @@ def comb_sum(
     depth: int = DEFAULT_OUTPUT_DEPTH,
     run_tag: str = "combsum",
     queries: Iterable[str] | None = None,
-) -> FusedRun:
+) -> RunList:
     """Fuse by fused(d) = sum_j score_j(d), missing = 0."""
     if not scored:
         raise ValueError("need at least one scored run")
-
-    def combine(values: list[float | None]) -> float:
-        return sum(value for value in values if value is not None)
-
-    return RunList.from_scores(run_tag, _fuse_by_doc(scored, queries, combine), depth=depth)
+    return _fuse(
+        [system.scores for system in scored], queries,
+        lambda values, present: values.sum(axis=0),
+        run_tag, depth,
+    )
 
 
 def comb_mnz(
@@ -145,16 +176,15 @@ def comb_mnz(
     depth: int = DEFAULT_OUTPUT_DEPTH,
     run_tag: str = "combmnz",
     queries: Iterable[str] | None = None,
-) -> FusedRun:
+) -> RunList:
     """Fuse by fused(d) = (systems ranking d) * sum_j score_j(d)."""
     if not scored:
         raise ValueError("need at least one scored run")
-
-    def combine(values: list[float | None]) -> float:
-        present = [value for value in values if value is not None]
-        return len(present) * sum(present)
-
-    return RunList.from_scores(run_tag, _fuse_by_doc(scored, queries, combine), depth=depth)
+    return _fuse(
+        [system.scores for system in scored], queries,
+        lambda values, present: present.sum(axis=0) * values.sum(axis=0),
+        run_tag, depth,
+    )
 
 
 def borda(
@@ -162,7 +192,7 @@ def borda(
     depth: int = DEFAULT_OUTPUT_DEPTH,
     run_tag: str = "borda",
     queries: Iterable[str] | None = None,
-) -> FusedRun:
+) -> RunList:
     """Fuse by Borda count over each query's candidate union C.
 
     A system ranking d at rank r awards |C| - r + 1 points; a system
@@ -171,29 +201,15 @@ def borda(
     """
     if not runs:
         raise ValueError("need at least one run")
-    rank_maps = [
+    ranks = [
         {
             query_id: {e.doc_id: e.rank for e in run.entries(query_id)}
             for query_id in run.query_ids
         }
         for run in runs
     ]
-    fused: dict[str, dict[str, float]] = {}
-    for query_id in _select_queries(rank_maps, queries):
-        union: set[str] = set()
-        for ranks in rank_maps:
-            union.update(ranks.get(query_id, {}))
-        if not union:
-            continue
-        size = len(union)
-        fused[query_id] = {
-            doc_id: float(
-                sum(
-                    size - ranks[query_id][doc_id] + 1
-                    for ranks in rank_maps
-                    if doc_id in ranks.get(query_id, {})
-                )
-            )
-            for doc_id in sorted(union)
-        }
-    return RunList.from_scores(run_tag, fused, depth=depth)
+    return _fuse(
+        ranks, queries,
+        lambda values, present: ((values.shape[1] + 1 - values) * present).sum(axis=0),
+        run_tag, depth,
+    )

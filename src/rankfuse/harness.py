@@ -26,7 +26,6 @@ from .evaluation import METRICS, EvalReport, evaluate
 from .fusion import (
     DEFAULT_OUTPUT_DEPTH,
     DEFAULT_RECIPROCAL_CONSTANT,
-    FusedRun,
     ScoredList,
     borda,
     comb_mnz,
@@ -73,7 +72,7 @@ def split_odd_even(query_ids: Iterable[str]) -> FoldSplit:
 class XvalResult:
     """Cross-validated fusion output with per-fold diagnostics."""
 
-    fused: FusedRun
+    fused: RunList
     report: EvalReport
     split: FoldSplit
     weights_a: WeightVector  # trained on partition A, applied to B
@@ -150,31 +149,6 @@ def _curve_row(method: str, num_systems: int, report: EvalReport) -> FusionCurve
     )
 
 
-def incremental_fusion_curve(
-    runs: Sequence[RunList],
-    training_qrels: Qrels,
-    official_qrels: Qrels,
-    constant: float = DEFAULT_RECIPROCAL_CONSTANT,
-    depth: int = DEFAULT_OUTPUT_DEPTH,
-    queries: Iterable[str] | None = None,
-) -> list[FusionCurveRow]:
-    """Cross-validated LC over run prefixes of size 2..n.
-
-    ``runs`` must already be ordered best-first; every row is computed
-    on the same query set, so rows are directly comparable.
-    """
-    if len(runs) < 2:
-        raise ValueError("fusion experiments need at least 2 runs")
-    rows = []
-    for size in range(2, len(runs) + 1):
-        result = cross_validated_fusion(
-            runs[:size], training_qrels, official_qrels, constant, depth,
-            queries=queries,
-        )
-        rows.append(_curve_row("LC-mlr", size, result.report))
-    return rows
-
-
 def compare_methods(
     runs: Sequence[RunList],
     training_qrels: Qrels,
@@ -186,9 +160,11 @@ def compare_methods(
 ) -> list[FusionCurveRow]:
     """Incremental curves for each fusion method plus the best run.
 
-    Unweighted methods fuse the same prefixes over the same query set
-    as the cross-validated LC rows; ``best-component`` is a single row
-    (num_systems 1) evaluating ``runs[0]`` as-is.
+    Each method fuses the run prefixes of size 2..n, so ``runs`` must
+    already be ordered best-first; ``methods=["LC-mlr"]`` alone gives the
+    cross-validated LC curve. Every row is computed on the same query
+    set; ``best-component`` is a single row (num_systems 1) evaluating
+    ``runs[0]`` as-is.
     """
     unknown = [m for m in methods if m not in ALL_METHODS]
     if unknown:
@@ -198,7 +174,10 @@ def compare_methods(
     query_ids = sort_query_ids(
         official_qrels.query_ids if queries is None else queries
     )
-    scored = [normalize_reciprocal(run, constant) for run in runs]
+    scored = (
+        [normalize_reciprocal(run, constant) for run in runs]
+        if {"combsum", "combmnz"} & set(methods) else []
+    )
 
     rows: list[FusionCurveRow] = []
     for method in methods:

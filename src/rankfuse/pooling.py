@@ -12,6 +12,8 @@ import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .trec import Qrels, RunList, sort_query_ids
 
 
@@ -85,25 +87,22 @@ def make_partial_qrels(pool: Pool, full: Qrels, name: str = "") -> Qrels:
 
 
 def _coverage_counts(runs: Sequence[RunList], full: Qrels, max_depth: int) -> list[int]:
-    """Relevant docs covered by the depth-d pool, for d = 1..max_depth."""
-    pooled: dict[str, set[str]] = {}
-    counts: list[int] = []
-    covered = 0
-    for depth in range(1, max_depth + 1):
-        for run in runs:
-            for query_id in run.by_query:
-                entries = run.entries(query_id)
-                if depth > len(entries):
-                    continue
-                doc_id = entries[depth - 1].doc_id
-                seen = pooled.setdefault(query_id, set())
-                if doc_id in seen:
-                    continue
-                seen.add(doc_id)
-                if full.grade(query_id, doc_id) > 0:
-                    covered += 1
-        counts.append(covered)
-    return counts
+    """Relevant docs covered by the depth-d pool, for d = 1..max_depth.
+
+    One scan of each run's top ``max_depth`` entries records the depth at
+    which each relevant doc first enters the pool; the counts are the
+    running total of a histogram of those depths.
+    """
+    first_depth: dict[tuple[str, str], int] = {}
+    for run in runs:
+        for query_id, entries in run.by_query.items():
+            grades = full.grades_for(query_id)
+            for depth, entry in enumerate(entries[:max_depth], start=1):
+                key = (query_id, entry.doc_id)
+                if grades.get(entry.doc_id, 0) > 0 and depth < first_depth.get(key, max_depth + 1):
+                    first_depth[key] = depth
+    entered = np.fromiter(first_depth.values(), dtype=np.intp, count=len(first_depth))
+    return np.bincount(entered, minlength=max_depth + 1)[1:].cumsum().tolist()
 
 
 def pool_sweep(runs: Sequence[RunList], full: Qrels, depths: Iterable[int]) -> list[SweepRow]:

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .fusion import ScoredList
+from .fusion import ScoredList, _candidate_table
 from .trec import Qrels, sort_query_ids
 
 RIDGE_FALLBACK = 1e-8
 _COND_LIMIT = 1e12
-
-DOC_UNIVERSE_POLICIES = ("retrieved", "retrieved_or_relevant")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,41 +73,34 @@ def assemble_matrix(
     scored: Sequence[ScoredList],
     qrels: Qrels,
     queries: Iterable[str],
-    doc_universe_policy: str = "retrieved",
 ) -> ScoreMatrix:
     """Build the training matrix for a set of normalized runs.
 
-    One row per (query, doc) in the per-query document universe. Under
-    the default ``"retrieved"`` policy the universe is the union of docs
-    any system retrieved for that query; ``"retrieved_or_relevant"``
-    additionally includes judged-relevant docs nobody retrieved, with
-    all-zero score rows. A system that did not retrieve a doc scores 0.
-    Targets binarize the judgment grade (absent -> 0).
+    One row per (query, doc) in the union of docs any system retrieved
+    for that query; judged-relevant docs that nobody retrieved get no
+    row. A system that did not retrieve a doc scores 0. Targets binarize
+    the judgment grade (absent -> 0).
     """
     if not scored:
         raise ValueError("need at least one scored run")
-    if doc_universe_policy not in DOC_UNIVERSE_POLICIES:
-        raise ValueError(f"unknown doc_universe_policy {doc_universe_policy!r}")
     query_list = sort_query_ids(queries)
     if not query_list:
         raise ValueError("query set must be non-empty")
 
     keys: list[tuple[str, str]] = []
-    rows: list[list[float]] = []
+    blocks: list[np.ndarray] = []
     targets: list[float] = []
     for query_id in query_list:
-        universe: set[str] = set()
-        for system in scored:
-            universe.update(system.scores.get(query_id, {}))
-        if doc_universe_policy == "retrieved_or_relevant":
-            universe.update(qrels.relevant(query_id))
-        for doc_id in sorted(universe):
-            keys.append((query_id, doc_id))
-            rows.append([system.scores.get(query_id, {}).get(doc_id, 0.0) for system in scored])
-            targets.append(1.0 if qrels.grade(query_id, doc_id) > 0 else 0.0)
+        candidates, values, _ = _candidate_table(
+            [system.scores.get(query_id, {}) for system in scored]
+        )
+        keys.extend((query_id, doc_id) for doc_id in candidates)
+        blocks.append(values.T)
+        targets.extend(1.0 if qrels.grade(query_id, doc_id) > 0 else 0.0 for doc_id in candidates)
 
     system_order = tuple(system.run_tag for system in scored)
-    scores = np.asarray(rows, dtype=float).reshape(len(rows), len(scored))
+    # C order: solve_ols's BLAS products round differently on an F-ordered matrix.
+    scores = np.ascontiguousarray(np.concatenate(blocks))
     return ScoreMatrix(system_order, tuple(keys), scores, np.asarray(targets, dtype=float))
 
 

@@ -12,9 +12,9 @@ Parsed runs are canonicalized: entries are re-sorted per query by raw
 score descending (doc_id ascending on ties) and ranks are rewritten
 densely 1..L. Run files in the wild disagree between their rank and
 score columns, so one of them has to be the authority; the rank column
-found in the file is kept only as a diagnostic. Canonicalization is
-deterministic: the same entries produce the same RunList regardless of
-line order.
+found in the file must be an integer but is otherwise ignored.
+Canonicalization is deterministic: the same entries produce the same
+RunList regardless of line order.
 """
 
 from __future__ import annotations
@@ -59,24 +59,18 @@ def sort_query_ids(query_ids: Iterable[str]) -> list[str]:
 
 @dataclass(frozen=True)
 class RunEntry:
-    """One retrieved document.
-
-    ``rank`` is the canonical rank (dense, score-ordered). ``file_rank``
-    is whatever the source file claimed and is kept for diagnostics
-    only; it does not take part in equality.
-    """
+    """One retrieved document; ``rank`` is the canonical rank (dense, score-ordered)."""
 
     query_id: str
     doc_id: str
     rank: int
     raw_score: float
     run_tag: str
-    file_rank: int | None = field(default=None, compare=False, repr=False)
 
 
 def _canonical(
     run_tag: str,
-    rows: Mapping[str, list[tuple[str, float, int | None]]],
+    rows: Mapping[str, Iterable[tuple[str, float]]],
     depth: int | None = None,
 ) -> dict[str, tuple[RunEntry, ...]]:
     by_query: dict[str, tuple[RunEntry, ...]] = {}
@@ -85,8 +79,8 @@ def _canonical(
         if depth is not None:
             ordered = ordered[:depth]
         by_query[query_id] = tuple(
-            RunEntry(query_id, doc_id, rank, score, run_tag, file_rank)
-            for rank, (doc_id, score, file_rank) in enumerate(ordered, start=1)
+            RunEntry(query_id, doc_id, rank, score, run_tag)
+            for rank, (doc_id, score) in enumerate(ordered, start=1)
         )
     return by_query
 
@@ -111,10 +105,7 @@ class RunList:
         depth: int | None = None,
     ) -> RunList:
         """Build a canonical RunList from per-query doc -> score maps."""
-        rows = {
-            query_id: [(doc_id, score, None) for doc_id, score in docs.items()]
-            for query_id, docs in scores.items()
-        }
+        rows = {query_id: docs.items() for query_id, docs in scores.items()}
         return cls(run_tag, _canonical(run_tag, rows, depth))
 
     @property
@@ -140,7 +131,7 @@ def parse_run(lines: Iterable[str]) -> RunList:
     DuplicateDocError for repeated (query, doc) pairs and
     MixedRunTagsError when the tag column is not constant.
     """
-    rows: dict[str, list[tuple[str, float, int | None]]] = {}
+    rows: dict[str, list[tuple[str, float]]] = {}
     seen: set[tuple[str, str]] = set()
     run_tag: str | None = None
     for line_no, raw in enumerate(lines, start=1):
@@ -151,7 +142,7 @@ def parse_run(lines: Iterable[str]) -> RunList:
             raise ParseError(line_no, f"expected 6 fields, got {len(parts)}")
         query_id, _iteration, doc_id, rank_str, score_str, tag = parts
         try:
-            file_rank = int(rank_str)
+            int(rank_str)
         except ValueError:
             raise ParseError(line_no, f"rank field {rank_str!r} is not an integer") from None
         try:
@@ -171,7 +162,7 @@ def parse_run(lines: Iterable[str]) -> RunList:
                 f"line {line_no}: duplicate entry for query {query_id}, doc {doc_id}"
             )
         seen.add((query_id, doc_id))
-        rows.setdefault(query_id, []).append((doc_id, score, file_rank))
+        rows.setdefault(query_id, []).append((doc_id, score))
     return RunList(run_tag or "", _canonical(run_tag or "", rows))
 
 

@@ -31,11 +31,14 @@ def _weights(tags, weights, intercept=0.0):
     return WeightVector(tuple(tags), intercept, np.asarray(weights, dtype=float))
 
 
-def _random_runs(rng, num_runs=3, num_queries=3, universe=20, max_len=12):
+def _random_runs(rng, num_runs=3, num_queries=3, universe=20, max_len=12, skip=0.0):
+    """Random partial-overlap runs; each system drops a query with chance ``skip``."""
     runs = []
     for r in range(num_runs):
         scores = {}
         for q in range(1, num_queries + 1):
+            if skip and rng.random() < skip:
+                continue
             picks = rng.permutation(universe)[: rng.integers(2, max_len)]
             scores[str(q)] = {f"D{i:02d}": float(rng.integers(1, 1000)) for i in picks}
         runs.append(RunList.from_scores(f"s{r}", scores))
@@ -252,3 +255,54 @@ def test_fusion_determinism_bytes():
         (borda, (runs,)),
     ):
         assert write_run(method(*args)) == write_run(method(*args))
+
+
+def _naive_fusion(per_system, combine):
+    """Per-doc loop: ``combine(union, [(system index, value), ...])`` over
+    each query's candidate union, systems in order, missing ones skipped."""
+    fused = {}
+    for q in {q for system in per_system for q in system}:
+        union = {d for system in per_system for d in system.get(q, {})}
+        for d in union:
+            present = [(j, system[q][d]) for j, system in enumerate(per_system)
+                       if d in system.get(q, {})]
+            fused[(q, d)] = combine(union, present)
+    return fused
+
+
+def _summed(terms):
+    """Plain left-to-right adds; sum() compensates its float sums on Python 3.12+."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def _raw_scores(run):
+    return {(q, e.doc_id): e.raw_score for q in run.query_ids for e in run.entries(q)}
+
+
+@pytest.mark.parametrize("seed,num_runs", [(31, 5), (32, 7), (33, 12)])
+def test_fused_scores_equal_a_per_doc_loop_exactly(seed, num_runs):
+    rng = np.random.default_rng(seed)
+    runs = _random_runs(rng, num_runs, num_queries=6, universe=30, max_len=15, skip=0.2)
+    scored = [normalize_reciprocal(r, 7.3) for r in runs]
+    values = [s.scores for s in scored]
+    ranks = [{q: {e.doc_id: e.rank for e in r.entries(q)} for q in r.query_ids} for r in runs]
+    weights = rng.normal(size=num_runs)  # mixed signs
+    w = _weights([s.run_tag for s in scored], weights, intercept=-0.37)
+
+    lc = _naive_fusion(
+        values, lambda union, present: -0.37 + _summed(weights[j] * v for j, v in present)
+    )
+    combsum = _naive_fusion(values, lambda union, present: _summed(v for _, v in present))
+    combmnz = _naive_fusion(
+        values, lambda union, present: len(present) * _summed(v for _, v in present)
+    )
+    points = _naive_fusion(
+        ranks, lambda union, present: float(sum(len(union) - r + 1 for _, r in present))
+    )
+    assert _raw_scores(linear_combine(scored, w)) == lc
+    assert _raw_scores(comb_sum(scored)) == combsum
+    assert _raw_scores(comb_mnz(scored)) == combmnz
+    assert _raw_scores(borda(runs)) == points

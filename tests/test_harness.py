@@ -15,7 +15,6 @@ from rankfuse.harness import (
     group_by_relcount,
     group_csv,
     grouped_eval,
-    incremental_fusion_curve,
     split_odd_even,
 )
 from rankfuse.trec import Qrels, RunList, write_qrels, write_run
@@ -137,14 +136,14 @@ def test_xval_requires_two_runs():
 
 def test_curve_row_per_prefix():
     runs, qrels = generate_synthetic(21, 8, 4, 30, 6)
-    rows = incremental_fusion_curve(runs, qrels, qrels)
+    rows = compare_methods(runs, qrels, qrels, methods=["LC-mlr"])
     assert [row.num_systems for row in rows] == [2, 3, 4]
     assert all(row.method == "LC-mlr" for row in rows)
 
 
 def test_curve_single_row_for_two_runs():
     runs, qrels = generate_synthetic(22, 6, 2, 20, 5)
-    rows = incremental_fusion_curve(runs, qrels, qrels)
+    rows = compare_methods(runs, qrels, qrels, methods=["LC-mlr"])
     assert len(rows) == 1
 
 
@@ -152,7 +151,7 @@ def test_curve_flat_for_identical_systems():
     # duplicated system: every prefix fuses the same ranking
     runs, qrels = generate_synthetic(23, 6, 1, 25, 6)
     copies = [RunList(f"c{i}", runs[0].by_query) for i in range(4)]
-    rows = incremental_fusion_curve(copies, qrels, qrels)
+    rows = compare_methods(copies, qrels, qrels, methods=["LC-mlr"])
     for metric in ("map", "rp", "p10", "p20"):
         values = {row.value(metric) for row in rows}
         assert len(values) == 1
@@ -187,7 +186,7 @@ def test_compare_methods_subset_and_validation():
 
 def test_curve_csv_layout():
     runs, qrels = generate_synthetic(27, 6, 2, 20, 5)
-    text = curve_csv(incremental_fusion_curve(runs, qrels, qrels))
+    text = curve_csv(compare_methods(runs, qrels, qrels, methods=["LC-mlr"]))
     lines = text.splitlines()
     assert lines[0] == "method,num_systems,map,rp,p10,p20"
     assert lines[1].startswith("LC-mlr,2,")

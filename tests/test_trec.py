@@ -50,7 +50,6 @@ def test_parse_run_resorts_by_score_descending():
     )
     assert run.docs("301") == ("docA", "docB")
     assert [e.rank for e in run.entries("301")] == [1, 2]
-    assert [e.file_rank for e in run.entries("301")] == [2, 1]
 
 
 def test_parse_run_tie_breaks_by_doc_id():
