@@ -12,13 +12,13 @@ byte-identical output.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .trec import RunList, sort_query_ids
+from .trec import RunEntry, RunList, sort_query_ids
 
 if TYPE_CHECKING:  # import cycle: regression trains on ScoredList
     from .regression import WeightVector
@@ -46,6 +46,23 @@ class ScoredList:
         return self.scores.get(query_id, {}).get(doc_id, 0.0)
 
 
+def _reciprocal(constant: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Reciprocal scores of a rank array: 1/(constant + rank) where rank > 0, else 0.
+
+    Every reciprocal score in the package is computed here.
+    """
+    if constant <= -1:
+        raise ValueError(f"reciprocal constant must be > -1, got {constant}")
+
+    def values(ranks: np.ndarray) -> np.ndarray:
+        out = np.zeros(ranks.shape)
+        ranked = ranks > 0
+        out[ranked] = 1.0 / (constant + ranks[ranked])
+        return out
+
+    return values
+
+
 def normalize_reciprocal(
     run: RunList, constant: float = DEFAULT_RECIPROCAL_CONSTANT
 ) -> ScoredList:
@@ -55,10 +72,13 @@ def normalize_reciprocal(
     score; the mapping is strictly decreasing in rank, so ranking order
     is preserved.
     """
-    if constant <= -1:
-        raise ValueError(f"reciprocal constant must be > -1, got {constant}")
+    reciprocal = _reciprocal(constant)
+    ranks = [e.rank for entries in run.by_query.values() for e in entries]
+    if ranks and min(ranks) < 1:
+        raise ValueError(f"run {run.run_tag!r} has a rank below 1; canonical ranks start at 1")
+    by_rank = reciprocal(np.arange(max(ranks, default=0) + 1)).tolist()
     scores = {
-        query_id: {e.doc_id: 1.0 / (constant + e.rank) for e in run.entries(query_id)}
+        query_id: {e.doc_id: by_rank[e.rank] for e in run.entries(query_id)}
         for query_id in run.query_ids
     }
     return ScoredList(run.run_tag, scores)
@@ -77,17 +97,17 @@ def _select_queries(
 
 
 def _candidate_table(
-    per_system: Sequence[Mapping[str, float]],
+    per_system: Sequence[Mapping[str, float]], dtype: type = float
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """One query's candidates as a table.
 
     Returns the sorted union C of the systems' docs, a systems x |C|
-    matrix of each system's value per candidate (0 where the system did
-    not rank it) and the matching boolean presence mask.
+    ``dtype`` matrix of each system's value per candidate (0 where the
+    system did not rank it) and the matching boolean presence mask.
     """
     candidates = sorted(set().union(*per_system))
     column = {doc_id: index for index, doc_id in enumerate(candidates)}
-    values = np.zeros((len(per_system), len(candidates)))
+    values = np.zeros((len(per_system), len(candidates)), dtype=dtype)
     present = np.zeros(values.shape, dtype=bool)
     for row, docs in enumerate(per_system):
         columns = [column[doc_id] for doc_id in docs]
@@ -96,34 +116,64 @@ def _candidate_table(
     return candidates, values, present
 
 
-def _fuse_query(per_system: Sequence[Mapping[str, float]], reduce: _Reduce) -> dict[str, float]:
-    """Score each candidate by ``reduce(values, present)``, one value per column.
-
-    The table is local, so it is freed as soon as its query is fused.
-    """
-    candidates, values, present = _candidate_table(per_system)
-    return dict(zip(candidates, reduce(values, present).tolist()))
+def _query_tables(
+    per_system: Sequence[Mapping[str, Mapping[str, float]]],
+    queries: Iterable[str] | None,
+) -> Iterator[tuple[str, list[str], np.ndarray, np.ndarray]]:
+    """``(query_id, *table)`` per selected query, built only when it is fused."""
+    for query_id in _select_queries(per_system, queries):
+        yield query_id, *_candidate_table([system.get(query_id, {}) for system in per_system])
 
 
 def _fuse(
-    per_system: Sequence[Mapping[str, Mapping[str, float]]],
-    queries: Iterable[str] | None,
+    tables: Iterable[tuple[str, Sequence[str], np.ndarray, np.ndarray]],
     reduce: _Reduce,
     run_tag: str,
     depth: int,
 ) -> RunList:
-    """One fused run; a query that no system ranked anything for is left out."""
-    fused: dict[str, dict[str, float]] = {}
-    for query_id in _select_queries(per_system, queries):
-        scores = _fuse_query([system.get(query_id, {}) for system in per_system], reduce)
-        if scores:
-            fused[query_id] = scores
-    return RunList.from_scores(run_tag, fused, depth=depth)
+    """One fused run from ``(query_id, candidates, values, present)`` tables.
+
+    Each candidate scores ``reduce(values, present)``. The candidates are
+    doc-id-sorted, so a stable argsort of -score is the canonical
+    (score descending, doc_id ascending) order. A query with no
+    candidates is left out.
+    """
+    fused: dict[str, tuple[RunEntry, ...]] = {}
+    for query_id, candidates, values, present in tables:
+        if not candidates:
+            continue
+        scores = reduce(values, present)
+        order = np.argsort(-scores, kind="stable")[:depth].tolist()
+        scores = scores.tolist()
+        fused[query_id] = tuple(
+            RunEntry(query_id, candidates[column], rank, scores[column], run_tag)
+            for rank, column in enumerate(order, start=1)
+        )
+    return RunList(run_tag, fused)
 
 
 # The reductions below keep to elementwise products and sum(axis=0), which
 # adds the systems' rows in order; a BLAS product could reorder the sum and
 # change the last bit of a fused score.
+
+
+def _weighted(w: WeightVector) -> _Reduce:
+    """intercept + sum_j w_j * value_j."""
+    weights = np.asarray(w.weights, dtype=float)[:, None]
+    return lambda values, present: w.intercept + (weights * values).sum(axis=0)
+
+
+def _summed(values: np.ndarray, present: np.ndarray) -> np.ndarray:
+    return values.sum(axis=0)
+
+
+def _mnz(values: np.ndarray, present: np.ndarray) -> np.ndarray:
+    return present.sum(axis=0) * values.sum(axis=0)
+
+
+def _points(ranks: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Borda: |C| + 1 - rank from each system that ranked the candidate."""
+    return ((ranks.shape[1] + 1 - ranks) * present).sum(axis=0)
 
 
 def linear_combine(
@@ -147,12 +197,8 @@ def linear_combine(
         raise ValueError(
             f"scored runs {tags} do not match weight vector systems {w.system_order}"
         )
-    weights = np.asarray(w.weights, dtype=float)[:, None]
-    return _fuse(
-        [system.scores for system in scored], queries,
-        lambda values, present: w.intercept + (weights * values).sum(axis=0),
-        run_tag, depth,
-    )
+    tables = _query_tables([system.scores for system in scored], queries)
+    return _fuse(tables, _weighted(w), run_tag, depth)
 
 
 def comb_sum(
@@ -164,11 +210,8 @@ def comb_sum(
     """Fuse by fused(d) = sum_j score_j(d), missing = 0."""
     if not scored:
         raise ValueError("need at least one scored run")
-    return _fuse(
-        [system.scores for system in scored], queries,
-        lambda values, present: values.sum(axis=0),
-        run_tag, depth,
-    )
+    tables = _query_tables([system.scores for system in scored], queries)
+    return _fuse(tables, _summed, run_tag, depth)
 
 
 def comb_mnz(
@@ -180,11 +223,8 @@ def comb_mnz(
     """Fuse by fused(d) = (systems ranking d) * sum_j score_j(d)."""
     if not scored:
         raise ValueError("need at least one scored run")
-    return _fuse(
-        [system.scores for system in scored], queries,
-        lambda values, present: present.sum(axis=0) * values.sum(axis=0),
-        run_tag, depth,
-    )
+    tables = _query_tables([system.scores for system in scored], queries)
+    return _fuse(tables, _mnz, run_tag, depth)
 
 
 def borda(
@@ -208,8 +248,4 @@ def borda(
         }
         for run in runs
     ]
-    return _fuse(
-        ranks, queries,
-        lambda values, present: ((values.shape[1] + 1 - values) * present).sum(axis=0),
-        run_tag, depth,
-    )
+    return _fuse(_query_tables(ranks, queries), _points, run_tag, depth)

@@ -17,8 +17,10 @@ Protocol notes that apply throughout:
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,14 +28,15 @@ from .evaluation import METRICS, EvalReport, evaluate
 from .fusion import (
     DEFAULT_OUTPUT_DEPTH,
     DEFAULT_RECIPROCAL_CONSTANT,
-    ScoredList,
-    borda,
-    comb_mnz,
-    comb_sum,
-    linear_combine,
-    normalize_reciprocal,
+    _candidate_table,
+    _fuse,
+    _mnz,
+    _points,
+    _reciprocal,
+    _summed,
+    _weighted,
 )
-from .regression import WeightVector, assemble_matrix, solve_ols
+from .regression import RIDGE_FALLBACK, WeightVector, _stack_rows, _targets, solve_ols
 from .trec import Qrels, RunList, sort_query_ids
 
 FUSION_METHODS = ("LC-mlr", "combsum", "combmnz", "borda")
@@ -79,16 +82,127 @@ class XvalResult:
     weights_b: WeightVector  # trained on partition B, applied to A
 
 
+class _RankTable(NamedTuple):
+    """One query's candidates over all of a call's runs.
+
+    ``candidates`` are doc-id-sorted, ``ranks`` is the int32
+    systems x candidates rank matrix (0 = unranked) and ``targets`` holds
+    each candidate's binarized training judgment.
+    """
+
+    candidates: list[str]
+    ranks: np.ndarray
+    targets: np.ndarray
+
+    def prefix(self, size: int) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+        """The table of the first ``size`` systems.
+
+        Rows [:size] and the columns at least one of them ranked, as
+        (candidates, ranks, presence mask, targets): exactly the table
+        the fusion methods build from those systems alone.
+        """
+        ranks = self.ranks[:size]
+        present = ranks > 0
+        keep = present.any(axis=0)
+        if keep.all():
+            return self.candidates, ranks, present, self.targets
+        candidates = list(compress(self.candidates, keep))
+        return candidates, ranks[:, keep], present[:, keep], self.targets[keep]
+
+
+def _rank_tables(
+    runs: Sequence[RunList], query_ids: Sequence[str], training_qrels: Qrels
+) -> dict[str, _RankTable]:
+    tables = {}
+    for query_id in query_ids:
+        candidates, ranks, _ = _candidate_table(
+            [{e.doc_id: e.rank for e in run.entries(query_id)} for run in runs], np.int32
+        )
+        tables[query_id] = _RankTable(
+            candidates, ranks, _targets(training_qrels, query_id, candidates)
+        )
+    return tables
+
+
+def _fuse_prefix(
+    tables: Mapping[str, _RankTable],
+    query_ids: Iterable[str],
+    size: int,
+    values_of: Callable[[np.ndarray], np.ndarray],
+    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    run_tag: str,
+    depth: int,
+) -> RunList:
+    """Fuse the first ``size`` systems over ``query_ids``, one table slice at a time."""
+    def sliced():
+        for query_id in query_ids:
+            candidates, ranks, present, _ = tables[query_id].prefix(size)
+            yield query_id, candidates, values_of(ranks), present
+
+    return _fuse(sliced(), reduce, run_tag, depth)
+
+
+def _as_float(ranks: np.ndarray) -> np.ndarray:
+    """Borda's values: the ranks themselves, as the float table borda() builds."""
+    return ranks.astype(float)
+
+
 def _train_fold(
-    scored: Sequence[ScoredList],
-    training_qrels: Qrels,
+    tables: Mapping[str, _RankTable],
+    system_order: tuple[str, ...],
+    reciprocal: Callable[[np.ndarray], np.ndarray],
     fold_queries: Sequence[str],
     label: str,
 ) -> WeightVector:
+    """Solve the fold's training matrix, rows in the order assemble_matrix uses."""
+    size = len(system_order)
     try:
-        return solve_ols(assemble_matrix(scored, training_qrels, fold_queries))
+        rows = []
+        for query_id in sort_query_ids(fold_queries):
+            candidates, ranks, _, targets = tables[query_id].prefix(size)
+            rows.append((query_id, candidates, reciprocal(ranks), targets))
+        weights = solve_ols(_stack_rows(system_order, rows))
     except Exception as exc:
         raise RuntimeError(f"weight training failed on fold {label}: {exc}") from exc
+    if weights.degenerate:
+        warnings.warn(
+            f"fold {label} ({size} systems): no training label is relevant; "
+            "the weights are all zero and the other fold is fused in doc-id order",
+            stacklevel=4,
+        )
+    elif weights.regularized:
+        warnings.warn(
+            f"fold {label} ({size} systems): the design is rank-deficient; "
+            f"solved with a ridge of {RIDGE_FALLBACK}",
+            stacklevel=4,
+        )
+    return weights
+
+
+def _cross_validate(
+    tables: Mapping[str, _RankTable],
+    system_order: tuple[str, ...],
+    official_qrels: Qrels,
+    query_ids: Sequence[str],
+    constant: float,
+    depth: int,
+    run_tag: str,
+) -> XvalResult:
+    """Two-fold LC fusion of the first ``len(system_order)`` systems' tables."""
+    split = split_odd_even(query_ids)
+    reciprocal = _reciprocal(constant)
+    weights_a = _train_fold(tables, system_order, reciprocal, split.partition_a, "A")
+    weights_b = _train_fold(tables, system_order, reciprocal, split.partition_b, "B")
+    size = len(system_order)
+    fused_b = _fuse_prefix(
+        tables, split.partition_b, size, reciprocal, _weighted(weights_a), run_tag, depth
+    )
+    fused_a = _fuse_prefix(
+        tables, split.partition_a, size, reciprocal, _weighted(weights_b), run_tag, depth
+    )
+    fused = RunList(run_tag, {**fused_a.by_query, **fused_b.by_query})
+    report = evaluate(fused, official_qrels, query_ids)
+    return XvalResult(fused, report, split, weights_a, weights_b)
 
 
 def cross_validated_fusion(
@@ -105,24 +219,19 @@ def cross_validated_fusion(
     Weights trained on fold A fuse fold B's queries and vice versa; the
     halves concatenate into one run covering every query, evaluated
     against ``official_qrels``. ``queries`` defaults to the official
-    qrels' query set.
+    qrels' query set. A fold whose weights are degenerate (no relevant
+    training label) or ridge-regularized is reported with a warning.
     """
     if len(runs) < 2:
         raise ValueError("fusion experiments need at least 2 runs")
     query_ids = sort_query_ids(
         official_qrels.query_ids if queries is None else queries
     )
-    split = split_odd_even(query_ids)
-    scored = [normalize_reciprocal(run, constant) for run in runs]
-
-    weights_a = _train_fold(scored, training_qrels, split.partition_a, "A")
-    weights_b = _train_fold(scored, training_qrels, split.partition_b, "B")
-    fused_b = linear_combine(scored, weights_a, depth, run_tag, split.partition_b)
-    fused_a = linear_combine(scored, weights_b, depth, run_tag, split.partition_a)
-
-    fused = RunList(run_tag, {**fused_a.by_query, **fused_b.by_query})
-    report = evaluate(fused, official_qrels, query_ids)
-    return XvalResult(fused, report, split, weights_a, weights_b)
+    return _cross_validate(
+        _rank_tables(runs, query_ids, training_qrels),
+        tuple(run.run_tag for run in runs),
+        official_qrels, query_ids, constant, depth, run_tag,
+    )
 
 
 @dataclass(frozen=True)
@@ -164,7 +273,9 @@ def compare_methods(
     already be ordered best-first; ``methods=["LC-mlr"]`` alone gives the
     cross-validated LC curve. Every row is computed on the same query
     set; ``best-component`` is a single row (num_systems 1) evaluating
-    ``runs[0]`` as-is.
+    ``runs[0]`` as-is. Each query's rank table is built once over all
+    ``runs``; every prefix and method reduces a slice of it, so each row
+    equals the one the public per-method calls on ``runs[:size]`` give.
     """
     unknown = [m for m in methods if m not in ALL_METHODS]
     if unknown:
@@ -174,10 +285,8 @@ def compare_methods(
     query_ids = sort_query_ids(
         official_qrels.query_ids if queries is None else queries
     )
-    scored = (
-        [normalize_reciprocal(run, constant) for run in runs]
-        if {"combsum", "combmnz"} & set(methods) else []
-    )
+    tables = _rank_tables(runs, query_ids, training_qrels)
+    tags = tuple(run.run_tag for run in runs)
 
     rows: list[FusionCurveRow] = []
     for method in methods:
@@ -188,19 +297,18 @@ def compare_methods(
             continue
         for size in range(2, len(runs) + 1):
             if method == "LC-mlr":
-                fused = cross_validated_fusion(
-                    runs[:size], training_qrels, official_qrels, constant, depth,
-                    queries=query_ids,
-                ).fused
-            elif method == "combsum":
-                fused = comb_sum(scored[:size], depth, queries=query_ids)
-            elif method == "combmnz":
-                fused = comb_mnz(scored[:size], depth, queries=query_ids)
+                report = _cross_validate(
+                    tables, tags[:size], official_qrels, query_ids, constant, depth, method
+                ).report
             else:
-                fused = borda(runs[:size], depth, queries=query_ids)
-            rows.append(
-                _curve_row(method, size, evaluate(fused, official_qrels, query_ids))
-            )
+                if method == "borda":
+                    values_of, reduce = _as_float, _points
+                else:
+                    values_of = _reciprocal(constant)
+                    reduce = _summed if method == "combsum" else _mnz
+                fused = _fuse_prefix(tables, query_ids, size, values_of, reduce, method, depth)
+                report = evaluate(fused, official_qrels, query_ids)
+            rows.append(_curve_row(method, size, report))
     return rows
 
 

@@ -87,21 +87,37 @@ def assemble_matrix(
     if not query_list:
         raise ValueError("query set must be non-empty")
 
-    keys: list[tuple[str, str]] = []
-    blocks: list[np.ndarray] = []
-    targets: list[float] = []
+    tables = []
     for query_id in query_list:
         candidates, values, _ = _candidate_table(
             [system.scores.get(query_id, {}) for system in scored]
         )
+        tables.append((query_id, candidates, values, _targets(qrels, query_id, candidates)))
+    return _stack_rows(tuple(system.run_tag for system in scored), tables)
+
+
+def _targets(qrels: Qrels, query_id: str, candidates: Sequence[str]) -> np.ndarray:
+    """Binarized judgments of one query's candidates (absent -> 0)."""
+    grades = qrels.grades_for(query_id)
+    return np.array([1.0 if grades.get(doc_id, 0) > 0 else 0.0 for doc_id in candidates])
+
+
+def _stack_rows(
+    system_order: tuple[str, ...],
+    tables: Iterable[tuple[str, Sequence[str], np.ndarray, np.ndarray]],
+) -> ScoreMatrix:
+    """One training row per candidate of each ``(query_id, candidates, values,
+    targets)`` table, in the order given; ``values`` is systems x candidates."""
+    keys: list[tuple[str, str]] = []
+    blocks: list[np.ndarray] = []
+    targets: list[np.ndarray] = []
+    for query_id, candidates, values, query_targets in tables:
         keys.extend((query_id, doc_id) for doc_id in candidates)
         blocks.append(values.T)
-        targets.extend(1.0 if qrels.grade(query_id, doc_id) > 0 else 0.0 for doc_id in candidates)
-
-    system_order = tuple(system.run_tag for system in scored)
+        targets.append(query_targets)
     # C order: solve_ols's BLAS products round differently on an F-ordered matrix.
     scores = np.ascontiguousarray(np.concatenate(blocks))
-    return ScoreMatrix(system_order, tuple(keys), scores, np.asarray(targets, dtype=float))
+    return ScoreMatrix(system_order, tuple(keys), scores, np.concatenate(targets))
 
 
 def _spd_solve(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -191,23 +207,35 @@ def weights_to_csv(weights: WeightVector) -> str:
 
 
 def weights_from_csv(text: str) -> WeightVector:
-    """Read back a weights CSV written by :func:`weights_to_csv`."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != "system,weight":
+    """Read back a weights CSV written by :func:`weights_to_csv`.
+
+    The weight is split off at the last comma, since a run tag may
+    itself contain commas. A row without a comma or with a non-numeric
+    weight raises ValueError naming its line.
+    """
+    rows = [(line_no, line) for line_no, line in enumerate(text.splitlines(), start=1)
+            if line.strip()]
+    if not rows or rows[0][1] != "system,weight":
         raise ValueError("weights CSV must start with a 'system,weight' header")
     tags: list[str] = []
     values: list[float] = []
     intercept: float | None = None
     rss = float("nan")
-    for line in lines[1:]:
-        tag, _, raw = line.partition(",")
+    for line_no, line in rows[1:]:
+        tag, comma, raw = line.rpartition(",")
+        if not comma:
+            raise ValueError(f"line {line_no}: expected 'system,weight', got {line!r}")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"line {line_no}: weight {raw!r} is not a number") from None
         if tag == "__intercept__":
-            intercept = float(raw)
+            intercept = value
         elif tag == "__rss__":
-            rss = float(raw)
+            rss = value
         else:
             tags.append(tag)
-            values.append(float(raw))
+            values.append(value)
     if intercept is None:
         raise ValueError("weights CSV is missing the __intercept__ row")
     return WeightVector(tuple(tags), intercept, np.asarray(values), rss=rss)

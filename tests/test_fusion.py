@@ -14,7 +14,7 @@ from rankfuse.fusion import (
     normalize_reciprocal,
 )
 from rankfuse.regression import WeightVector
-from rankfuse.trec import RunList, write_run
+from rankfuse.trec import RunEntry, RunList, write_run
 
 
 def _run(tag, queries):
@@ -70,6 +70,12 @@ def test_normalize_constant_configurable_and_validated():
     assert normalize_reciprocal(run, -0.5).score("q", "a") == 2.0
     with pytest.raises(ValueError):
         normalize_reciprocal(run, -1.0)
+
+
+def test_normalize_rejects_a_rank_below_one():
+    run = RunList("t", {"q": (RunEntry("q", "a", 0, 1.0, "t"),)})
+    with pytest.raises(ValueError, match="rank below 1"):
+        normalize_reciprocal(run)
 
 
 def test_linear_combine_hand_example():
@@ -306,3 +312,38 @@ def test_fused_scores_equal_a_per_doc_loop_exactly(seed, num_runs):
     assert _raw_scores(comb_sum(scored)) == combsum
     assert _raw_scores(comb_mnz(scored)) == combmnz
     assert _raw_scores(borda(runs)) == points
+
+
+_TIED = {
+    # method -> (fuse at depth 3, per-doc combine for _naive_fusion, uses ranks)
+    "lc": (lambda scored, runs: linear_combine(scored, _weights(["f", "r"], [0.5, 0.5], 0.25), 3),
+           lambda union, present: 0.25 + _summed(0.5 * v for _, v in present), False),
+    "combsum": (lambda scored, runs: comb_sum(scored, 3),
+                lambda union, present: _summed(v for _, v in present), False),
+    "combmnz": (lambda scored, runs: comb_mnz(scored, 3),
+                lambda union, present: len(present) * _summed(v for _, v in present), False),
+    "borda": (lambda scored, runs: borda(runs, 3),
+              lambda union, present: float(sum(len(union) - r + 1 for _, r in present)), True),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_TIED))
+def test_fused_ties_break_by_doc_id_like_from_scores(method):
+    # Two mirrored systems tie docs pairwise (exactly: a + b == b + a), and
+    # depth 3 of 5 candidates cuts through a tied pair.
+    forward = {"1": ["d3", "d1", "d4", "d2", "d0"], "2": ["e", "b", "a", "d", "c"]}
+    runs = [_run("f", forward), _run("r", {q: docs[::-1] for q, docs in forward.items()})]
+    scored = [normalize_reciprocal(r) for r in runs]
+    fuse, combine, uses_ranks = _TIED[method]
+    per_system = (
+        [{q: {e.doc_id: e.rank for e in r.entries(q)} for q in r.query_ids} for r in runs]
+        if uses_ranks else [s.scores for s in scored]
+    )
+    scores = {}
+    for (q, d), score in _naive_fusion(per_system, combine).items():
+        scores.setdefault(q, {})[d] = score
+    for per_doc in scores.values():
+        assert len(set(per_doc.values())) < len(per_doc)  # the data does tie
+    fused = fuse(scored, runs)
+    assert fused == RunList.from_scores(fused.run_tag, scores, depth=3)
+    assert all(len(fused.entries(q)) == 3 for q in forward)

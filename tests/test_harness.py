@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from rankfuse.evaluation import evaluate
+from rankfuse.fusion import borda, comb_mnz, comb_sum, linear_combine, normalize_reciprocal
 from rankfuse.harness import (
+    FUSION_METHODS,
     FoldSplit,
     compare_methods,
     cross_validated_fusion,
@@ -17,6 +19,7 @@ from rankfuse.harness import (
     grouped_eval,
     split_odd_even,
 )
+from rankfuse.regression import assemble_matrix, solve_ols
 from rankfuse.trec import Qrels, RunList, write_qrels, write_run
 
 
@@ -128,6 +131,28 @@ def test_xval_training_failure_names_fold():
         cross_validated_fusion(runs, official, official)
 
 
+def test_xval_warns_on_a_fold_without_relevant_labels():
+    runs, qrels = generate_synthetic(19, 6, 2, 20, 4)
+    split = split_odd_even(qrels.query_ids)
+    training = Qrels({
+        q: {d: (0 if q in split.partition_a else g) for d, g in grades.items()}
+        for q, grades in qrels.grades.items()
+    })
+    with pytest.warns(UserWarning, match=r"fold A \(2 systems\): no training label is relevant"):
+        result = cross_validated_fusion(runs, training, qrels)
+    assert result.weights_a.degenerate and not result.weights_b.degenerate
+    for query_id in split.partition_b:  # zero weights: doc-id order
+        assert result.fused.docs(query_id) == tuple(sorted(runs[0].docs(query_id)))
+
+
+def test_xval_warns_on_a_regularized_fold():
+    runs, qrels = generate_synthetic(3, 6, 1, 25, 6)
+    twin = RunList("copy", runs[0].by_query)
+    with pytest.warns(UserWarning, match=r"fold B \(2 systems\): the design is rank-deficient"):
+        result = cross_validated_fusion([runs[0], twin], qrels, qrels)
+    assert result.weights_b.regularized
+
+
 def test_xval_requires_two_runs():
     runs, qrels = generate_synthetic(1, 4, 1, 10, 3)
     with pytest.raises(ValueError):
@@ -174,6 +199,66 @@ def test_compare_methods_rows_and_baseline():
     for row in rows:
         for metric in ("map", "rp", "p10", "p20"):
             assert row.value(metric) >= 0.0
+
+
+def _prefix_runs():
+    """Partial-overlap runs: each system drops a query with chance 0.2 (as
+    ``_random_runs`` in test_fusion.py does), query 8 is ranked only by the
+    last two systems and docs D30..D39 only by the last three."""
+    rng = np.random.default_rng(52)
+    runs = []
+    for r in range(6):
+        scores = {}
+        for q in range(1, 9):
+            if (q == 8 and r < 4) or rng.random() < 0.2:
+                continue
+            universe = 30 if r < 3 else 40
+            picks = rng.permutation(universe)[: rng.integers(3, 16)]
+            scores[str(q)] = {f"D{i:02d}": float(rng.integers(1, 1000)) for i in picks}
+        runs.append(RunList.from_scores(f"s{r}", scores))
+    official = Qrels({str(q): {f"D{i:02d}": int(i % 3 == 0) for i in range(0, 40, 2)}
+                      for q in range(1, 9)}, name="official")
+    training = Qrels({q: {d: g for d, g in grades.items() if d < "D20"}
+                      for q, grades in official.grades.items()}, name="training")
+    return runs, training, official
+
+
+def test_compare_methods_equals_per_prefix_public_calls_exactly():
+    runs, training, official = _prefix_runs()
+    queries = official.query_ids
+    split = split_odd_even(queries)
+    assert not any(run.entries("8") for run in runs[:4])
+    assert any("D35" in run.docs(q) for run in runs[3:] for q in queries)
+
+    def row(method, size, fused):
+        report = evaluate(fused, official, queries).mean_metrics()
+        return (method, size, report["map"], report["rp"], report["p10"], report["p20"])
+
+    expected = []
+    for method in ("LC-mlr", "combsum", "combmnz", "borda"):
+        for size in range(2, len(runs) + 1):
+            scored = [normalize_reciprocal(run, 7.5) for run in runs[:size]]
+            if method == "LC-mlr":
+                weights_a = solve_ols(assemble_matrix(scored, training, split.partition_a))
+                weights_b = solve_ols(assemble_matrix(scored, training, split.partition_b))
+                fused_b = linear_combine(scored, weights_a, 9, queries=split.partition_b)
+                fused_a = linear_combine(scored, weights_b, 9, queries=split.partition_a)
+                fused = RunList("LC-mlr", {**fused_a.by_query, **fused_b.by_query})
+                xval = cross_validated_fusion(runs[:size], training, official, 7.5, 9)
+                for got, want in ((xval.weights_a, weights_a), (xval.weights_b, weights_b)):
+                    assert got.weights.tolist() == want.weights.tolist()
+                    assert (got.intercept, got.rss) == (want.intercept, want.rss)
+                assert xval.fused == fused
+            elif method == "combsum":
+                fused = comb_sum(scored, 9, queries=queries)
+            elif method == "combmnz":
+                fused = comb_mnz(scored, 9, queries=queries)
+            else:
+                fused = borda(runs[:size], 9, queries=queries)
+            expected.append(row(method, size, fused))
+
+    rows = compare_methods(runs, training, official, FUSION_METHODS, 7.5, 9)
+    assert [(r.method, r.num_systems, r.map, r.rp, r.p10, r.p20) for r in rows] == expected
 
 
 def test_compare_methods_subset_and_validation():

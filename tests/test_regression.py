@@ -322,3 +322,20 @@ def test_assemble_matrix_equals_a_per_doc_loop_exactly():
     # an empty query block alone would make numpy pick C order
     assert matrix.scores.flags.c_contiguous
     assert assemble_matrix(scored, qrels, ["1", "2"]).scores.flags.c_contiguous
+
+
+def test_weights_csv_round_trips_a_run_tag_with_commas():
+    w = WeightVector(("a,b", "c,,d", "plain"), -0.25, np.array([0.5, 1e-300, -3.0]), rss=1.5)
+    back = weights_from_csv(weights_to_csv(w))
+    assert back.system_order == w.system_order
+    assert back.weights.tolist() == w.weights.tolist()
+    assert back.intercept == w.intercept
+    assert back.rss == w.rss
+
+
+def test_weights_csv_bad_value_names_its_line():
+    text = "system,weight\n\nsysA,0.5\nsysB,heavy\n__intercept__,0.0\n"
+    with pytest.raises(ValueError, match=r"line 4: weight 'heavy' is not a number"):
+        weights_from_csv(text)
+    with pytest.raises(ValueError, match="line 2: expected 'system,weight'"):
+        weights_from_csv("system,weight\nsysA\n__intercept__,0.0\n")
