@@ -27,7 +27,7 @@ from .fusion import (
     normalize_reciprocal,
 )
 from .regression import assemble_matrix, solve_ols, weights_from_csv, weights_to_csv
-from .trec import load_qrels, load_run, save_qrels, save_run, write_qrels, write_run
+from .trec import Qrels, load_qrels, load_run, save_qrels, save_run, write_qrels, write_run
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -45,6 +45,18 @@ def _load_runs(paths: Sequence[str]) -> list:
     if duplicates:
         raise ValueError(f"duplicate run tags across input files: {duplicates}")
     return runs
+
+
+def _load_qrels(path: str) -> Qrels:
+    """load_qrels, with one stderr line when the file repeats a judgment."""
+    qrels = load_qrels(path)
+    if qrels.duplicate_warnings:
+        print(
+            f"warning: {path}: {qrels.duplicate_warnings} duplicate (query, doc) "
+            "lines with the same grade; each pair counted once",
+            file=sys.stderr,
+        )
+    return qrels
 
 
 def _parse_depths(text: str) -> list[int]:
@@ -74,7 +86,7 @@ def _parse_mode(text: str) -> tuple[str, int]:
 
 def _cmd_pool(args: argparse.Namespace) -> int:
     runs = _load_runs(args.runs)
-    full = load_qrels(args.qrels)
+    full = _load_qrels(args.qrels)
     if args.depth is not None:
         depth = args.depth
     else:
@@ -92,7 +104,7 @@ def _cmd_pool(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     runs = _load_runs(args.runs)
-    full = load_qrels(args.qrels)
+    full = _load_qrels(args.qrels)
     rows = pooling.pool_sweep(runs, full, _parse_depths(args.depths))
     _emit(pooling.sweep_csv(rows), args.out)
     return 0
@@ -100,7 +112,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     runs = _load_runs(args.runs)
-    qrels = load_qrels(args.qrels)
+    qrels = _load_qrels(args.qrels)
     scored = [normalize_reciprocal(run, args.constant) for run in runs]
     queries = _parse_queries(args.queries) or qrels.query_ids
     weights = solve_ols(assemble_matrix(scored, qrels, queries))
@@ -142,7 +154,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     run = load_run(args.run)
-    qrels = load_qrels(args.qrels)
+    qrels = _load_qrels(args.qrels)
     report = evaluate(run, qrels, _parse_queries(args.queries))
     _emit(report_csv(report), args.csv)
     return 0
@@ -150,8 +162,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_xval(args: argparse.Namespace) -> int:
     runs = _load_runs(args.runs)
-    official = load_qrels(args.qrels)
-    training = official if args.training_qrels is None else load_qrels(args.training_qrels)
+    official = _load_qrels(args.qrels)
+    training = official if args.training_qrels is None else _load_qrels(args.training_qrels)
     result = harness.cross_validated_fusion(
         runs, training, official, args.constant, args.depth
     )
@@ -163,8 +175,8 @@ def _cmd_xval(args: argparse.Namespace) -> int:
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     runs = _load_runs(args.runs)
-    official = load_qrels(args.qrels)
-    training = official if args.training_qrels is None else load_qrels(args.training_qrels)
+    official = _load_qrels(args.qrels)
+    training = official if args.training_qrels is None else _load_qrels(args.training_qrels)
     rows = harness.compare_methods(
         runs, training, official, ("LC-mlr",), args.constant, args.depth
     )
@@ -174,8 +186,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     runs = _load_runs(args.runs)
-    official = load_qrels(args.qrels)
-    training = official if args.training_qrels is None else load_qrels(args.training_qrels)
+    official = _load_qrels(args.qrels)
+    training = official if args.training_qrels is None else _load_qrels(args.training_qrels)
     methods = [token for token in args.methods.split(",") if token]
     rows = harness.compare_methods(
         runs, training, official, methods, args.constant, args.depth
@@ -186,7 +198,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_group_eval(args: argparse.Namespace) -> int:
     run = load_run(args.run)
-    qrels = load_qrels(args.qrels)
+    qrels = _load_qrels(args.qrels)
     mode, threshold = _parse_mode(args.mode)
     groups = harness.group_by_relcount(qrels, mode, threshold)
     reports = harness.grouped_eval(run, qrels, groups)
@@ -196,8 +208,8 @@ def _cmd_group_eval(args: argparse.Namespace) -> int:
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     run = load_run(args.run)
-    full = load_qrels(args.qrels)
-    partials = [load_qrels(path) for path in args.partials]
+    full = _load_qrels(args.qrels)
+    partials = [_load_qrels(path) for path in args.partials]
     rows = sensitivity_table(run, full, partials)
     _emit(sensitivity_csv(rows), args.out)
     return 0

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .trec import RunEntry, RunList, sort_query_ids
+from .trec import Ranking, RunList, sort_query_ids
 
 if TYPE_CHECKING:  # import cycle: regression trains on ScoredList
     from .regression import WeightVector
@@ -63,6 +63,17 @@ def _reciprocal(constant: float) -> Callable[[np.ndarray], np.ndarray]:
     return values
 
 
+def _rank_numbers(runs: Sequence[RunList]) -> list[int]:
+    """The ranks 1..L of the longest ranking in ``runs``.
+
+    Every doc -> rank map zips a ranking's docs with this one list, so
+    all the maps share one int object per rank instead of each making
+    its own.
+    """
+    longest = max((len(ranking) for run in runs for ranking in run.by_query.values()), default=0)
+    return list(range(1, longest + 1))
+
+
 def normalize_reciprocal(
     run: RunList, constant: float = DEFAULT_RECIPROCAL_CONSTANT
 ) -> ScoredList:
@@ -73,13 +84,9 @@ def normalize_reciprocal(
     is preserved.
     """
     reciprocal = _reciprocal(constant)
-    ranks = [e.rank for entries in run.by_query.values() for e in entries]
-    if ranks and min(ranks) < 1:
-        raise ValueError(f"run {run.run_tag!r} has a rank below 1; canonical ranks start at 1")
-    by_rank = reciprocal(np.arange(max(ranks, default=0) + 1)).tolist()
+    by_rank = reciprocal(np.array(_rank_numbers([run]), dtype=np.intp)).tolist()
     scores = {
-        query_id: {e.doc_id: by_rank[e.rank] for e in run.entries(query_id)}
-        for query_id in run.query_ids
+        query_id: dict(zip(run.docs(query_id), by_rank)) for query_id in run.query_ids
     }
     return ScoredList(run.run_tag, scores)
 
@@ -138,16 +145,15 @@ def _fuse(
     (score descending, doc_id ascending) order. A query with no
     candidates is left out.
     """
-    fused: dict[str, tuple[RunEntry, ...]] = {}
+    fused: dict[str, Ranking] = {}
     for query_id, candidates, values, present in tables:
         if not candidates:
             continue
         scores = reduce(values, present)
-        order = np.argsort(-scores, kind="stable")[:depth].tolist()
-        scores = scores.tolist()
-        fused[query_id] = tuple(
-            RunEntry(query_id, candidates[column], rank, scores[column], run_tag)
-            for rank, column in enumerate(order, start=1)
+        order = np.argsort(-scores, kind="stable")[:depth]
+        fused[query_id] = Ranking(
+            tuple([candidates[column] for column in order.tolist()]),
+            tuple(scores[order].tolist()),
         )
     return RunList(run_tag, fused)
 
@@ -241,11 +247,9 @@ def borda(
     """
     if not runs:
         raise ValueError("need at least one run")
+    rank_numbers = _rank_numbers(runs)
     ranks = [
-        {
-            query_id: {e.doc_id: e.rank for e in run.entries(query_id)}
-            for query_id in run.query_ids
-        }
+        {query_id: dict(zip(run.docs(query_id), rank_numbers)) for query_id in run.by_query}
         for run in runs
     ]
     return _fuse(_query_tables(ranks, queries), _points, run_tag, depth)

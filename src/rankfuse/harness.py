@@ -32,6 +32,7 @@ from .fusion import (
     _fuse,
     _mnz,
     _points,
+    _rank_numbers,
     _reciprocal,
     _summed,
     _weighted,
@@ -113,10 +114,11 @@ class _RankTable(NamedTuple):
 def _rank_tables(
     runs: Sequence[RunList], query_ids: Sequence[str], training_qrels: Qrels
 ) -> dict[str, _RankTable]:
+    rank_numbers = _rank_numbers(runs)
     tables = {}
     for query_id in query_ids:
         candidates, ranks, _ = _candidate_table(
-            [{e.doc_id: e.rank for e in run.entries(query_id)} for run in runs], np.int32
+            [dict(zip(run.docs(query_id), rank_numbers)) for run in runs], np.int32
         )
         tables[query_id] = _RankTable(
             candidates, ranks, _targets(training_qrels, query_id, candidates)

@@ -54,10 +54,8 @@ def build_pool(runs: Sequence[RunList], depth: int) -> Pool:
         raise ValueError("need at least one run to build a pool")
     docs: dict[str, set[str]] = {}
     for run in runs:
-        for query_id in run.by_query:
-            pooled = docs.setdefault(query_id, set())
-            for entry in run.entries(query_id)[:depth]:
-                pooled.add(entry.doc_id)
+        for query_id, ranking in run.by_query.items():
+            docs.setdefault(query_id, set()).update(ranking.docs[:depth])
     return Pool(depth, {q: frozenset(s) for q, s in docs.items()})
 
 
@@ -95,11 +93,11 @@ def _coverage_counts(runs: Sequence[RunList], full: Qrels, max_depth: int) -> li
     """
     first_depth: dict[tuple[str, str], int] = {}
     for run in runs:
-        for query_id, entries in run.by_query.items():
+        for query_id, ranking in run.by_query.items():
             grades = full.grades_for(query_id)
-            for depth, entry in enumerate(entries[:max_depth], start=1):
-                key = (query_id, entry.doc_id)
-                if grades.get(entry.doc_id, 0) > 0 and depth < first_depth.get(key, max_depth + 1):
+            for depth, doc_id in enumerate(ranking.docs[:max_depth], start=1):
+                key = (query_id, doc_id)
+                if grades.get(doc_id, 0) > 0 and depth < first_depth.get(key, max_depth + 1):
                     first_depth[key] = depth
     entered = np.fromiter(first_depth.values(), dtype=np.intp, count=len(first_depth))
     return np.bincount(entered, minlength=max_depth + 1)[1:].cumsum().tolist()
@@ -138,7 +136,7 @@ def pick_depth_for_fraction(
     if not 0.0 < target_fraction <= 1.0:
         raise ValueError("target_fraction must be in (0, 1]")
     max_depth = max(
-        (len(entries) for run in runs for entries in run.by_query.values()), default=0
+        (len(ranking) for run in runs for ranking in run.by_query.values()), default=0
     )
     if max_depth == 0:
         raise ValueError("runs contain no ranked documents")

@@ -15,6 +15,11 @@ score columns, so one of them has to be the authority; the rank column
 found in the file must be an integer but is otherwise ignored.
 Canonicalization is deterministic: the same entries produce the same
 RunList regardless of line order.
+
+A RunList stores one Ranking per query: a tuple of doc ids in rank
+order and the parallel tuple of their raw scores. A doc's rank is its
+position + 1, so no rank is stored and no per-entry object is kept;
+``RunList.entries`` builds RunEntry views on demand.
 """
 
 from __future__ import annotations
@@ -68,20 +73,41 @@ class RunEntry:
     run_tag: str
 
 
+@dataclass(frozen=True, slots=True)
+class Ranking:
+    """One query's canonical ranking: doc ids in rank order and their raw scores.
+
+    The doc at position i has rank i + 1. ``len`` is the number of docs.
+    """
+
+    docs: tuple[str, ...]
+    scores: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.docs) != len(self.scores):
+            raise ValueError(
+                f"ranking has {len(self.docs)} docs but {len(self.scores)} scores"
+            )
+
+    def __len__(self) -> int:
+        return len(self.docs)
+
+
+_NO_RANKING = Ranking((), ())
+
+
 def _canonical(
-    run_tag: str,
-    rows: Mapping[str, Iterable[tuple[str, float]]],
-    depth: int | None = None,
-) -> dict[str, tuple[RunEntry, ...]]:
-    by_query: dict[str, tuple[RunEntry, ...]] = {}
-    for query_id, docs in rows.items():
-        ordered = sorted(docs, key=lambda t: (-t[1], t[0]))
+    scores: Mapping[str, Mapping[str, float]], depth: int | None = None
+) -> dict[str, Ranking]:
+    """One Ranking per query: score descending, doc_id ascending on ties."""
+    by_query: dict[str, Ranking] = {}
+    for query_id, per_doc in scores.items():
+        # Sort by doc id, then stably by score; reverse=True keeps ties in doc-id order.
+        ordered = sorted(per_doc)
+        ordered.sort(key=per_doc.__getitem__, reverse=True)
         if depth is not None:
-            ordered = ordered[:depth]
-        by_query[query_id] = tuple(
-            RunEntry(query_id, doc_id, rank, score, run_tag)
-            for rank, (doc_id, score) in enumerate(ordered, start=1)
-        )
+            del ordered[depth:]
+        by_query[query_id] = Ranking(tuple(ordered), tuple(map(per_doc.__getitem__, ordered)))
     return by_query
 
 
@@ -89,13 +115,13 @@ def _canonical(
 class RunList:
     """One retrieval system's ranked output in canonical form.
 
-    Per query, entries are sorted by raw score descending with doc_id
+    Per query, docs are sorted by raw score descending with doc_id
     ascending as tie-break, and ranks are exactly 1..L. Instances are
     treated as immutable and are safe to share across threads.
     """
 
     run_tag: str
-    by_query: dict[str, tuple[RunEntry, ...]]
+    by_query: dict[str, Ranking]
 
     @classmethod
     def from_scores(
@@ -105,19 +131,23 @@ class RunList:
         depth: int | None = None,
     ) -> RunList:
         """Build a canonical RunList from per-query doc -> score maps."""
-        rows = {query_id: docs.items() for query_id, docs in scores.items()}
-        return cls(run_tag, _canonical(run_tag, rows, depth))
+        return cls(run_tag, _canonical(scores, depth))
 
     @property
     def query_ids(self) -> list[str]:
         return sort_query_ids(self.by_query)
 
     def entries(self, query_id: str) -> tuple[RunEntry, ...]:
-        return self.by_query.get(query_id, ())
+        """One query's ranking as RunEntry objects, built on each call."""
+        ranking = self.by_query.get(query_id, _NO_RANKING)
+        return tuple(
+            RunEntry(query_id, doc_id, rank, score, self.run_tag)
+            for rank, (doc_id, score) in enumerate(zip(ranking.docs, ranking.scores), start=1)
+        )
 
     def docs(self, query_id: str) -> tuple[str, ...]:
         """Doc ids for one query in rank order."""
-        return tuple(e.doc_id for e in self.entries(query_id))
+        return self.by_query.get(query_id, _NO_RANKING).docs
 
     def num_entries(self) -> int:
         return sum(len(v) for v in self.by_query.values())
@@ -131,8 +161,7 @@ def parse_run(lines: Iterable[str]) -> RunList:
     DuplicateDocError for repeated (query, doc) pairs and
     MixedRunTagsError when the tag column is not constant.
     """
-    rows: dict[str, list[tuple[str, float]]] = {}
-    seen: set[tuple[str, str]] = set()
+    rows: dict[str, dict[str, float]] = {}
     run_tag: str | None = None
     for line_no, raw in enumerate(lines, start=1):
         parts = raw.split()
@@ -151,34 +180,43 @@ def parse_run(lines: Iterable[str]) -> RunList:
             raise ParseError(line_no, f"score field {score_str!r} is not a number") from None
         if not math.isfinite(score):
             raise ParseError(line_no, f"score field {score_str!r} is not finite")
-        if run_tag is None:
+        if tag != run_tag:
+            if run_tag is not None:
+                raise MixedRunTagsError(
+                    f"line {line_no}: run tag {tag!r} differs from earlier tag {run_tag!r}"
+                )
             run_tag = tag
-        elif tag != run_tag:
-            raise MixedRunTagsError(
-                f"line {line_no}: run tag {tag!r} differs from earlier tag {run_tag!r}"
-            )
-        if (query_id, doc_id) in seen:
+        per_doc = rows.setdefault(query_id, {})
+        if doc_id in per_doc:
             raise DuplicateDocError(
                 f"line {line_no}: duplicate entry for query {query_id}, doc {doc_id}"
             )
-        seen.add((query_id, doc_id))
-        rows.setdefault(query_id, []).append((doc_id, score))
-    return RunList(run_tag or "", _canonical(run_tag or "", rows))
+        per_doc[doc_id] = score
+    return RunList(run_tag or "", _canonical(rows))
 
 
 def write_run(run: RunList, depth_limit: int = 1000) -> str:
     """Serialize a RunList to TREC 6-column text, top ``depth_limit`` per query.
 
-    Scores are written with 6 significant digits, so a list whose scores
-    carry more precision may not survive a round trip bit-for-bit;
-    anything this toolkit writes re-parses to an equal RunList.
+    Ranks are written as 1..L and scores with 6 significant digits
+    (``.6g``). A list whose scores need more digits than that, such as a
+    fused run, does not survive a round trip: scores that differ beyond
+    the sixth digit are written equal, and re-parsing breaks those ties
+    by doc id, which can change the ranking. A list whose scores ``.6g``
+    prints exactly (integers below 10**6, for one), with no empty query
+    and none cut at ``depth_limit``, re-parses to an equal RunList.
     """
     if depth_limit < 1:
         raise ValueError("depth_limit must be >= 1")
     out: list[str] = []
+    tag = run.run_tag
     for query_id in run.query_ids:
-        for e in run.entries(query_id)[:depth_limit]:
-            out.append(f"{query_id} Q0 {e.doc_id} {e.rank} {e.raw_score:.6g} {run.run_tag}\n")
+        ranking = run.by_query[query_id]
+        top = zip(ranking.docs[:depth_limit], ranking.scores[:depth_limit])
+        out.extend(
+            f"{query_id} Q0 {doc_id} {rank} {score:.6g} {tag}\n"
+            for rank, (doc_id, score) in enumerate(top, start=1)
+        )
     return "".join(out)
 
 

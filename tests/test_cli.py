@@ -262,6 +262,23 @@ def test_cli_rejects_duplicate_run_tags(dataset, tmp_path, capsys):
     assert "duplicate run tags" in capsys.readouterr().err
 
 
+def test_duplicate_qrels_lines_reported_on_stderr_only(dataset, tmp_path, capsys):
+    text = open(dataset["qrels"]).read()
+    first, second = text.splitlines(keepends=True)[:2]
+    doubled = tmp_path / "doubled.qrels"
+    doubled.write_text(first + text + second + first)
+    outputs = {}
+    for name, qrels in (("clean", dataset["qrels"]), ("doubled", str(doubled))):
+        assert main(["eval", "--run", dataset["runs"][0], "--qrels", qrels]) == 0
+        outputs[name] = capsys.readouterr()
+    assert outputs["doubled"].out == outputs["clean"].out
+    assert outputs["clean"].err == ""
+    assert outputs["doubled"].err == (
+        f"warning: {doubled}: 3 duplicate (query, doc) lines with the same grade; "
+        "each pair counted once\n"
+    )
+
+
 def test_cli_byte_determinism_across_invocations(dataset, tmp_path):
     """The same command twice writes identical bytes."""
     for name, argv in {

@@ -13,8 +13,9 @@ from rankfuse.fusion import (
     linear_combine,
     normalize_reciprocal,
 )
+from rankfuse.harness import cross_validated_fusion
 from rankfuse.regression import WeightVector
-from rankfuse.trec import RunEntry, RunList, write_run
+from rankfuse.trec import Qrels, Ranking, RunEntry, RunList, parse_run, write_run
 
 
 def _run(tag, queries):
@@ -70,12 +71,6 @@ def test_normalize_constant_configurable_and_validated():
     assert normalize_reciprocal(run, -0.5).score("q", "a") == 2.0
     with pytest.raises(ValueError):
         normalize_reciprocal(run, -1.0)
-
-
-def test_normalize_rejects_a_rank_below_one():
-    run = RunList("t", {"q": (RunEntry("q", "a", 0, 1.0, "t"),)})
-    with pytest.raises(ValueError, match="rank below 1"):
-        normalize_reciprocal(run)
 
 
 def test_linear_combine_hand_example():
@@ -347,3 +342,30 @@ def test_fused_ties_break_by_doc_id_like_from_scores(method):
     fused = fuse(scored, runs)
     assert fused == RunList.from_scores(fused.run_tag, scores, depth=3)
     assert all(len(fused.entries(q)) == 3 for q in forward)
+
+
+def test_every_run_stores_one_ranking_of_plain_tuples_per_query():
+    rng = np.random.default_rng(8)
+    runs = _random_runs(rng, num_runs=3, num_queries=4, skip=0.2)
+    scored = [normalize_reciprocal(r) for r in runs]
+    qrels = Qrels({str(q): {"D01": 1, "D02": 1, "D03": 0} for q in range(1, 5)})
+    built = {
+        "parsed": parse_run(write_run(runs[0]).splitlines()),
+        "from_scores": runs[1],
+        "lc": linear_combine(scored, _weights([s.run_tag for s in scored], [0.5, -0.2, 0.3], 0.1)),
+        "combsum": comb_sum(scored),
+        "combmnz": comb_mnz(scored),
+        "borda": borda(runs),
+        "xval": cross_validated_fusion(runs, qrels, qrels).fused,
+    }
+    for name, run in built.items():
+        assert run.by_query, name
+        for query_id, ranking in run.by_query.items():
+            assert type(ranking) is Ranking, name
+            assert type(ranking.docs) is tuple and type(ranking.scores) is tuple, name
+            assert all(type(d) is str for d in ranking.docs), name
+            assert all(type(v) is float for v in ranking.scores), name
+            assert run.entries(query_id) == tuple(
+                RunEntry(query_id, doc_id, position + 1, score, run.run_tag)
+                for position, (doc_id, score) in enumerate(zip(ranking.docs, ranking.scores))
+            ), name

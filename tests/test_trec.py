@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankfuse.trec import (
     DuplicateDocError,
@@ -11,6 +13,8 @@ from rankfuse.trec import (
     MixedRunTagsError,
     ParseError,
     Qrels,
+    Ranking,
+    RunEntry,
     RunList,
     load_qrels,
     load_run,
@@ -154,6 +158,70 @@ def test_run_round_trip_randomized():
         again = parse_run(text.splitlines())
         assert again == run
         assert write_run(again) == text
+
+
+def test_ranking_rejects_docs_and_scores_of_different_lengths():
+    with pytest.raises(ValueError, match="2 docs but 1 scores"):
+        Ranking(("a", "b"), (1.0,))
+    with pytest.raises(ValueError, match="0 docs but 1 scores"):
+        Ranking((), (1.0,))
+    assert len(Ranking(("a", "b"), (2.0, 1.0))) == 2
+
+
+def test_entries_rank_one_to_length():
+    run = RunList.from_scores("t", {"1": {"a": 1.0, "b": 3.0, "c": 3.0}, "2": {"z": 0.0}})
+    assert run.entries("1") == (
+        RunEntry("1", "b", 1, 3.0, "t"),
+        RunEntry("1", "c", 2, 3.0, "t"),
+        RunEntry("1", "a", 3, 1.0, "t"),
+    )
+    for query_id in run.query_ids:
+        ranks = [e.rank for e in run.entries(query_id)]
+        assert ranks == list(range(1, len(run.by_query[query_id]) + 1))
+    assert run.entries("missing") == ()
+    assert run.docs("missing") == ()
+
+
+# Doc and query ids are whitespace-free tokens; a run has a query, a query a doc
+# (an empty run file parses with run tag "").
+_TOKENS = st.text(alphabet="abcXYZ019-_.:", min_size=1, max_size=6)
+_RUNS = st.dictionaries(
+    _TOKENS,
+    st.dictionaries(_TOKENS, st.integers(-(10**6) + 1, 10**6 - 1), min_size=1, max_size=8),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _lines(scores: dict[str, dict[str, float]]) -> list[str]:
+    return [
+        f"{query_id} Q0 {doc_id} 1 {score!r} tag\n"
+        for query_id, docs in scores.items()
+        for doc_id, score in docs.items()
+    ]
+
+
+@settings(deadline=None)
+@given(
+    _RUNS.map(lambda r: {q: {d: s / 8 for d, s in docs.items()} for q, docs in r.items()}),
+    st.randoms(use_true_random=False),
+)
+def test_parse_run_ignores_line_order(scores, random):
+    lines = _lines(scores)
+    shuffled = list(lines)
+    random.shuffle(shuffled)
+    run = parse_run(lines)
+    assert parse_run(shuffled) == run
+    for query_id, docs in scores.items():
+        ordered = sorted(docs.items(), key=lambda item: (-item[1], item[0]))
+        assert run.by_query[query_id] == Ranking(*map(tuple, zip(*ordered)))
+
+
+@settings(deadline=None)
+@given(_RUNS)
+def test_integer_scores_round_trip(scores):
+    run = RunList.from_scores("tag", scores)
+    assert parse_run(write_run(run).splitlines()) == run
 
 
 def test_qrels_parse_grades_and_counts():
