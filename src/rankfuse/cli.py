@@ -39,7 +39,11 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _load_runs(paths: Sequence[str]) -> list:
+    """load_run of each path, with one stderr line per file that has no run entries."""
     runs = [load_run(path) for path in paths]
+    for path, run in zip(paths, runs):
+        if not run.by_query:
+            print(f"warning: {path}: no run entries", file=sys.stderr)
     tags = [run.run_tag for run in runs]
     duplicates = sorted({tag for tag in tags if tags.count(tag) > 1})
     if duplicates:
@@ -153,7 +157,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    run = load_run(args.run)
+    (run,) = _load_runs([args.run])
     qrels = _load_qrels(args.qrels)
     report = evaluate(run, qrels, _parse_queries(args.queries))
     _emit(report_csv(report), args.csv)
@@ -197,7 +201,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_group_eval(args: argparse.Namespace) -> int:
-    run = load_run(args.run)
+    (run,) = _load_runs([args.run])
     qrels = _load_qrels(args.qrels)
     mode, threshold = _parse_mode(args.mode)
     groups = harness.group_by_relcount(qrels, mode, threshold)
@@ -207,7 +211,7 @@ def _cmd_group_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    run = load_run(args.run)
+    (run,) = _load_runs([args.run])
     full = _load_qrels(args.qrels)
     partials = [_load_qrels(path) for path in args.partials]
     rows = sensitivity_table(run, full, partials)

@@ -224,7 +224,7 @@ def sensitivity_table(
     return rows
 
 
-def sensitivity_csv(rows: Sequence[SensitivityRow], full_label: str = "full") -> str:
+def sensitivity_csv(rows: Sequence[SensitivityRow]) -> str:
     """Sensitivity rows pivoted to one line per qrels variant.
 
     Columns pair each metric's mean with its variance against the full
@@ -241,7 +241,7 @@ def sensitivity_csv(rows: Sequence[SensitivityRow], full_label: str = "full") ->
     if set(first) != set(METRICS):
         raise ValueError("sensitivity rows missing metrics for a qrels variant")
     out = [header]
-    full_cells = [full_label]
+    full_cells = ["full"]
     for metric in METRICS:
         full_cells.extend([f"{first[metric].full_value:.4f}", ""])
     out.append(",".join(full_cells) + "\n")

@@ -1,26 +1,26 @@
 """Rank-to-score normalization and run fusion.
 
-Ranked lists are first normalized with the reciprocal model
-score(d) = 1/(constant + rank(d)), then combined per query over the
+A normalized run is a RunList whose scores are the reciprocal model
+score(d) = 1/(constant + rank(d)). Runs are combined per query over the
 union of retrieved documents, held as one systems x candidates table
-that each method reduces column by column. Fusion methods: weighted
-linear combination, CombSum, CombMNZ, and Borda count. Every fused run
-is sorted score-descending with doc_id-ascending tie-break, densely
-ranked, and truncated to the output depth, so identical inputs yield
-byte-identical output.
+built from each system's docs and a parallel value sequence (its scores,
+or its ranks 1..L for Borda), which each method reduces column by
+column. Fusion methods: weighted linear combination, CombSum, CombMNZ,
+and Borda count. Every fused run is sorted score-descending with
+doc_id-ascending tie-break, densely ranked, and truncated to the output
+depth, so identical inputs yield byte-identical output.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .trec import Ranking, RunList, sort_query_ids
+from .trec import _NO_RANKING, Ranking, RunList, sort_query_ids
 
-if TYPE_CHECKING:  # import cycle: regression trains on ScoredList
+if TYPE_CHECKING:  # import cycle: regression builds its rows with _score_table
     from .regression import WeightVector
 
 DEFAULT_RECIPROCAL_CONSTANT = 60.0
@@ -28,22 +28,8 @@ DEFAULT_OUTPUT_DEPTH = 1000
 
 # (values, present) of one query's candidate table -> one score per candidate
 _Reduce = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class ScoredList:
-    """Per-query doc_id -> normalized score map for one system."""
-
-    run_tag: str
-    scores: dict[str, dict[str, float]]
-
-    @property
-    def query_ids(self) -> list[str]:
-        return sort_query_ids(self.scores)
-
-    def score(self, query_id: str, doc_id: str) -> float:
-        """Normalized score, 0.0 for docs this system did not retrieve."""
-        return self.scores.get(query_id, {}).get(doc_id, 0.0)
+# (candidates, systems x candidates values, presence mask) of one query
+_Table = tuple[list[str], np.ndarray, np.ndarray]
 
 
 def _reciprocal(constant: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -63,73 +49,77 @@ def _reciprocal(constant: float) -> Callable[[np.ndarray], np.ndarray]:
     return values
 
 
-def _rank_numbers(runs: Sequence[RunList]) -> list[int]:
-    """The ranks 1..L of the longest ranking in ``runs``.
-
-    Every doc -> rank map zips a ranking's docs with this one list, so
-    all the maps share one int object per rank instead of each making
-    its own.
-    """
-    longest = max((len(ranking) for run in runs for ranking in run.by_query.values()), default=0)
-    return list(range(1, longest + 1))
-
-
 def normalize_reciprocal(
     run: RunList, constant: float = DEFAULT_RECIPROCAL_CONSTANT
-) -> ScoredList:
-    """Convert canonical ranks to scores 1/(constant + rank).
+) -> RunList:
+    """The run with each score replaced by 1/(constant + rank).
 
     constant must exceed -1 so every rank >= 1 maps to a finite positive
-    score; the mapping is strictly decreasing in rank, so ranking order
-    is preserved.
+    score; the mapping is strictly decreasing in rank, so the ranking,
+    and each query's docs tuple, are kept as they are.
     """
     reciprocal = _reciprocal(constant)
-    by_rank = reciprocal(np.array(_rank_numbers([run]), dtype=np.intp)).tolist()
-    scores = {
-        query_id: dict(zip(run.docs(query_id), by_rank)) for query_id in run.query_ids
+    longest = max(map(len, run.by_query.values()), default=0)
+    by_rank = reciprocal(np.arange(1, longest + 1)).tolist()
+    by_query = {
+        query_id: Ranking(ranking.docs, tuple(by_rank[: len(ranking)]))
+        for query_id, ranking in run.by_query.items()
     }
-    return ScoredList(run.run_tag, scores)
+    return RunList(run.run_tag, by_query)
 
 
-def _select_queries(
-    per_system: Sequence[Mapping[str, Mapping[str, float]]],
-    queries: Iterable[str] | None,
-) -> list[str]:
-    if queries is not None:
-        return sort_query_ids(queries)
-    seen: set[str] = set()
-    for scores in per_system:
-        seen.update(scores)
-    return sort_query_ids(seen)
+def _rankings(runs: Sequence[RunList], query_id: str) -> list[Ranking]:
+    """Each run's ranking of one query, empty where it has none."""
+    return [run.by_query.get(query_id, _NO_RANKING) for run in runs]
 
 
 def _candidate_table(
-    per_system: Sequence[Mapping[str, float]], dtype: type = float
-) -> tuple[list[str], np.ndarray, np.ndarray]:
+    systems: Sequence[tuple[Sequence[str], Sequence[float] | np.ndarray]],
+    dtype: type = float,
+) -> _Table:
     """One query's candidates as a table.
 
-    Returns the sorted union C of the systems' docs, a systems x |C|
-    ``dtype`` matrix of each system's value per candidate (0 where the
-    system did not rank it) and the matching boolean presence mask.
+    ``systems`` holds each system's docs and a parallel value sequence.
+    Returns the sorted union C of the docs, a systems x |C| ``dtype``
+    matrix of each system's value per candidate (0 where the system did
+    not rank it) and the matching boolean presence mask.
     """
-    candidates = sorted(set().union(*per_system))
+    candidates = sorted(set().union(*(docs for docs, _ in systems)))
     column = {doc_id: index for index, doc_id in enumerate(candidates)}
-    values = np.zeros((len(per_system), len(candidates)), dtype=dtype)
+    values = np.zeros((len(systems), len(candidates)), dtype=dtype)
     present = np.zeros(values.shape, dtype=bool)
-    for row, docs in enumerate(per_system):
+    for row, (docs, row_values) in enumerate(systems):
         columns = [column[doc_id] for doc_id in docs]
-        values[row, columns] = list(docs.values())
+        values[row, columns] = row_values
         present[row, columns] = True
     return candidates, values, present
 
 
+def _score_table(rankings: Sequence[Ranking]) -> _Table:
+    """The float table of the rankings' scores."""
+    return _candidate_table([(ranking.docs, ranking.scores) for ranking in rankings])
+
+
+def _rank_table(rankings: Sequence[Ranking]) -> _Table:
+    """The int32 table of the rankings' ranks 1..L (0 = unranked)."""
+    return _candidate_table(
+        [(ranking.docs, np.arange(1, len(ranking) + 1)) for ranking in rankings], np.int32
+    )
+
+
 def _query_tables(
-    per_system: Sequence[Mapping[str, Mapping[str, float]]],
+    runs: Sequence[RunList],
     queries: Iterable[str] | None,
+    table: Callable[[Sequence[Ranking]], _Table],
 ) -> Iterator[tuple[str, list[str], np.ndarray, np.ndarray]]:
-    """``(query_id, *table)`` per selected query, built only when it is fused."""
-    for query_id in _select_queries(per_system, queries):
-        yield query_id, *_candidate_table([system.get(query_id, {}) for system in per_system])
+    """``(query_id, *table)`` per selected query, built only when it is fused.
+
+    ``queries`` defaults to every query any run ranks.
+    """
+    if queries is None:
+        queries = {query_id for run in runs for query_id in run.by_query}
+    for query_id in sort_query_ids(queries):
+        yield query_id, *table(_rankings(runs, query_id))
 
 
 def _fuse(
@@ -177,13 +167,18 @@ def _mnz(values: np.ndarray, present: np.ndarray) -> np.ndarray:
     return present.sum(axis=0) * values.sum(axis=0)
 
 
+def _as_float(ranks: np.ndarray) -> np.ndarray:
+    """Borda's values: the int32 ranks as floats, so the points are float sums."""
+    return ranks.astype(float)
+
+
 def _points(ranks: np.ndarray, present: np.ndarray) -> np.ndarray:
     """Borda: |C| + 1 - rank from each system that ranked the candidate."""
     return ((ranks.shape[1] + 1 - ranks) * present).sum(axis=0)
 
 
 def linear_combine(
-    scored: Sequence[ScoredList],
+    scored: Sequence[RunList],
     w: WeightVector,
     depth: int = DEFAULT_OUTPUT_DEPTH,
     run_tag: str = "LC-mlr",
@@ -191,7 +186,7 @@ def linear_combine(
 ) -> RunList:
     """Fuse by fused(d) = intercept + sum_j w_j * score_j(d), missing = 0.
 
-    The scored lists must line up one-to-one with w.system_order. The
+    The scored runs must line up one-to-one with w.system_order. The
     intercept shifts all fused scores equally, so it never alters the
     ranking; it is kept so fused scores match the trained model's
     predictions.
@@ -203,12 +198,12 @@ def linear_combine(
         raise ValueError(
             f"scored runs {tags} do not match weight vector systems {w.system_order}"
         )
-    tables = _query_tables([system.scores for system in scored], queries)
+    tables = _query_tables(scored, queries, _score_table)
     return _fuse(tables, _weighted(w), run_tag, depth)
 
 
 def comb_sum(
-    scored: Sequence[ScoredList],
+    scored: Sequence[RunList],
     depth: int = DEFAULT_OUTPUT_DEPTH,
     run_tag: str = "combsum",
     queries: Iterable[str] | None = None,
@@ -216,12 +211,12 @@ def comb_sum(
     """Fuse by fused(d) = sum_j score_j(d), missing = 0."""
     if not scored:
         raise ValueError("need at least one scored run")
-    tables = _query_tables([system.scores for system in scored], queries)
+    tables = _query_tables(scored, queries, _score_table)
     return _fuse(tables, _summed, run_tag, depth)
 
 
 def comb_mnz(
-    scored: Sequence[ScoredList],
+    scored: Sequence[RunList],
     depth: int = DEFAULT_OUTPUT_DEPTH,
     run_tag: str = "combmnz",
     queries: Iterable[str] | None = None,
@@ -229,7 +224,7 @@ def comb_mnz(
     """Fuse by fused(d) = (systems ranking d) * sum_j score_j(d)."""
     if not scored:
         raise ValueError("need at least one scored run")
-    tables = _query_tables([system.scores for system in scored], queries)
+    tables = _query_tables(scored, queries, _score_table)
     return _fuse(tables, _mnz, run_tag, depth)
 
 
@@ -247,9 +242,8 @@ def borda(
     """
     if not runs:
         raise ValueError("need at least one run")
-    rank_numbers = _rank_numbers(runs)
-    ranks = [
-        {query_id: dict(zip(run.docs(query_id), rank_numbers)) for query_id in run.by_query}
-        for run in runs
-    ]
-    return _fuse(_query_tables(ranks, queries), _points, run_tag, depth)
+    tables = (
+        (query_id, candidates, _as_float(ranks), present)
+        for query_id, candidates, ranks, present in _query_tables(runs, queries, _rank_table)
+    )
+    return _fuse(tables, _points, run_tag, depth)

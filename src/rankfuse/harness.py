@@ -28,11 +28,12 @@ from .evaluation import METRICS, EvalReport, evaluate
 from .fusion import (
     DEFAULT_OUTPUT_DEPTH,
     DEFAULT_RECIPROCAL_CONSTANT,
-    _candidate_table,
+    _as_float,
     _fuse,
     _mnz,
     _points,
-    _rank_numbers,
+    _rank_table,
+    _rankings,
     _reciprocal,
     _summed,
     _weighted,
@@ -114,12 +115,9 @@ class _RankTable(NamedTuple):
 def _rank_tables(
     runs: Sequence[RunList], query_ids: Sequence[str], training_qrels: Qrels
 ) -> dict[str, _RankTable]:
-    rank_numbers = _rank_numbers(runs)
     tables = {}
     for query_id in query_ids:
-        candidates, ranks, _ = _candidate_table(
-            [dict(zip(run.docs(query_id), rank_numbers)) for run in runs], np.int32
-        )
+        candidates, ranks, _ = _rank_table(_rankings(runs, query_id))
         tables[query_id] = _RankTable(
             candidates, ranks, _targets(training_qrels, query_id, candidates)
         )
@@ -142,11 +140,6 @@ def _fuse_prefix(
             yield query_id, candidates, values_of(ranks), present
 
     return _fuse(sliced(), reduce, run_tag, depth)
-
-
-def _as_float(ranks: np.ndarray) -> np.ndarray:
-    """Borda's values: the ranks themselves, as the float table borda() builds."""
-    return ranks.astype(float)
 
 
 def _train_fold(
@@ -188,7 +181,6 @@ def _cross_validate(
     query_ids: Sequence[str],
     constant: float,
     depth: int,
-    run_tag: str,
 ) -> XvalResult:
     """Two-fold LC fusion of the first ``len(system_order)`` systems' tables."""
     split = split_odd_even(query_ids)
@@ -197,12 +189,12 @@ def _cross_validate(
     weights_b = _train_fold(tables, system_order, reciprocal, split.partition_b, "B")
     size = len(system_order)
     fused_b = _fuse_prefix(
-        tables, split.partition_b, size, reciprocal, _weighted(weights_a), run_tag, depth
+        tables, split.partition_b, size, reciprocal, _weighted(weights_a), "LC-mlr", depth
     )
     fused_a = _fuse_prefix(
-        tables, split.partition_a, size, reciprocal, _weighted(weights_b), run_tag, depth
+        tables, split.partition_a, size, reciprocal, _weighted(weights_b), "LC-mlr", depth
     )
-    fused = RunList(run_tag, {**fused_a.by_query, **fused_b.by_query})
+    fused = RunList("LC-mlr", {**fused_a.by_query, **fused_b.by_query})
     report = evaluate(fused, official_qrels, query_ids)
     return XvalResult(fused, report, split, weights_a, weights_b)
 
@@ -213,7 +205,6 @@ def cross_validated_fusion(
     official_qrels: Qrels,
     constant: float = DEFAULT_RECIPROCAL_CONSTANT,
     depth: int = DEFAULT_OUTPUT_DEPTH,
-    run_tag: str = "LC-mlr",
     queries: Iterable[str] | None = None,
 ) -> XvalResult:
     """Two-fold cross-validated linear-combination fusion.
@@ -232,7 +223,7 @@ def cross_validated_fusion(
     return _cross_validate(
         _rank_tables(runs, query_ids, training_qrels),
         tuple(run.run_tag for run in runs),
-        official_qrels, query_ids, constant, depth, run_tag,
+        official_qrels, query_ids, constant, depth,
     )
 
 
@@ -300,7 +291,7 @@ def compare_methods(
         for size in range(2, len(runs) + 1):
             if method == "LC-mlr":
                 report = _cross_validate(
-                    tables, tags[:size], official_qrels, query_ids, constant, depth, method
+                    tables, tags[:size], official_qrels, query_ids, constant, depth
                 ).report
             else:
                 if method == "borda":

@@ -9,14 +9,15 @@ squares of the affine model over all rows.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .fusion import ScoredList, _candidate_table
-from .trec import Qrels, sort_query_ids
+from .fusion import _rankings, _score_table
+from .trec import Qrels, RunList, sort_query_ids
 
 RIDGE_FALLBACK = 1e-8
 _COND_LIMIT = 1e12
@@ -70,7 +71,7 @@ class WeightVector:
 
 
 def assemble_matrix(
-    scored: Sequence[ScoredList],
+    scored: Sequence[RunList],
     qrels: Qrels,
     queries: Iterable[str],
 ) -> ScoreMatrix:
@@ -89,9 +90,7 @@ def assemble_matrix(
 
     tables = []
     for query_id in query_list:
-        candidates, values, _ = _candidate_table(
-            [system.scores.get(query_id, {}) for system in scored]
-        )
+        candidates, values, _ = _score_table(_rankings(scored, query_id))
         tables.append((query_id, candidates, values, _targets(qrels, query_id, candidates)))
     return _stack_rows(tuple(system.run_tag for system in scored), tables)
 
@@ -197,9 +196,14 @@ def objective_g(matrix: ScoreMatrix, candidate: WeightVector) -> float:
 
 
 def weights_to_csv(weights: WeightVector) -> str:
-    """Serialize weights as CSV: per-system rows plus intercept and rss."""
+    """Serialize weights as CSV: per-system rows plus intercept and rss.
+
+    A system tagged ``__intercept__`` or ``__rss__`` raises ValueError.
+    """
     out = ["system,weight\n"]
     for tag, value in zip(weights.system_order, weights.weights):
+        if tag in ("__intercept__", "__rss__"):
+            raise ValueError(f"system tag {tag!r} is reserved in the weights CSV")
         out.append(f"{tag},{float(value)!r}\n")  # repr of builtin float round-trips
     out.append(f"__intercept__,{weights.intercept!r}\n")
     out.append(f"__rss__,{weights.rss!r}\n")
@@ -210,17 +214,15 @@ def weights_from_csv(text: str) -> WeightVector:
     """Read back a weights CSV written by :func:`weights_to_csv`.
 
     The weight is split off at the last comma, since a run tag may
-    itself contain commas. A row without a comma or with a non-numeric
-    weight raises ValueError naming its line.
+    itself contain commas. A row without a comma, with a non-numeric or
+    non-finite weight (only ``__rss__`` may be nan), or repeating an
+    earlier row's tag raises ValueError naming its line.
     """
     rows = [(line_no, line) for line_no, line in enumerate(text.splitlines(), start=1)
             if line.strip()]
     if not rows or rows[0][1] != "system,weight":
         raise ValueError("weights CSV must start with a 'system,weight' header")
-    tags: list[str] = []
-    values: list[float] = []
-    intercept: float | None = None
-    rss = float("nan")
+    values: dict[str, float] = {}
     for line_no, line in rows[1:]:
         tag, comma, raw = line.rpartition(",")
         if not comma:
@@ -229,13 +231,13 @@ def weights_from_csv(text: str) -> WeightVector:
             value = float(raw)
         except ValueError:
             raise ValueError(f"line {line_no}: weight {raw!r} is not a number") from None
-        if tag == "__intercept__":
-            intercept = value
-        elif tag == "__rss__":
-            rss = value
-        else:
-            tags.append(tag)
-            values.append(value)
-    if intercept is None:
+        if not (math.isfinite(value) or (tag == "__rss__" and math.isnan(value))):
+            raise ValueError(f"line {line_no}: weight {raw!r} is not finite")
+        if tag in values:
+            raise ValueError(f"line {line_no}: repeats the row of {tag!r}")
+        values[tag] = value
+    if "__intercept__" not in values:
         raise ValueError("weights CSV is missing the __intercept__ row")
-    return WeightVector(tuple(tags), intercept, np.asarray(values), rss=rss)
+    intercept = values.pop("__intercept__")
+    rss = values.pop("__rss__", float("nan"))
+    return WeightVector(tuple(values), intercept, np.asarray(list(values.values())), rss=rss)

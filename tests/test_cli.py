@@ -279,6 +279,26 @@ def test_duplicate_qrels_lines_reported_on_stderr_only(dataset, tmp_path, capsys
     )
 
 
+def test_empty_run_files_reported_on_stderr_only(dataset, tmp_path, capsys):
+    empty = tmp_path / "empty.run"
+    empty.write_text("\n")
+    fuse = ["fuse", "--method", "combsum", "--runs", *dataset["runs"]]
+    assert main(fuse) == 0
+    clean = capsys.readouterr()
+    assert main([*fuse, str(empty)]) == 0
+    padded = capsys.readouterr()
+    assert padded.out == clean.out
+    assert clean.err == ""
+    assert padded.err == f"warning: {empty}: no run entries\n"
+    with pytest.warns(UserWarning, match="8 of 8 queries missing"):
+        assert main(["eval", "--run", str(empty), "--qrels", dataset["qrels"]]) == 0
+    assert capsys.readouterr().err == f"warning: {empty}: no run entries\n"
+    xval = ["xval", "--runs", *dataset["runs"], str(empty), "--qrels", dataset["qrels"]]
+    with pytest.warns(UserWarning, match="rank-deficient"):  # the empty run's zero column
+        assert main(xval) == 0
+    assert capsys.readouterr().err == f"warning: {empty}: no run entries\n"
+
+
 def test_cli_byte_determinism_across_invocations(dataset, tmp_path):
     """The same command twice writes identical bytes."""
     for name, argv in {

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rankfuse.fusion import (
-    ScoredList,
     borda,
     comb_mnz,
     comb_sum,
@@ -26,6 +25,11 @@ def _run(tag, queries):
             for q, docs in queries.items()
         },
     )
+
+
+def _score(run, query_id, doc_id):
+    """The run's score for one doc, 0.0 for docs it did not retrieve."""
+    return {e.doc_id: e.raw_score for e in run.entries(query_id)}.get(doc_id, 0.0)
 
 
 def _weights(tags, weights, intercept=0.0):
@@ -49,9 +53,9 @@ def _random_runs(rng, num_runs=3, num_queries=3, universe=20, max_len=12, skip=0
 def test_normalize_reciprocal_values():
     run = _run("t", {"q": [f"d{i:02d}" for i in range(40)]})
     scored = normalize_reciprocal(run)
-    assert scored.score("q", "d00") == pytest.approx(1 / 61)
-    assert scored.score("q", "d39") == 0.01  # rank 40 -> 1/100 exactly
-    assert scored.score("q", "unranked") == 0.0
+    assert _score(scored, "q", "d00") == pytest.approx(1 / 61)
+    assert _score(scored, "q", "d39") == 0.01  # rank 40 -> 1/100 exactly
+    assert _score(scored, "q", "unranked") == 0.0
 
 
 def test_normalize_preserves_order():
@@ -60,23 +64,23 @@ def test_normalize_preserves_order():
         scored = normalize_reciprocal(run)
         for query_id in run.query_ids:
             docs = run.docs(query_id)
-            values = [scored.score(query_id, d) for d in docs]
+            values = [_score(scored, query_id, d) for d in docs]
             assert values == sorted(values, reverse=True)
             assert all(v > 0 for v in values)
 
 
 def test_normalize_constant_configurable_and_validated():
     run = _run("t", {"q": ["a"]})
-    assert normalize_reciprocal(run, 0.0).score("q", "a") == 1.0
-    assert normalize_reciprocal(run, -0.5).score("q", "a") == 2.0
+    assert _score(normalize_reciprocal(run, 0.0), "q", "a") == 1.0
+    assert _score(normalize_reciprocal(run, -0.5), "q", "a") == 2.0
     with pytest.raises(ValueError):
         normalize_reciprocal(run, -1.0)
 
 
 def test_linear_combine_hand_example():
     # a: (0.5, 0.1), b: (0.2, 0.4), weights (1, 2) -> a=0.7, b=1.0
-    s1 = ScoredList("s1", {"q": {"a": 0.5, "b": 0.2}})
-    s2 = ScoredList("s2", {"q": {"a": 0.1, "b": 0.4}})
+    s1 = RunList.from_scores("s1", {"q": {"a": 0.5, "b": 0.2}})
+    s2 = RunList.from_scores("s2", {"q": {"a": 0.1, "b": 0.4}})
     fused = linear_combine([s1, s2], _weights(["s1", "s2"], [1.0, 2.0]))
     assert fused.docs("q") == ("b", "a")
     scores = {e.doc_id: e.raw_score for e in fused.entries("q")}
@@ -86,8 +90,8 @@ def test_linear_combine_hand_example():
 
 
 def test_linear_combine_missing_doc_scores_zero():
-    s1 = ScoredList("s1", {"q": {"a": 0.5}})
-    s2 = ScoredList("s2", {"q": {"b": 0.4}})
+    s1 = RunList.from_scores("s1", {"q": {"a": 0.5}})
+    s2 = RunList.from_scores("s2", {"q": {"b": 0.4}})
     fused = linear_combine([s1, s2], _weights(["s1", "s2"], [1.0, 1.0]))
     assert {e.doc_id: e.raw_score for e in fused.entries("q")} == {"a": 0.5, "b": 0.4}
 
@@ -129,7 +133,7 @@ def test_linear_combine_positive_scale_invariance():
 
 
 def test_linear_combine_dimension_mismatch():
-    s1 = ScoredList("s1", {"q": {"a": 0.5}})
+    s1 = RunList.from_scores("s1", {"q": {"a": 0.5}})
     with pytest.raises(ValueError):
         linear_combine([s1], _weights(["s1", "s2"], [1.0, 1.0]))
     with pytest.raises(ValueError):
@@ -148,8 +152,8 @@ def test_comb_sum_single_system_identity():
 
 def test_comb_sum_tie_breaks_by_doc_id():
     # dyadic scores keep the two sums exactly equal in binary arithmetic
-    s1 = ScoredList("s1", {"q": {"a": 0.5, "b": 0.25}})
-    s2 = ScoredList("s2", {"q": {"a": 0.25, "b": 0.5}})
+    s1 = RunList.from_scores("s1", {"q": {"a": 0.5, "b": 0.25}})
+    s2 = RunList.from_scores("s2", {"q": {"a": 0.25, "b": 0.5}})
     fused = comb_sum([s1, s2])
     assert [e.raw_score for e in fused.entries("q")] == [0.75, 0.75]
     assert fused.docs("q") == ("a", "b")
@@ -158,8 +162,8 @@ def test_comb_sum_tie_breaks_by_doc_id():
 
 def test_comb_mnz_counts_systems():
     # two systems summing 0.3 beat one system with 0.5
-    s1 = ScoredList("s1", {"q": {"a": 0.1, "b": 0.5}})
-    s2 = ScoredList("s2", {"q": {"a": 0.2}})
+    s1 = RunList.from_scores("s1", {"q": {"a": 0.1, "b": 0.5}})
+    s2 = RunList.from_scores("s2", {"q": {"a": 0.2}})
     fused = comb_mnz([s1, s2])
     scores = {e.doc_id: e.raw_score for e in fused.entries("q")}
     assert scores["a"] == pytest.approx(0.6)
@@ -180,7 +184,9 @@ def test_comb_mnz_equals_comb_sum_when_all_rank_all():
     rng = np.random.default_rng(18)
     docs = [f"D{i:02d}" for i in range(10)]
     scored = [
-        ScoredList(f"s{r}", {"q": {d: float(v) for d, v in zip(docs, rng.permutation(10) + 1)}})
+        RunList.from_scores(
+            f"s{r}", {"q": {d: float(v) for d, v in zip(docs, rng.permutation(10) + 1)}}
+        )
         for r in range(3)
     ]
     mnz = comb_mnz(scored)
@@ -288,7 +294,8 @@ def test_fused_scores_equal_a_per_doc_loop_exactly(seed, num_runs):
     rng = np.random.default_rng(seed)
     runs = _random_runs(rng, num_runs, num_queries=6, universe=30, max_len=15, skip=0.2)
     scored = [normalize_reciprocal(r, 7.3) for r in runs]
-    values = [s.scores for s in scored]
+    values = [{q: {e.doc_id: e.raw_score for e in s.entries(q)} for q in s.query_ids}
+              for s in scored]
     ranks = [{q: {e.doc_id: e.rank for e in r.entries(q)} for q in r.query_ids} for r in runs]
     weights = rng.normal(size=num_runs)  # mixed signs
     w = _weights([s.run_tag for s in scored], weights, intercept=-0.37)
@@ -332,7 +339,9 @@ def test_fused_ties_break_by_doc_id_like_from_scores(method):
     fuse, combine, uses_ranks = _TIED[method]
     per_system = (
         [{q: {e.doc_id: e.rank for e in r.entries(q)} for q in r.query_ids} for r in runs]
-        if uses_ranks else [s.scores for s in scored]
+        if uses_ranks
+        else [{q: {e.doc_id: e.raw_score for e in s.entries(q)} for q in s.query_ids}
+              for s in scored]
     )
     scores = {}
     for (q, d), score in _naive_fusion(per_system, combine).items():
@@ -352,12 +361,16 @@ def test_every_run_stores_one_ranking_of_plain_tuples_per_query():
     built = {
         "parsed": parse_run(write_run(runs[0]).splitlines()),
         "from_scores": runs[1],
+        "normalized": scored[2],
         "lc": linear_combine(scored, _weights([s.run_tag for s in scored], [0.5, -0.2, 0.3], 0.1)),
         "combsum": comb_sum(scored),
         "combmnz": comb_mnz(scored),
         "borda": borda(runs),
         "xval": cross_validated_fusion(runs, qrels, qrels).fused,
     }
+    for run, normalized in zip(runs, scored):
+        for query_id in run.query_ids:
+            assert normalized.docs(query_id) is run.docs(query_id)
     for name, run in built.items():
         assert run.by_query, name
         for query_id, ranking in run.by_query.items():

@@ -305,12 +305,14 @@ def test_assemble_matrix_equals_a_per_doc_loop_exactly():
     qrels = Qrels({q: {f"D{i:02d}": int(rng.integers(0, 3)) for i in range(25)} for q in "1234"})
     queries = ["5", "3", "1", "2", "4", "6"]  # "6" is retrieved by no system
 
+    values = [{q: {e.doc_id: e.raw_score for e in s.entries(q)} for q in s.query_ids}
+              for s in scored]
     keys, rows, targets = [], [], []
     for q in sorted(queries, key=int):
-        union = {d for s in scored for d in s.scores.get(q, {})}
+        union = {d for per_query in values for d in per_query.get(q, {})}
         for d in sorted(union):
             keys.append((q, d))
-            rows.append([s.scores.get(q, {}).get(d, 0.0) for s in scored])
+            rows.append([per_query.get(q, {}).get(d, 0.0) for per_query in values])
             targets.append(1.0 if qrels.grade(q, d) > 0 else 0.0)
 
     matrix = assemble_matrix(scored, qrels, queries)
@@ -339,3 +341,35 @@ def test_weights_csv_bad_value_names_its_line():
         weights_from_csv(text)
     with pytest.raises(ValueError, match="line 2: expected 'system,weight'"):
         weights_from_csv("system,weight\nsysA\n__intercept__,0.0\n")
+
+
+def test_weights_csv_rejects_a_repeated_row():
+    with pytest.raises(ValueError, match=r"line 4: repeats the row of 'sysA'"):
+        weights_from_csv("system,weight\nsysA,0.5\nsysB,0.25\nsysA,0.5\n__intercept__,0.0\n")
+    with pytest.raises(ValueError, match=r"line 4: repeats the row of '__intercept__'"):
+        weights_from_csv("system,weight\nsysA,0.5\n__intercept__,0.0\n__intercept__,1.0\n")
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_weights_csv_rejects_a_non_finite_weight_or_intercept(raw):
+    with pytest.raises(ValueError, match=f"line 2: weight '{raw}' is not finite"):
+        weights_from_csv(f"system,weight\nsysA,{raw}\n__intercept__,0.0\n")
+    with pytest.raises(ValueError, match=f"line 3: weight '{raw}' is not finite"):
+        weights_from_csv(f"system,weight\nsysA,0.5\n__intercept__,{raw}\n")
+
+
+def test_weights_csv_keeps_a_nan_rss():
+    text = weights_to_csv(WeightVector(("sysA",), 0.25, np.array([0.5])))
+    assert text.endswith("__rss__,nan\n")
+    back = weights_from_csv(text)
+    assert back.system_order == ("sysA",)
+    assert math.isnan(back.rss)
+    with pytest.raises(ValueError, match="line 4: weight 'inf' is not finite"):
+        weights_from_csv("system,weight\nsysA,0.5\n__intercept__,0.0\n__rss__,inf\n")
+
+
+@pytest.mark.parametrize("tag", ["__intercept__", "__rss__"])
+def test_weights_csv_refuses_a_reserved_system_tag(tag):
+    w = WeightVector(("sysA", tag), 0.0, np.array([0.5, 0.25]))
+    with pytest.raises(ValueError, match=f"system tag '{tag}' is reserved"):
+        weights_to_csv(w)

@@ -26,6 +26,7 @@ from rankfuse.trec import (
     write_qrels,
     write_run,
 )
+from rankfuse.regression import weights_from_csv
 
 
 def test_sort_query_ids_numeric_when_all_digits():
@@ -222,6 +223,48 @@ def test_parse_run_ignores_line_order(scores, random):
 def test_integer_scores_round_trip(scores):
     run = RunList.from_scores("tag", scores)
     assert parse_run(write_run(run).splitlines()) == run
+
+
+# Run, qrels and weights-CSV texts with good and bad fields, and mixtures with any text.
+_ID = st.sampled_from(["1", "2", "d1", "d2", "\u00b2"])
+_NUMBER = st.sampled_from(["1", "0", "-2", "3.5", "nan", "inf", "1e999", "x", "\u00b2", "1_0"])
+_RUN_LINE = st.tuples(_ID, st.just("Q0"), _ID, _NUMBER, _NUMBER, st.sampled_from(["t", "t2"]))
+_QRELS_LINE = st.tuples(_ID, st.just("0"), _ID, _NUMBER)
+_CSV_ROW = st.tuples(st.sampled_from(["a", "b", "a,b", "__intercept__", "__rss__", ""]), _NUMBER)
+_HOSTILE = st.one_of(
+    st.lists(_RUN_LINE.map(" ".join), max_size=6).map("\n".join),
+    st.lists(_QRELS_LINE.map(" ".join), max_size=6).map("\n".join),
+    st.lists(_CSV_ROW.map(",".join), max_size=5).map(
+        lambda rows: "\n".join(["system,weight", *rows])
+    ),
+    st.lists(
+        st.one_of(
+            _RUN_LINE.map(" ".join),
+            _QRELS_LINE.map(" ".join),
+            _CSV_ROW.map(",".join),
+            st.lists(st.one_of(_ID, _NUMBER), max_size=7).map(" ".join),
+            st.text(),
+        ),
+        max_size=8,
+    ).map("\n".join),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_HOSTILE)
+def test_parsers_raise_only_value_errors(text):
+    lines = text.splitlines()
+    for parse in (parse_run, parse_qrels):
+        try:
+            parse(lines)
+        except ParseError as exc:
+            assert 1 <= exc.line_no <= len(lines)
+        except ValueError:  # TrecFormatError included
+            pass
+    try:
+        weights_from_csv(text)
+    except ValueError:
+        pass
 
 
 def test_qrels_parse_grades_and_counts():
