@@ -26,7 +26,13 @@ from .fusion import (
     linear_combine,
     normalize_reciprocal,
 )
-from .regression import assemble_matrix, solve_ols, weights_from_csv, weights_to_csv
+from .regression import (
+    _fit_warning,
+    assemble_matrix,
+    solve_ols,
+    weights_from_csv,
+    weights_to_csv,
+)
 from .trec import Qrels, load_qrels, load_run, save_qrels, save_run, write_qrels, write_run
 
 
@@ -120,6 +126,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     scored = [normalize_reciprocal(run, args.constant) for run in runs]
     queries = _parse_queries(args.queries) or qrels.query_ids
     weights = solve_ols(assemble_matrix(scored, qrels, queries))
+    warning = _fit_warning("train", weights)
+    if warning:
+        print(f"warning: {warning}", file=sys.stderr)
     _emit(weights_to_csv(weights), args.out_weights)
     return 0
 

@@ -197,7 +197,6 @@ def sensitivity_table(
     run: RunList,
     full: Qrels,
     partials: Sequence[Qrels],
-    query_set: Iterable[str] | None = None,
 ) -> list[SensitivityRow]:
     """Mean-metric shifts when ``run`` is scored under substituted qrels.
 
@@ -205,7 +204,7 @@ def sensitivity_table(
     covers the same topics; the partials are expected (not enforced) to
     be pool-restricted versions of ``full``.
     """
-    queries = list(full.query_ids if query_set is None else query_set)
+    queries = full.query_ids
     base = evaluate(run, full, queries).mean_metrics()
     rows: list[SensitivityRow] = []
     for index, partial in enumerate(partials, start=1):

@@ -112,8 +112,11 @@ def _query_tables(
     queries: Iterable[str] | None,
     table: Callable[[Sequence[Ranking]], _Table],
 ) -> Iterator[tuple[str, list[str], np.ndarray, np.ndarray]]:
-    """``(query_id, *table)`` per selected query, built only when it is fused.
+    """``(query_id, *table)`` per selected query, in natural order, each
+    built only when it is consumed.
 
+    Every per-query table over a list of runs comes from here: the
+    fusers', the training matrix's and the prefix loop's rank tables.
     ``queries`` defaults to every query any run ranks.
     """
     if queries is None:
@@ -133,8 +136,10 @@ def _fuse(
     Each candidate scores ``reduce(values, present)``. The candidates are
     doc-id-sorted, so a stable argsort of -score is the canonical
     (score descending, doc_id ascending) order. A query with no
-    candidates is left out.
+    candidates is left out. ``depth`` below 1 raises ValueError.
     """
+    if depth < 1:
+        raise ValueError(f"output depth must be >= 1, got {depth}")
     fused: dict[str, Ranking] = {}
     for query_id, candidates, values, present in tables:
         if not candidates:

@@ -32,13 +32,13 @@ from .fusion import (
     _fuse,
     _mnz,
     _points,
+    _query_tables,
     _rank_table,
-    _rankings,
     _reciprocal,
     _summed,
     _weighted,
 )
-from .regression import RIDGE_FALLBACK, WeightVector, _stack_rows, _targets, solve_ols
+from .regression import WeightVector, _fit_warning, _stack_rows, _targets, solve_ols
 from .trec import Qrels, RunList, sort_query_ids
 
 FUSION_METHODS = ("LC-mlr", "combsum", "combmnz", "borda")
@@ -115,13 +115,10 @@ class _RankTable(NamedTuple):
 def _rank_tables(
     runs: Sequence[RunList], query_ids: Sequence[str], training_qrels: Qrels
 ) -> dict[str, _RankTable]:
-    tables = {}
-    for query_id in query_ids:
-        candidates, ranks, _ = _rank_table(_rankings(runs, query_id))
-        tables[query_id] = _RankTable(
-            candidates, ranks, _targets(training_qrels, query_id, candidates)
-        )
-    return tables
+    return {
+        query_id: _RankTable(candidates, ranks, _targets(training_qrels, query_id, candidates))
+        for query_id, candidates, ranks, _ in _query_tables(runs, query_ids, _rank_table)
+    }
 
 
 def _fuse_prefix(
@@ -159,18 +156,9 @@ def _train_fold(
         weights = solve_ols(_stack_rows(system_order, rows))
     except Exception as exc:
         raise RuntimeError(f"weight training failed on fold {label}: {exc}") from exc
-    if weights.degenerate:
-        warnings.warn(
-            f"fold {label} ({size} systems): no training label is relevant; "
-            "the weights are all zero and the other fold is fused in doc-id order",
-            stacklevel=4,
-        )
-    elif weights.regularized:
-        warnings.warn(
-            f"fold {label} ({size} systems): the design is rank-deficient; "
-            f"solved with a ridge of {RIDGE_FALLBACK}",
-            stacklevel=4,
-        )
+    warning = _fit_warning(f"fold {label}", weights)
+    if warning:
+        warnings.warn(warning, stacklevel=4)
     return weights
 
 
@@ -205,21 +193,18 @@ def cross_validated_fusion(
     official_qrels: Qrels,
     constant: float = DEFAULT_RECIPROCAL_CONSTANT,
     depth: int = DEFAULT_OUTPUT_DEPTH,
-    queries: Iterable[str] | None = None,
 ) -> XvalResult:
     """Two-fold cross-validated linear-combination fusion.
 
     Weights trained on fold A fuse fold B's queries and vice versa; the
-    halves concatenate into one run covering every query, evaluated
-    against ``official_qrels``. ``queries`` defaults to the official
-    qrels' query set. A fold whose weights are degenerate (no relevant
-    training label) or ridge-regularized is reported with a warning.
+    halves concatenate into one run covering every query of
+    ``official_qrels``, evaluated against it. A fold whose weights are
+    degenerate (no relevant training label) or ridge-regularized is
+    reported with a warning.
     """
     if len(runs) < 2:
         raise ValueError("fusion experiments need at least 2 runs")
-    query_ids = sort_query_ids(
-        official_qrels.query_ids if queries is None else queries
-    )
+    query_ids = official_qrels.query_ids
     return _cross_validate(
         _rank_tables(runs, query_ids, training_qrels),
         tuple(run.run_tag for run in runs),
@@ -258,15 +243,14 @@ def compare_methods(
     methods: Sequence[str] = ALL_METHODS,
     constant: float = DEFAULT_RECIPROCAL_CONSTANT,
     depth: int = DEFAULT_OUTPUT_DEPTH,
-    queries: Iterable[str] | None = None,
 ) -> list[FusionCurveRow]:
     """Incremental curves for each fusion method plus the best run.
 
     Each method fuses the run prefixes of size 2..n, so ``runs`` must
     already be ordered best-first; ``methods=["LC-mlr"]`` alone gives the
-    cross-validated LC curve. Every row is computed on the same query
-    set; ``best-component`` is a single row (num_systems 1) evaluating
-    ``runs[0]`` as-is. Each query's rank table is built once over all
+    cross-validated LC curve. Every row is computed on the official
+    qrels' query set; ``best-component`` is a single row (num_systems 1)
+    evaluating ``runs[0]`` as-is. Each query's rank table is built once over all
     ``runs``; every prefix and method reduces a slice of it, so each row
     equals the one the public per-method calls on ``runs[:size]`` give.
     """
@@ -275,9 +259,7 @@ def compare_methods(
         raise ValueError(f"unknown methods {unknown}; expected a subset of {ALL_METHODS}")
     if len(runs) < 2:
         raise ValueError("fusion experiments need at least 2 runs")
-    query_ids = sort_query_ids(
-        official_qrels.query_ids if queries is None else queries
-    )
+    query_ids = official_qrels.query_ids
     tables = _rank_tables(runs, query_ids, training_qrels)
     tags = tuple(run.run_tag for run in runs)
 
@@ -328,9 +310,8 @@ def group_by_relcount(
     qrels: Qrels,
     mode: str = "tertiles",
     threshold: int = 10,
-    queries: Iterable[str] | None = None,
 ) -> list[QueryGroup]:
-    """Group queries by R(q).
+    """Group the qrels' queries by R(q).
 
     ``tertiles``: sort queries ascending by R(q) and cut into three
     contiguous groups, remainder spread to the outer groups (50 queries
@@ -339,7 +320,7 @@ def group_by_relcount(
     """
     if mode not in GROUP_MODES:
         raise ValueError(f"unknown grouping mode {mode!r}; expected one of {GROUP_MODES}")
-    query_ids = sort_query_ids(qrels.query_ids if queries is None else queries)
+    query_ids = qrels.query_ids
 
     if mode == "threshold":
         low = tuple(q for q in query_ids if qrels.relevant_count(q) <= threshold)

@@ -87,19 +87,19 @@ def make_partial_qrels(pool: Pool, full: Qrels, name: str = "") -> Qrels:
 def _coverage_counts(runs: Sequence[RunList], full: Qrels, max_depth: int) -> list[int]:
     """Relevant docs covered by the depth-d pool, for d = 1..max_depth.
 
-    One scan of each run's top ``max_depth`` entries records the depth at
-    which each relevant doc first enters the pool; the counts are the
-    running total of a histogram of those depths.
+    Per query, one scan of each run's top ``max_depth`` entries records
+    the depth at which each relevant doc first enters the pool; the
+    counts are the running total of a histogram of those depths.
     """
-    first_depth: dict[tuple[str, str], int] = {}
-    for run in runs:
-        for query_id, ranking in run.by_query.items():
-            grades = full.grades_for(query_id)
-            for depth, doc_id in enumerate(ranking.docs[:max_depth], start=1):
-                key = (query_id, doc_id)
-                if grades.get(doc_id, 0) > 0 and depth < first_depth.get(key, max_depth + 1):
-                    first_depth[key] = depth
-    entered = np.fromiter(first_depth.values(), dtype=np.intp, count=len(first_depth))
+    entered: list[int] = []
+    for query_id in {query_id for run in runs for query_id in run.by_query}:
+        relevant = full.relevant(query_id)
+        first_depth: dict[str, int] = {}
+        for run in runs:
+            for depth, doc_id in enumerate(run.docs(query_id)[:max_depth], start=1):
+                if doc_id in relevant and depth < first_depth.get(doc_id, max_depth + 1):
+                    first_depth[doc_id] = depth
+        entered.extend(first_depth.values())
     return np.bincount(entered, minlength=max_depth + 1)[1:].cumsum().tolist()
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .fusion import _rankings, _score_table
-from .trec import Qrels, RunList, sort_query_ids
+from .fusion import _query_tables, _score_table
+from .trec import Qrels, RunList
 
 RIDGE_FALLBACK = 1e-8
 _COND_LIMIT = 1e12
@@ -84,21 +84,19 @@ def assemble_matrix(
     """
     if not scored:
         raise ValueError("need at least one scored run")
-    query_list = sort_query_ids(queries)
-    if not query_list:
+    tables = [
+        (query_id, candidates, values, _targets(qrels, query_id, candidates))
+        for query_id, candidates, values, _ in _query_tables(scored, queries, _score_table)
+    ]
+    if not tables:
         raise ValueError("query set must be non-empty")
-
-    tables = []
-    for query_id in query_list:
-        candidates, values, _ = _score_table(_rankings(scored, query_id))
-        tables.append((query_id, candidates, values, _targets(qrels, query_id, candidates)))
     return _stack_rows(tuple(system.run_tag for system in scored), tables)
 
 
 def _targets(qrels: Qrels, query_id: str, candidates: Sequence[str]) -> np.ndarray:
-    """Binarized judgments of one query's candidates (absent -> 0)."""
-    grades = qrels.grades_for(query_id)
-    return np.array([1.0 if grades.get(doc_id, 0) > 0 else 0.0 for doc_id in candidates])
+    """Binarized judgments of one query's candidates (not relevant -> 0)."""
+    relevant = qrels.relevant(query_id)
+    return np.array([1.0 if doc_id in relevant else 0.0 for doc_id in candidates])
 
 
 def _stack_rows(
@@ -195,18 +193,50 @@ def objective_g(matrix: ScoreMatrix, candidate: WeightVector) -> float:
     return float(residuals @ residuals)
 
 
+def _fit_warning(subject: str, weights: WeightVector) -> str | None:
+    """``subject (n systems): problem`` for degenerate or ridge-regularized
+    weights, else None."""
+    if weights.degenerate:
+        problem = (
+            "no training label is relevant; the weights are all zero and fuse in doc-id order"
+        )
+    elif weights.regularized:
+        problem = f"the design is rank-deficient; solved with a ridge of {RIDGE_FALLBACK}"
+    else:
+        return None
+    return f"{subject} ({len(weights.system_order)} systems): {problem}"
+
+
 def weights_to_csv(weights: WeightVector) -> str:
     """Serialize weights as CSV: per-system rows plus intercept and rss.
 
-    A system tagged ``__intercept__`` or ``__rss__`` raises ValueError.
+    Raises ValueError for whatever weights_from_csv would not read back
+    as written: a reserved, repeated or multi-line system tag, a weight
+    count that differs from the tag count, a non-finite weight or
+    intercept, or an infinite rss.
     """
-    out = ["system,weight\n"]
-    for tag, value in zip(weights.system_order, weights.weights):
+    tags = weights.system_order
+    if len(weights.weights) != len(tags):
+        raise ValueError(f"{len(weights.weights)} weights for {len(tags)} systems")
+    for tag in tags:
         if tag in ("__intercept__", "__rss__"):
             raise ValueError(f"system tag {tag!r} is reserved in the weights CSV")
-        out.append(f"{tag},{float(value)!r}\n")  # repr of builtin float round-trips
-    out.append(f"__intercept__,{weights.intercept!r}\n")
-    out.append(f"__rss__,{weights.rss!r}\n")
+        if len(f"{tag},".splitlines()) > 1:
+            raise ValueError(f"system tag {tag!r} contains a line break")
+    if len(set(tags)) != len(tags):
+        raise ValueError(f"system tags {tags} repeat a tag")
+    values = map(float, (*weights.weights, weights.intercept))
+    rows = list(zip((*tags, "__intercept__"), values))
+    for tag, value in rows:
+        if not math.isfinite(value):
+            raise ValueError(f"weight {value!r} of {tag!r} is not finite")
+    rss = float(weights.rss)
+    if math.isinf(rss):
+        raise ValueError(f"rss {rss!r} is not finite")
+    out = ["system,weight\n"]
+    # repr of a builtin float round-trips
+    out.extend(f"{tag},{value!r}\n" for tag, value in rows)
+    out.append(f"__rss__,{rss!r}\n")
     return "".join(out)
 
 

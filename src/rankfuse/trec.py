@@ -55,9 +55,10 @@ class GradeConflictError(TrecFormatError):
 
 
 def sort_query_ids(query_ids: Iterable[str]) -> list[str]:
-    """Sort query ids numerically when all of them are decimal tokens, else lexicographically."""
-    ids = list(query_ids)
-    if ids and all(q.isdigit() for q in ids):
+    """Each distinct query id once, sorted numerically when all of them are
+    decimal tokens, else lexicographically."""
+    ids = set(query_ids)
+    if ids and all(q.isdecimal() for q in ids):
         return sorted(ids, key=lambda q: (int(q), q))
     return sorted(ids)
 
@@ -96,17 +97,13 @@ class Ranking:
 _NO_RANKING = Ranking((), ())
 
 
-def _canonical(
-    scores: Mapping[str, Mapping[str, float]], depth: int | None = None
-) -> dict[str, Ranking]:
+def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
     """One Ranking per query: score descending, doc_id ascending on ties."""
     by_query: dict[str, Ranking] = {}
     for query_id, per_doc in scores.items():
         # Sort by doc id, then stably by score; reverse=True keeps ties in doc-id order.
         ordered = sorted(per_doc)
         ordered.sort(key=per_doc.__getitem__, reverse=True)
-        if depth is not None:
-            del ordered[depth:]
         by_query[query_id] = Ranking(tuple(ordered), tuple(map(per_doc.__getitem__, ordered)))
     return by_query
 
@@ -124,14 +121,9 @@ class RunList:
     by_query: dict[str, Ranking]
 
     @classmethod
-    def from_scores(
-        cls,
-        run_tag: str,
-        scores: Mapping[str, Mapping[str, float]],
-        depth: int | None = None,
-    ) -> RunList:
+    def from_scores(cls, run_tag: str, scores: Mapping[str, Mapping[str, float]]) -> RunList:
         """Build a canonical RunList from per-query doc -> score maps."""
-        return cls(run_tag, _canonical(scores, depth))
+        return cls(run_tag, _canonical(scores))
 
     @property
     def query_ids(self) -> list[str]:
@@ -205,11 +197,16 @@ def write_run(run: RunList, depth_limit: int = 1000) -> str:
     by doc id, which can change the ranking. A list whose scores ``.6g``
     prints exactly (integers below 10**6, for one), with no empty query
     and none cut at ``depth_limit``, re-parses to an equal RunList.
+
+    A run with entries whose tag is empty or contains whitespace raises
+    ValueError, since parse_run could not read the tag column back.
     """
     if depth_limit < 1:
         raise ValueError("depth_limit must be >= 1")
-    out: list[str] = []
     tag = run.run_tag
+    if tag.split() != [tag] and any(run.by_query.values()):
+        raise ValueError(f"run tag {tag!r} is empty or contains whitespace")
+    out: list[str] = []
     for query_id in run.query_ids:
         ranking = run.by_query[query_id]
         top = zip(ranking.docs[:depth_limit], ranking.scores[:depth_limit])
@@ -244,11 +241,11 @@ class Qrels:
         return self.grades.get(query_id, {})
 
     def relevant(self, query_id: str) -> frozenset[str]:
-        """Docs with grade > 0 for one query."""
+        """Docs with grade > 0 for one query: the package's one test of relevance."""
         return frozenset(d for d, g in self.grades.get(query_id, {}).items() if g > 0)
 
     def relevant_count(self, query_id: str) -> int:
-        return sum(1 for g in self.grades.get(query_id, {}).values() if g > 0)
+        return len(self.relevant(query_id))
 
     def total_relevant(self) -> int:
         return sum(self.relevant_count(q) for q in self.grades)

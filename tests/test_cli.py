@@ -6,6 +6,8 @@ from __future__ import annotations
 import pytest
 
 from rankfuse.cli import main
+from rankfuse.fusion import normalize_reciprocal
+from rankfuse.regression import assemble_matrix, solve_ols, weights_to_csv
 from rankfuse.trec import load_qrels, load_run
 
 
@@ -117,6 +119,32 @@ def test_train_with_query_subset(dataset, capsys):
          "--queries", "301,302,303"]
     ) == 0
     assert "__intercept__" in capsys.readouterr().out
+
+
+def test_train_reports_degenerate_or_ridge_regularized_weights(dataset, tmp_path, capsys):
+    text = open(dataset["runs"][0]).read()
+    twin = tmp_path / "twin.run"
+    twin.write_text(text.replace(" sys01\n", " twin\n"))
+    unjudged = tmp_path / "unjudged.qrels"
+    unjudged.write_text(open(dataset["qrels"]).read().replace(" 1\n", " 0\n"))
+    cases = [
+        (dataset["runs"], dataset["qrels"], ""),
+        (dataset["runs"], str(unjudged), "warning: train (4 systems): no training label is "
+         "relevant; the weights are all zero and fuse in doc-id order\n"),
+        ([dataset["runs"][0], str(twin)], dataset["qrels"], "warning: train (2 systems): "
+         "the design is rank-deficient; solved with a ridge of 1e-08\n"),
+    ]
+    for runs, qrels, warning in cases:
+        scored = [normalize_reciprocal(load_run(path)) for path in runs]
+        judged = load_qrels(qrels)
+        expected = weights_to_csv(solve_ols(assemble_matrix(scored, judged, judged.query_ids)))
+        assert main(["train", "--runs", *runs, "--qrels", qrels]) == 0
+        assert capsys.readouterr() == (expected, warning)
+        weights = tmp_path / "w.csv"
+        assert main(["train", "--runs", *runs, "--qrels", qrels,
+                     "--out-weights", str(weights)]) == 0
+        assert weights.read_text() == expected
+        assert capsys.readouterr() == ("", warning)
 
 
 def test_fuse_unweighted_methods(dataset, tmp_path):
@@ -250,6 +278,29 @@ def test_cli_reports_parse_error(tmp_path, capsys):
     bad.write_text("only three fields\n")
     assert main(["eval", "--run", str(bad), "--qrels", str(bad)]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_depth_below_one(dataset, capsys):
+    runs_and_qrels = ["--runs", *dataset["runs"], "--qrels", dataset["qrels"]]
+    for argv in (
+        ["compare", *runs_and_qrels, "--depth", "-2"],
+        ["xval", *runs_and_qrels, "--depth", "0"],
+        ["fuse", "--runs", *dataset["runs"], "--method", "combsum", "--depth", "-2"],
+    ):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: output depth must be >= 1")
+
+
+def test_fuse_refuses_a_tag_that_cannot_be_read_back(dataset, capsys):
+    fuse = ["fuse", "--runs", *dataset["runs"], "--method", "borda"]
+    assert main([*fuse, "--tag", "a b"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: run tag 'a b' is empty or contains whitespace\n"
+    assert main([*fuse, "--tag", "a_b"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(" a_b")
 
 
 def test_cli_rejects_duplicate_run_tags(dataset, tmp_path, capsys):

@@ -18,7 +18,7 @@ from rankfuse.evaluation import (
     sensitivity_csv,
     sensitivity_table,
 )
-from rankfuse.trec import Qrels, RunList
+from rankfuse.trec import Qrels, RunList, parse_qrels, parse_run
 
 
 def _list_of(n):
@@ -152,6 +152,13 @@ def test_evaluate_missing_query_scores_zero_with_warning():
         report = evaluate(run, qrels)
     row = {r.query_id: r for r in report.per_query}["2"]
     assert (row.ap, row.rp, row.p10, row.p20) == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_evaluate_reports_each_query_once_and_reads_any_digit_id():
+    run = parse_run(["\u00b2 Q0 d1 1 1.0 t", "301 Q0 d1 1 1.0 t"])
+    qrels = parse_qrels(["\u00b2 0 d1 1", "301 0 d1 1"])
+    assert evaluate(run, qrels).query_ids == ["301", "\u00b2"]
+    assert evaluate(run, qrels, ["301", "301"]).query_ids == ["301"]
 
 
 def test_evaluate_requires_queries():

@@ -349,7 +349,9 @@ def test_fused_ties_break_by_doc_id_like_from_scores(method):
     for per_doc in scores.values():
         assert len(set(per_doc.values())) < len(per_doc)  # the data does tie
     fused = fuse(scored, runs)
-    assert fused == RunList.from_scores(fused.run_tag, scores, depth=3)
+    full = RunList.from_scores(fused.run_tag, scores)
+    top3 = {q: Ranking(r.docs[:3], r.scores[:3]) for q, r in full.by_query.items()}
+    assert fused == RunList(fused.run_tag, top3)
     assert all(len(fused.entries(q)) == 3 for q in forward)
 
 
@@ -382,3 +384,18 @@ def test_every_run_stores_one_ranking_of_plain_tuples_per_query():
                 RunEntry(query_id, doc_id, position + 1, score, run.run_tag)
                 for position, (doc_id, score) in enumerate(zip(ranking.docs, ranking.scores))
             ), name
+
+
+@pytest.mark.parametrize("depth", [0, -2])
+def test_every_fuser_refuses_a_depth_below_one(depth):
+    runs = _random_runs(np.random.default_rng(5))
+    scored = [normalize_reciprocal(r) for r in runs]
+    w = WeightVector(tuple(s.run_tag for s in scored), 0.0, np.ones(len(scored)))
+    for fuse in (
+        lambda: linear_combine(scored, w, depth),
+        lambda: comb_sum(scored, depth),
+        lambda: comb_mnz(scored, depth),
+        lambda: borda(runs, depth),
+    ):
+        with pytest.raises(ValueError, match=f"output depth must be >= 1, got {depth}"):
+            fuse()

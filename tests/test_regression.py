@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankfuse.fusion import normalize_reciprocal
 from rankfuse.regression import (
@@ -89,6 +91,16 @@ def test_assemble_matrix_row_count_adds_over_queries():
     scored = [normalize_reciprocal(run1), normalize_reciprocal(run2)]
     matrix = assemble_matrix(scored, Qrels({}), ["1", "2"])
     assert matrix.num_rows == 2 + 2
+
+
+def test_assemble_matrix_stacks_a_repeated_query_once():
+    run1 = RunList.from_scores("r1", {"1": {"a": 2.0, "b": 1.0}, "2": {"c": 1.0}})
+    scored = [normalize_reciprocal(run1)]
+    qrels = Qrels({"1": {"a": 1}, "2": {"c": 1}})
+    once = assemble_matrix(scored, qrels, ["1", "2"])
+    twice = assemble_matrix(scored, qrels, ["2", "1", "1", "2"])
+    assert twice.keys == once.keys == (("1", "a"), ("1", "b"), ("2", "c"))
+    assert twice.scores.tobytes() == once.scores.tobytes()
 
 
 def test_assemble_matrix_validates():
@@ -373,3 +385,33 @@ def test_weights_csv_refuses_a_reserved_system_tag(tag):
     w = WeightVector(("sysA", tag), 0.0, np.array([0.5, 0.25]))
     with pytest.raises(ValueError, match=f"system tag '{tag}' is reserved"):
         weights_to_csv(w)
+
+
+def test_weights_csv_refuses_a_weight_count_that_differs_from_the_tags():
+    with pytest.raises(ValueError, match="1 weights for 2 systems"):
+        weights_to_csv(WeightVector(("a", "b"), 0.0, np.array([0.5])))
+
+
+_CSV_TAG = st.one_of(
+    st.sampled_from(["a", "b", "a,b", "", "system", "__intercept__", "__rss__"]),
+    st.sampled_from(["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                     "\u2028", "\u2029", "\t", " "]).map(lambda brk: f"x{brk}y"),
+    st.text(max_size=4),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(_CSV_TAG, st.floats()), max_size=4), st.floats(), st.floats())
+def test_weights_csv_writes_only_what_it_reads_back(rows, intercept, rss):
+    """weights_to_csv raises ValueError, or the CSV reads back bit-equal."""
+    tags = tuple(tag for tag, _ in rows)
+    weights = np.array([value for _, value in rows], dtype=float)
+    try:
+        text = weights_to_csv(WeightVector(tags, intercept, weights, rss=rss))
+    except ValueError:
+        return
+    back = weights_from_csv(text)
+    assert back.system_order == tags
+    assert back.weights.tobytes() == weights.tobytes()
+    assert back.intercept.hex() == intercept.hex()
+    assert back.rss == rss or (math.isnan(back.rss) and math.isnan(rss))

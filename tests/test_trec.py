@@ -37,6 +37,16 @@ def test_sort_query_ids_lexicographic_fallback():
     assert sort_query_ids(["q2", "q10", "q1"]) == ["q1", "q10", "q2"]
 
 
+def test_sort_query_ids_returns_each_id_once():
+    assert sort_query_ids(["301", "9", "301"]) == ["9", "301"]
+    assert sort_query_ids(["q2", "q1", "q2"]) == ["q1", "q2"]
+
+
+def test_sort_query_ids_sorts_a_non_decimal_digit_as_text():
+    # "\u00b2".isdigit() holds, but int() cannot read it
+    assert sort_query_ids(["10", "\u00b2", "9"]) == ["10", "9", "\u00b2"]
+
+
 def test_parse_run_single_line_fields():
     run = parse_run(["301 Q0 FBIS3-1 1 12.5 runA"])
     assert run.run_tag == "runA"
@@ -117,11 +127,6 @@ def test_canonical_ranks_are_dense_after_from_scores():
     assert [e.rank for e in run.entries("7")] == [1, 2, 3]
 
 
-def test_from_scores_depth_truncates():
-    run = RunList.from_scores("t", {"1": {"a": 3.0, "b": 2.0, "c": 1.0}}, depth=2)
-    assert run.docs("1") == ("a", "b")
-
-
 def test_write_run_line_format():
     run = RunList.from_scores("runA", {"301": {"FBIS3-1": 12.5}})
     assert write_run(run) == "301 Q0 FBIS3-1 1 12.5 runA\n"
@@ -134,6 +139,13 @@ def test_write_run_depth_limit():
     assert len(text.splitlines()) == 1000
     with pytest.raises(ValueError):
         write_run(run, depth_limit=0)
+
+
+@pytest.mark.parametrize("tag", ["", "a b", "a\tb", " a", "a\n", "a\x85b", "a\u2028"])
+def test_write_run_refuses_a_tag_parse_run_cannot_read_back(tag):
+    with pytest.raises(ValueError, match="empty or contains whitespace"):
+        write_run(RunList.from_scores(tag, {"1": {"d": 1.0}}))
+    assert write_run(RunList.from_scores(tag, {"1": {}})) == ""  # no line to write
 
 
 def test_write_run_orders_queries_naturally():
@@ -254,13 +266,16 @@ _HOSTILE = st.one_of(
 @given(_HOSTILE)
 def test_parsers_raise_only_value_errors(text):
     lines = text.splitlines()
-    for parse in (parse_run, parse_qrels):
+    for parse, write in ((parse_run, write_run), (parse_qrels, write_qrels)):
         try:
-            parse(lines)
+            parsed = parse(lines)
         except ParseError as exc:
             assert 1 <= exc.line_no <= len(lines)
         except ValueError:  # TrecFormatError included
             pass
+        else:  # what parses can be listed and written back
+            parsed.query_ids
+            write(parsed)
     try:
         weights_from_csv(text)
     except ValueError:
