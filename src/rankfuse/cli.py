@@ -4,8 +4,9 @@ One subcommand per experiment step: pool, sweep, train, fuse, eval,
 xval, curve, compare, group-eval, sensitivity, synth. Tables are CSV
 with headers, written to stdout unless an output path is given. Exit
 code 0 on success; any failure prints one ``error: ...`` diagnostic to
-stderr and exits nonzero. Fixed inputs (and seed, where applicable)
-produce byte-identical outputs.
+stderr and exits nonzero, and each distinct warning prints one
+``warning: ...`` line. Fixed inputs (and seed, where applicable) produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from collections.abc import Sequence
 
 from . import harness, pooling
@@ -374,13 +376,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Each distinct UserWarning message the command raises is printed once
+    to stderr as ``warning: <message>``. Every warning is then raised
+    again to the caller, so that its warning filters still see it.
+    """
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except Exception as exc:  # one diagnostic line, nonzero exit
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            code, error = args.func(args), None
+        except Exception as exc:  # one diagnostic line, nonzero exit
+            code, error = 1, exc
+    notices = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+    for message in dict.fromkeys(notices):
+        print(f"warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return code
+
+
+def console() -> int:
+    """The ``rankfuse`` program: main(), with the UserWarnings it has printed
+    not shown a second time in Python's own format."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return main()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

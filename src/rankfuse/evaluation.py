@@ -21,9 +21,60 @@ import warnings
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .trec import Qrels, RunList, sort_query_ids
 
 METRICS = ("map", "rp", "p10", "p20")
+_CUTOFFS = (10, 20)  # the P@k of METRICS
+
+
+def _metrics(
+    relevant: np.ndarray, relevant_counts: Sequence[int], cutoffs: Sequence[int] = _CUTOFFS
+) -> tuple[list[float], ...]:
+    """AP, RP and P@k for each cutoff, one value per ranking, as lists.
+
+    Every metric in the package is computed here. ``relevant`` is a
+    rankings x positions bool array: whether the doc at each position is
+    relevant, False past a ranking's end. ``relevant_counts`` holds each
+    ranking's R(q); AP and RP are NaN where it is 0. A ranking shorter
+    than R(q) or a cutoff keeps that denominator. The AP numerator is a
+    cumsum of precision at the relevant positions and 0.0 elsewhere: it
+    adds left to right, as a loop over the ranking would, and adding 0.0
+    to a non-negative sum changes no bit (a sum would add pairwise).
+    """
+    rankings, width = relevant.shape
+    found = np.zeros((rankings, width + 1), dtype=np.intp)  # [:, k]: relevant in the top k
+    np.cumsum(relevant, axis=1, out=found[:, 1:])
+    gains = np.zeros((rankings, width + 1))
+    gains[:, 1:] = np.where(relevant, found[:, 1:] / np.arange(1, width + 1), 0.0)
+    counts = np.asarray(relevant_counts, dtype=np.intp)
+    every = np.arange(rankings)
+
+    def found_in_top(cutoff: np.ndarray | int) -> np.ndarray:
+        return found[every, np.minimum(cutoff, width)]
+
+    def per_relevant(numerator: np.ndarray) -> list[float]:
+        return np.divide(
+            numerator, counts, out=np.full(rankings, math.nan), where=counts > 0
+        ).tolist()
+
+    ap = per_relevant(np.cumsum(gains, axis=1)[:, -1])
+    rp = per_relevant(found_in_top(counts))
+    return (ap, rp, *((found_in_top(k) / k).tolist() for k in cutoffs))
+
+
+def _relevance(docs: Sequence[str], relevant: Collection[str]) -> np.ndarray:
+    """Whether each of ``docs`` is in ``relevant``, as a bool array."""
+    return np.fromiter(map(relevant.__contains__, docs), dtype=bool, count=len(docs))
+
+
+def _one_ranking(
+    ranked_docs: Sequence[str], relevant: Collection[str], cutoffs: Sequence[int] = ()
+) -> tuple[float, ...]:
+    """_metrics of a single ranking."""
+    mask = _relevance(ranked_docs, relevant)[None, :]
+    return tuple(values[0] for values in _metrics(mask, [len(relevant)], cutoffs))
 
 
 def average_precision(ranked_docs: Sequence[str], relevant: Collection[str]) -> float:
@@ -33,16 +84,7 @@ def average_precision(ranked_docs: Sequence[str], relevant: Collection[str]) -> 
     but stay in the denominator. R(q) = 0 returns NaN (undefined for
     the query).
     """
-    total = len(relevant)
-    if total == 0:
-        return math.nan
-    hits = 0
-    acc = 0.0
-    for position, doc_id in enumerate(ranked_docs, start=1):
-        if doc_id in relevant:
-            hits += 1
-            acc += hits / position
-    return acc / total
+    return _one_ranking(ranked_docs, relevant)[0]
 
 
 def r_precision(ranked_docs: Sequence[str], relevant: Collection[str]) -> float:
@@ -51,11 +93,7 @@ def r_precision(ranked_docs: Sequence[str], relevant: Collection[str]) -> float:
     A list shorter than R(q) keeps the R(q) denominator, so missing
     tail docs count as non-relevant.
     """
-    total = len(relevant)
-    if total == 0:
-        return math.nan
-    found = sum(1 for doc_id in ranked_docs[:total] if doc_id in relevant)
-    return found / total
+    return _one_ranking(ranked_docs, relevant)[1]
 
 
 def precision_at(
@@ -68,8 +106,11 @@ def precision_at(
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    found = sum(1 for doc_id in ranked_docs[:cutoff] if doc_id in relevant)
-    return found / cutoff
+    return _one_ranking(ranked_docs, relevant, (cutoff,))[2]
+
+
+# QueryEval field of each metric
+_FIELDS = {"map": "ap", "rp": "rp", "p10": "p10", "p20": "p20"}
 
 
 @dataclass(frozen=True)
@@ -83,7 +124,7 @@ class QueryEval:
     p20: float
 
     def value(self, metric: str) -> float:
-        return {"map": self.ap, "rp": self.rp, "p10": self.p10, "p20": self.p20}[metric]
+        return getattr(self, _FIELDS[metric])
 
 
 def _mean(values: Iterable[float]) -> float:
@@ -116,6 +157,28 @@ class EvalReport:
         return self.mean_metrics()[metric]
 
 
+def _report(
+    run_tag: str,
+    qrels_name: str,
+    query_ids: Sequence[str],
+    relevant: np.ndarray,
+    relevant_counts: Sequence[int],
+    missing: int,
+) -> EvalReport:
+    """The EvalReport of _metrics(relevant, relevant_counts) for ``query_ids``.
+
+    ``missing`` queries have an empty ranking: one aggregated warning.
+    """
+    if missing:
+        warnings.warn(
+            f"{missing} of {len(query_ids)} queries missing from run "
+            f"{run_tag!r}; they score 0",
+            stacklevel=3,
+        )
+    values = _metrics(relevant, relevant_counts)
+    return EvalReport(run_tag, qrels_name, tuple(map(QueryEval, query_ids, *values)))
+
+
 def evaluate(
     run: RunList, qrels: Qrels, query_set: Iterable[str] | None = None
 ) -> EvalReport:
@@ -129,27 +192,15 @@ def evaluate(
     queries = sort_query_ids(qrels.query_ids if query_set is None else query_set)
     if not queries:
         raise ValueError("query set must be non-empty")
-    missing = sum(1 for query_id in queries if not run.docs(query_id))
-    if missing:
-        warnings.warn(
-            f"{missing} of {len(queries)} queries missing from run "
-            f"{run.run_tag!r}; they score 0",
-            stacklevel=2,
-        )
-    rows = []
-    for query_id in queries:
-        docs = run.docs(query_id)
+    rankings = [run.docs(query_id) for query_id in queries]
+    mask = np.zeros((len(queries), max(map(len, rankings))), dtype=bool)
+    counts = []
+    for row, (query_id, docs) in enumerate(zip(queries, rankings)):
         relevant = qrels.relevant(query_id)
-        rows.append(
-            QueryEval(
-                query_id,
-                ap=average_precision(docs, relevant),
-                rp=r_precision(docs, relevant),
-                p10=precision_at(docs, relevant, 10),
-                p20=precision_at(docs, relevant, 20),
-            )
-        )
-    return EvalReport(run.run_tag, qrels.name, tuple(rows))
+        mask[row, : len(docs)] = _relevance(docs, relevant)
+        counts.append(len(relevant))
+    missing = sum(1 for docs in rankings if not docs)
+    return _report(run.run_tag, qrels.name, queries, mask, counts, missing)
 
 
 def report_csv(report: EvalReport) -> str:

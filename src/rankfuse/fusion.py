@@ -4,8 +4,8 @@ A normalized run is a RunList whose scores are the reciprocal model
 score(d) = 1/(constant + rank(d)). Runs are combined per query over the
 union of retrieved documents, held as one systems x candidates table
 built from each system's docs and a parallel value sequence (its scores,
-or its ranks 1..L for Borda), which each method reduces column by
-column. Fusion methods: weighted linear combination, CombSum, CombMNZ,
+or its ranks 1..L for Borda), which each method reduces row by row.
+Fusion methods: weighted linear combination, CombSum, CombMNZ,
 and Borda count. Every fused run is sorted score-descending with
 doc_id-ascending tie-break, densely ranked, and truncated to the output
 depth, so identical inputs yield byte-identical output.
@@ -26,8 +26,8 @@ if TYPE_CHECKING:  # import cycle: regression builds its rows with _score_table
 DEFAULT_RECIPROCAL_CONSTANT = 60.0
 DEFAULT_OUTPUT_DEPTH = 1000
 
-# (values, present) of one query's candidate table -> one score per candidate
-_Reduce = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# (values, present) rows, one per system, -> one score per candidate
+_Reduce = Callable[[Iterable[tuple[np.ndarray, np.ndarray]]], np.ndarray]
 # (candidates, systems x candidates values, presence mask) of one query
 _Table = tuple[list[str], np.ndarray, np.ndarray]
 
@@ -125,6 +125,11 @@ def _query_tables(
         yield query_id, *table(_rankings(runs, query_id))
 
 
+def _check_depth(depth: int) -> None:
+    if depth < 1:
+        raise ValueError(f"output depth must be >= 1, got {depth}")
+
+
 def _fuse(
     tables: Iterable[tuple[str, Sequence[str], np.ndarray, np.ndarray]],
     reduce: _Reduce,
@@ -133,53 +138,77 @@ def _fuse(
 ) -> RunList:
     """One fused run from ``(query_id, candidates, values, present)`` tables.
 
-    Each candidate scores ``reduce(values, present)``. The candidates are
-    doc-id-sorted, so a stable argsort of -score is the canonical
+    Each candidate scores ``reduce`` of the table's rows. The candidates
+    are doc-id-sorted, so a stable argsort of -score is the canonical
     (score descending, doc_id ascending) order. A query with no
     candidates is left out. ``depth`` below 1 raises ValueError.
     """
-    if depth < 1:
-        raise ValueError(f"output depth must be >= 1, got {depth}")
+    _check_depth(depth)
     fused: dict[str, Ranking] = {}
     for query_id, candidates, values, present in tables:
         if not candidates:
             continue
-        scores = reduce(values, present)
+        scores = reduce(zip(values, present))
         order = np.argsort(-scores, kind="stable")[:depth]
-        fused[query_id] = Ranking(
-            tuple([candidates[column] for column in order.tolist()]),
-            tuple(scores[order].tolist()),
-        )
+        fused[query_id] = _ranking(candidates, scores, order)
     return RunList(run_tag, fused)
 
 
-# The reductions below keep to elementwise products and sum(axis=0), which
-# adds the systems' rows in order; a BLAS product could reorder the sum and
-# change the last bit of a fused score.
+def _ranking(candidates: Sequence[str], scores: np.ndarray, columns: np.ndarray) -> Ranking:
+    """The Ranking of the candidates at ``columns``, in that order, with their scores."""
+    return Ranking(
+        tuple([candidates[column] for column in columns.tolist()]),
+        tuple(scores[columns].tolist()),
+    )
+
+
+# The reducers take one (values, present) row per system, in system order:
+# a query's table rows here, or every query's rows at once in the harness's
+# prefix loop. Both paths share them, so a fused score has one rounding.
+
+
+def _sums(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Per candidate, the rows' values added one row at a time from 0 in
+    system order, and the number of rows it is present in.
+
+    numpy's sum(axis=0) adds a one-column table pairwise, and a BLAS
+    product could reorder the sum; either could change the last bit of a
+    fused score.
+    """
+    total = count = 0
+    for values, present in rows:
+        total += values  # the first row rebinds to a new array, the rest add in place
+        count += present
+    return total, count
 
 
 def _weighted(w: WeightVector) -> _Reduce:
     """intercept + sum_j w_j * value_j."""
-    weights = np.asarray(w.weights, dtype=float)[:, None]
-    return lambda values, present: w.intercept + (weights * values).sum(axis=0)
+    weights = np.asarray(w.weights, dtype=float)
+    return lambda rows: w.intercept + _sums(
+        (weight * values, present) for weight, (values, present) in zip(weights, rows)
+    )[0]
 
 
-def _summed(values: np.ndarray, present: np.ndarray) -> np.ndarray:
-    return values.sum(axis=0)
+def _summed(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    return _sums(rows)[0]
 
 
-def _mnz(values: np.ndarray, present: np.ndarray) -> np.ndarray:
-    return present.sum(axis=0) * values.sum(axis=0)
+def _mnz(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    total, count = _sums(rows)
+    return count * total
 
 
-def _as_float(ranks: np.ndarray) -> np.ndarray:
-    """Borda's values: the int32 ranks as floats, so the points are float sums."""
-    return ranks.astype(float)
+def _points(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Borda over int rank rows (0 = unranked): |C| + 1 - rank from each
+    system that ranked the candidate, as floats.
 
-
-def _points(ranks: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Borda: |C| + 1 - rank from each system that ranked the candidate."""
-    return ((ranks.shape[1] + 1 - ranks) * present).sum(axis=0)
+    Summed as (|C| + 1) * m - (sum of the m ranks), in integers, which is
+    exact; |C| counts the columns some system ranked.
+    """
+    rank_sum, systems = _sums(rows)
+    candidates = np.count_nonzero(systems, axis=-1, keepdims=True)
+    return ((candidates + 1) * systems - rank_sum).astype(float)
 
 
 def linear_combine(
@@ -247,8 +276,4 @@ def borda(
     """
     if not runs:
         raise ValueError("need at least one run")
-    tables = (
-        (query_id, candidates, _as_float(ranks), present)
-        for query_id, candidates, ranks, present in _query_tables(runs, queries, _rank_table)
-    )
-    return _fuse(tables, _points, run_tag, depth)
+    return _fuse(_query_tables(runs, queries, _rank_table), _points, run_tag, depth)

@@ -12,34 +12,38 @@ Protocol notes that apply throughout:
   the same experiment differ only in the training signal.
 - Everything is deterministic: fixed inputs and seed give byte-stable
   outputs.
+- Each call builds one rank cube: every query's candidates over all the
+  runs, as int32 ranks padded to one width. Each (method, prefix size)
+  fuses, ranks and scores every query of it in one batched pass, with
+  the reducers of the public fusers and the metric kernel of evaluate(),
+  so its numbers equal those of the public calls on ``runs[:size]``.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
-from .evaluation import METRICS, EvalReport, evaluate
+from .evaluation import METRICS, EvalReport, _relevance, _report, evaluate
 from .fusion import (
     DEFAULT_OUTPUT_DEPTH,
     DEFAULT_RECIPROCAL_CONSTANT,
-    _as_float,
-    _fuse,
+    _check_depth,
     _mnz,
     _points,
     _query_tables,
     _rank_table,
+    _ranking,
     _reciprocal,
     _summed,
     _weighted,
 )
-from .regression import WeightVector, _fit_warning, _stack_rows, _targets, solve_ols
-from .trec import Qrels, RunList, sort_query_ids
+from .regression import WeightVector, _fit_warning, _solve, _targets
+from .trec import Qrels, Ranking, RunList, sort_query_ids
 
 FUSION_METHODS = ("LC-mlr", "combsum", "combmnz", "borda")
 ALL_METHODS = FUSION_METHODS + ("best-component",)
@@ -84,76 +88,100 @@ class XvalResult:
     weights_b: WeightVector  # trained on partition B, applied to A
 
 
-class _RankTable(NamedTuple):
-    """One query's candidates over all of a call's runs.
+class _RankCube(NamedTuple):
+    """Every query's candidates over all of a call's runs, padded to one width.
 
-    ``candidates`` are doc-id-sorted, ``ranks`` is the int32
-    systems x candidates rank matrix (0 = unranked) and ``targets`` holds
-    each candidate's binarized training judgment.
+    Row i describes ``query_ids[i]`` (natural order): ``candidates[i]``
+    are its doc-id-sorted candidates, ``ranks[i]`` the int32 systems x
+    width rank matrix (0 = unranked or padding), ``targets[i]`` each
+    candidate's binarized training judgment, ``relevant[i]`` its official
+    relevance and ``relevant_counts[i]`` R(q) under the official qrels.
     """
 
-    candidates: list[str]
+    query_ids: list[str]
+    candidates: list[list[str]]
     ranks: np.ndarray
     targets: np.ndarray
+    relevant: np.ndarray
+    relevant_counts: np.ndarray
 
-    def prefix(self, size: int) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-        """The table of the first ``size`` systems.
-
-        Rows [:size] and the columns at least one of them ranked, as
-        (candidates, ranks, presence mask, targets): exactly the table
-        the fusion methods build from those systems alone.
-        """
-        ranks = self.ranks[:size]
-        present = ranks > 0
-        keep = present.any(axis=0)
-        if keep.all():
-            return self.candidates, ranks, present, self.targets
-        candidates = list(compress(self.candidates, keep))
-        return candidates, ranks[:, keep], present[:, keep], self.targets[keep]
+    def fold(self, parity: int) -> _RankCube:
+        """Fold A (parity 0) or B (1): split_odd_even alternates the natural order."""
+        return _RankCube(*(field[parity::2] for field in self))
 
 
-def _rank_tables(
-    runs: Sequence[RunList], query_ids: Sequence[str], training_qrels: Qrels
-) -> dict[str, _RankTable]:
-    return {
-        query_id: _RankTable(candidates, ranks, _targets(training_qrels, query_id, candidates))
-        for query_id, candidates, ranks, _ in _query_tables(runs, query_ids, _rank_table)
-    }
+def _rank_cube(runs: Sequence[RunList], training_qrels: Qrels, official_qrels: Qrels) -> _RankCube:
+    """The cube of ``runs`` over the official qrels' queries."""
+    query_ids = official_qrels.query_ids
+    # (candidates, ranks) of each query; its presence mask is not kept
+    tables = [table[1:3] for table in _query_tables(runs, query_ids, _rank_table)]
+    width = max((len(candidates) for candidates, _ in tables), default=0)
+    ranks = np.zeros((len(query_ids), len(runs), width), dtype=np.int32)
+    targets = np.zeros((len(query_ids), width))
+    relevant = np.zeros((len(query_ids), width), dtype=bool)
+    counts = np.zeros(len(query_ids), dtype=np.intp)
+    for row, (query_id, (candidates, table)) in enumerate(zip(query_ids, tables)):
+        columns = slice(0, len(candidates))
+        ranks[row, :, columns] = table
+        targets[row, columns] = _targets(training_qrels, query_id, candidates)
+        official = official_qrels.relevant(query_id)
+        relevant[row, columns] = _relevance(candidates, official)
+        counts[row] = len(official)
+    candidates = [docs for docs, _ in tables]
+    return _RankCube(query_ids, candidates, ranks, targets, relevant, counts)
 
 
-def _fuse_prefix(
-    tables: Mapping[str, _RankTable],
-    query_ids: Iterable[str],
+def _prefix_scores(
+    cube: _RankCube,
     size: int,
     values_of: Callable[[np.ndarray], np.ndarray],
-    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    run_tag: str,
-    depth: int,
-) -> RunList:
-    """Fuse the first ``size`` systems over ``query_ids``, one table slice at a time."""
-    def sliced():
-        for query_id in query_ids:
-            candidates, ranks, present, _ = tables[query_id].prefix(size)
-            yield query_id, candidates, values_of(ranks), present
+    reduce: Callable[[Iterable[tuple[np.ndarray, np.ndarray]]], np.ndarray],
+) -> np.ndarray:
+    """The fused score of every query's candidates under the first ``size``
+    systems, queries x width; -inf where none of them ranked the column.
 
-    return _fuse(sliced(), reduce, run_tag, depth)
+    Each system's values are computed as its row is reduced, so no float
+    cube is built.
+    """
+    ranks = cube.ranks[:, :size]
+    rows = ((values_of(ranks[:, j]), ranks[:, j] > 0) for j in range(size))
+    return np.where((ranks > 0).any(axis=1), reduce(rows), -np.inf)
+
+
+def _rank_prefix(
+    cube: _RankCube, scores: np.ndarray, depth: int, run_tag: str, qrels_name: str
+) -> tuple[np.ndarray, np.ndarray, EvalReport]:
+    """Rank every query of ``cube`` by ``scores`` and evaluate the result.
+
+    Returns (order, lengths, report): row i of ``order`` holds query i's
+    columns by score descending, doc id ascending, cut to ``depth``, and
+    its first lengths[i] are ranked; ``report`` is what evaluate() gives
+    for that fused run under the official qrels.
+    """
+    _check_depth(depth)
+    order = np.argsort(-scores, axis=1, kind="stable")[:, :depth]
+    lengths = np.minimum(np.count_nonzero(scores > -np.inf, axis=1), depth)
+    ranked = np.arange(order.shape[1]) < lengths[:, None]
+    relevant = np.take_along_axis(cube.relevant, order, axis=1) & ranked
+    missing = int(np.count_nonzero(lengths == 0))
+    report = _report(run_tag, qrels_name, cube.query_ids, relevant, cube.relevant_counts, missing)
+    return order, lengths, report
 
 
 def _train_fold(
-    tables: Mapping[str, _RankTable],
+    fold: _RankCube,
     system_order: tuple[str, ...],
     reciprocal: Callable[[np.ndarray], np.ndarray],
-    fold_queries: Sequence[str],
     label: str,
 ) -> WeightVector:
-    """Solve the fold's training matrix, rows in the order assemble_matrix uses."""
-    size = len(system_order)
+    """Solve the fold's training rows, in the order assemble_matrix uses."""
+    ranks = fold.ranks[:, : len(system_order)]
+    keep = (ranks > 0).any(axis=1)
     try:
-        rows = []
-        for query_id in sort_query_ids(fold_queries):
-            candidates, ranks, _, targets = tables[query_id].prefix(size)
-            rows.append((query_id, candidates, reciprocal(ranks), targets))
-        weights = solve_ols(_stack_rows(system_order, rows))
+        scores = np.empty((np.count_nonzero(keep), len(system_order)))
+        for j in range(len(system_order)):
+            scores[:, j] = reciprocal(ranks[:, j][keep])
+        weights = _solve(system_order, scores, fold.targets[keep])
     except Exception as exc:
         raise RuntimeError(f"weight training failed on fold {label}: {exc}") from exc
     warning = _fit_warning(f"fold {label}", weights)
@@ -162,29 +190,37 @@ def _train_fold(
     return weights
 
 
+class _LcPass(NamedTuple):
+    """Two-fold LC fusion of one prefix over a whole cube."""
+
+    split: FoldSplit
+    weights_a: WeightVector
+    weights_b: WeightVector
+    scores: np.ndarray
+    order: np.ndarray
+    lengths: np.ndarray
+    report: EvalReport
+
+
 def _cross_validate(
-    tables: Mapping[str, _RankTable],
+    cube: _RankCube,
     system_order: tuple[str, ...],
-    official_qrels: Qrels,
-    query_ids: Sequence[str],
+    qrels_name: str,
     constant: float,
     depth: int,
-) -> XvalResult:
-    """Two-fold LC fusion of the first ``len(system_order)`` systems' tables."""
-    split = split_odd_even(query_ids)
+) -> _LcPass:
+    """Two-fold LC fusion of the first ``len(system_order)`` systems of ``cube``."""
+    split = split_odd_even(cube.query_ids)
     reciprocal = _reciprocal(constant)
-    weights_a = _train_fold(tables, system_order, reciprocal, split.partition_a, "A")
-    weights_b = _train_fold(tables, system_order, reciprocal, split.partition_b, "B")
+    fold_a, fold_b = cube.fold(0), cube.fold(1)
+    weights_a = _train_fold(fold_a, system_order, reciprocal, "A")
+    weights_b = _train_fold(fold_b, system_order, reciprocal, "B")
     size = len(system_order)
-    fused_b = _fuse_prefix(
-        tables, split.partition_b, size, reciprocal, _weighted(weights_a), "LC-mlr", depth
-    )
-    fused_a = _fuse_prefix(
-        tables, split.partition_a, size, reciprocal, _weighted(weights_b), "LC-mlr", depth
-    )
-    fused = RunList("LC-mlr", {**fused_a.by_query, **fused_b.by_query})
-    report = evaluate(fused, official_qrels, query_ids)
-    return XvalResult(fused, report, split, weights_a, weights_b)
+    scores = np.empty(cube.targets.shape)
+    scores[1::2] = _prefix_scores(fold_b, size, reciprocal, _weighted(weights_a))
+    scores[0::2] = _prefix_scores(fold_a, size, reciprocal, _weighted(weights_b))
+    order, lengths, report = _rank_prefix(cube, scores, depth, "LC-mlr", qrels_name)
+    return _LcPass(split, weights_a, weights_b, scores, order, lengths, report)
 
 
 def cross_validated_fusion(
@@ -204,12 +240,22 @@ def cross_validated_fusion(
     """
     if len(runs) < 2:
         raise ValueError("fusion experiments need at least 2 runs")
-    query_ids = official_qrels.query_ids
-    return _cross_validate(
-        _rank_tables(runs, query_ids, training_qrels),
-        tuple(run.run_tag for run in runs),
-        official_qrels, query_ids, constant, depth,
+    cube = _rank_cube(runs, training_qrels, official_qrels)
+    lc = _cross_validate(
+        cube, tuple(run.run_tag for run in runs), official_qrels.name, constant, depth
     )
+    fused: dict[str, Ranking] = {}
+    for row in (*range(0, len(cube.query_ids), 2), *range(1, len(cube.query_ids), 2)):
+        columns = lc.order[row, : lc.lengths[row]]
+        if columns.size:
+            fused[cube.query_ids[row]] = _ranking(cube.candidates[row], lc.scores[row], columns)
+    return XvalResult(
+        RunList("LC-mlr", fused), lc.report, lc.split, lc.weights_a, lc.weights_b
+    )
+
+
+# FusionCurveRow field of each metric: the fields are named after them
+_CURVE_FIELDS = {metric: metric for metric in METRICS}
 
 
 @dataclass(frozen=True)
@@ -224,9 +270,7 @@ class FusionCurveRow:
     p20: float
 
     def value(self, metric: str) -> float:
-        return {"map": self.map, "rp": self.rp, "p10": self.p10, "p20": self.p20}[
-            metric
-        ]
+        return getattr(self, _CURVE_FIELDS[metric])
 
 
 def _curve_row(method: str, num_systems: int, report: EvalReport) -> FusionCurveRow:
@@ -250,39 +294,38 @@ def compare_methods(
     already be ordered best-first; ``methods=["LC-mlr"]`` alone gives the
     cross-validated LC curve. Every row is computed on the official
     qrels' query set; ``best-component`` is a single row (num_systems 1)
-    evaluating ``runs[0]`` as-is. Each query's rank table is built once over all
-    ``runs``; every prefix and method reduces a slice of it, so each row
-    equals the one the public per-method calls on ``runs[:size]`` give.
+    evaluating ``runs[0]`` as-is. One rank cube is built over all ``runs``;
+    each prefix and method fuses, ranks and scores every query of it in one
+    pass with the public fusers' reducers, so each row equals the one the
+    public per-method calls on ``runs[:size]`` give.
     """
     unknown = [m for m in methods if m not in ALL_METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; expected a subset of {ALL_METHODS}")
     if len(runs) < 2:
         raise ValueError("fusion experiments need at least 2 runs")
-    query_ids = official_qrels.query_ids
-    tables = _rank_tables(runs, query_ids, training_qrels)
+    cube = _rank_cube(runs, training_qrels, official_qrels)
     tags = tuple(run.run_tag for run in runs)
 
     rows: list[FusionCurveRow] = []
     for method in methods:
         if method == "best-component":
-            rows.append(
-                _curve_row(method, 1, evaluate(runs[0], official_qrels, query_ids))
-            )
+            report = evaluate(runs[0], official_qrels, cube.query_ids)
+            rows.append(_curve_row(method, 1, report))
             continue
         for size in range(2, len(runs) + 1):
             if method == "LC-mlr":
                 report = _cross_validate(
-                    tables, tags[:size], official_qrels, query_ids, constant, depth
+                    cube, tags[:size], official_qrels.name, constant, depth
                 ).report
             else:
                 if method == "borda":
-                    values_of, reduce = _as_float, _points
+                    values_of, reduce = np.asarray, _points  # Borda reduces the ranks
                 else:
                     values_of = _reciprocal(constant)
                     reduce = _summed if method == "combsum" else _mnz
-                fused = _fuse_prefix(tables, query_ids, size, values_of, reduce, method, depth)
-                report = evaluate(fused, official_qrels, query_ids)
+                scores = _prefix_scores(cube, size, values_of, reduce)
+                report = _rank_prefix(cube, scores, depth, method, official_qrels.name)[2]
             rows.append(_curve_row(method, size, report))
     return rows
 

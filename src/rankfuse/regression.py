@@ -48,7 +48,11 @@ class ScoreMatrix:
 
     def design(self) -> np.ndarray:
         """Score columns prefixed with an all-ones intercept column."""
-        return np.hstack([np.ones((self.num_rows, 1)), self.scores])
+        return _design(self.scores)
+
+
+def _design(scores: np.ndarray) -> np.ndarray:
+    return np.hstack([np.ones((scores.shape[0], 1)), scores])
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,37 +88,26 @@ def assemble_matrix(
     """
     if not scored:
         raise ValueError("need at least one scored run")
-    tables = [
-        (query_id, candidates, values, _targets(qrels, query_id, candidates))
-        for query_id, candidates, values, _ in _query_tables(scored, queries, _score_table)
-    ]
-    if not tables:
+    keys: list[tuple[str, str]] = []
+    blocks: list[np.ndarray] = []
+    targets: list[np.ndarray] = []
+    for query_id, candidates, values, _ in _query_tables(scored, queries, _score_table):
+        keys.extend((query_id, doc_id) for doc_id in candidates)
+        blocks.append(values.T)
+        targets.append(_targets(qrels, query_id, candidates))
+    if not blocks:
         raise ValueError("query set must be non-empty")
-    return _stack_rows(tuple(system.run_tag for system in scored), tables)
+    # C order: _solve's BLAS products round differently on an F-ordered matrix.
+    scores = np.ascontiguousarray(np.concatenate(blocks))
+    return ScoreMatrix(
+        tuple(system.run_tag for system in scored), tuple(keys), scores, np.concatenate(targets)
+    )
 
 
 def _targets(qrels: Qrels, query_id: str, candidates: Sequence[str]) -> np.ndarray:
     """Binarized judgments of one query's candidates (not relevant -> 0)."""
     relevant = qrels.relevant(query_id)
     return np.array([1.0 if doc_id in relevant else 0.0 for doc_id in candidates])
-
-
-def _stack_rows(
-    system_order: tuple[str, ...],
-    tables: Iterable[tuple[str, Sequence[str], np.ndarray, np.ndarray]],
-) -> ScoreMatrix:
-    """One training row per candidate of each ``(query_id, candidates, values,
-    targets)`` table, in the order given; ``values`` is systems x candidates."""
-    keys: list[tuple[str, str]] = []
-    blocks: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    for query_id, candidates, values, query_targets in tables:
-        keys.extend((query_id, doc_id) for doc_id in candidates)
-        blocks.append(values.T)
-        targets.append(query_targets)
-    # C order: solve_ols's BLAS products round differently on an F-ordered matrix.
-    scores = np.ascontiguousarray(np.concatenate(blocks))
-    return ScoreMatrix(system_order, tuple(keys), scores, np.concatenate(targets))
 
 
 def _spd_solve(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -134,28 +127,38 @@ def solve_ols(matrix: ScoreMatrix, ridge_epsilon: float = 0.0) -> WeightVector:
     applies that ridge up front. All-zero targets short-circuit to a
     zero vector flagged ``degenerate``.
     """
+    return _solve(matrix.system_order, matrix.scores, matrix.targets, ridge_epsilon)
+
+
+def _solve(
+    system_order: tuple[str, ...],
+    scores: np.ndarray,
+    targets: np.ndarray,
+    ridge_epsilon: float = 0.0,
+) -> WeightVector:
+    """solve_ols of the rows ``scores`` (C-ordered, rows x systems) and ``targets``."""
     if ridge_epsilon < 0:
         raise ValueError("ridge_epsilon must be >= 0")
-    if matrix.num_rows < 1:
+    rows, systems = scores.shape
+    if rows < 1:
         raise ValueError("score matrix has no rows")
 
-    design = matrix.design()
-    targets = matrix.targets
+    design = _design(scores)
     normal = design.T @ design
     condition = float(np.linalg.cond(normal))
 
     if not np.any(targets):
         return WeightVector(
-            matrix.system_order,
+            system_order,
             0.0,
-            np.zeros(matrix.num_systems),
+            np.zeros(systems),
             rss=0.0,
             condition=condition,
             degenerate=True,
         )
 
     rhs = design.T @ targets
-    ridge_mask = np.ones(matrix.num_systems + 1)
+    ridge_mask = np.ones(systems + 1)
     ridge_mask[0] = 0.0  # intercept stays unpenalized
 
     epsilon = ridge_epsilon
@@ -170,7 +173,7 @@ def solve_ols(matrix: ScoreMatrix, ridge_epsilon: float = 0.0) -> WeightVector:
 
     residuals = targets - design @ beta
     return WeightVector(
-        matrix.system_order,
+        system_order,
         float(beta[0]),
         beta[1:].copy(),
         rss=float(residuals @ residuals),

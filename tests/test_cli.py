@@ -3,6 +3,8 @@ error reporting, and byte determinism."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from rankfuse.cli import main
@@ -341,13 +343,48 @@ def test_empty_run_files_reported_on_stderr_only(dataset, tmp_path, capsys):
     assert padded.out == clean.out
     assert clean.err == ""
     assert padded.err == f"warning: {empty}: no run entries\n"
-    with pytest.warns(UserWarning, match="8 of 8 queries missing"):
-        assert main(["eval", "--run", str(empty), "--qrels", dataset["qrels"]]) == 0
-    assert capsys.readouterr().err == f"warning: {empty}: no run entries\n"
+    assert main(["eval", "--run", str(empty), "--qrels", dataset["qrels"]]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: {empty}: no run entries\n"
+        "warning: 8 of 8 queries missing from run ''; they score 0\n"
+    )
     xval = ["xval", "--runs", *dataset["runs"], str(empty), "--qrels", dataset["qrels"]]
-    with pytest.warns(UserWarning, match="rank-deficient"):  # the empty run's zero column
+    assert main(xval) == 0
+    ridge = "the design is rank-deficient; solved with a ridge of 1e-08"  # the empty run's zero column
+    assert capsys.readouterr().err == (
+        f"warning: {empty}: no run entries\n"
+        f"warning: fold A (5 systems): {ridge}\n"
+        f"warning: fold B (5 systems): {ridge}\n"
+    )
+
+
+def test_warnings_print_as_one_line_each_and_reach_the_caller(dataset, tmp_path, capsys):
+    twin = tmp_path / "twin.run"
+    twin.write_text(open(dataset["runs"][0]).read().replace(" sys01\n", " twin\n"))
+    xval = ["xval", "--runs", dataset["runs"][0], str(twin), "--qrels", dataset["qrels"]]
+    with pytest.warns(UserWarning, match="rank-deficient") as caught:
         assert main(xval) == 0
-    assert capsys.readouterr().err == f"warning: {empty}: no run entries\n"
+    assert len(caught) == 2
+    ridge = "the design is rank-deficient; solved with a ridge of 1e-08"
+    assert capsys.readouterr().err == (
+        f"warning: fold A (2 systems): {ridge}\nwarning: fold B (2 systems): {ridge}\n"
+    )
+
+
+def test_a_repeated_warning_prints_once(dataset, tmp_path, capsys):
+    # no run ranks query 301, so each of the prefixes 2, 3 and 4 warns the same line
+    runs = [tmp_path / Path(path).name for path in dataset["runs"]]
+    for path, copy in zip(dataset["runs"], runs):
+        lines = open(path).read().splitlines(keepends=True)
+        copy.write_text("".join(line for line in lines if not line.startswith("301 ")))
+    compare = ["compare", "--runs", *map(str, runs), "--qrels", dataset["qrels"],
+               "--methods", "combsum"]
+    with pytest.warns(UserWarning, match="1 of 8 queries missing") as caught:
+        assert main(compare) == 0
+    assert len(caught) == 3
+    assert capsys.readouterr().err == (
+        "warning: 1 of 8 queries missing from run 'combsum'; they score 0\n"
+    )
 
 
 def test_cli_byte_determinism_across_invocations(dataset, tmp_path):

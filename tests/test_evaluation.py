@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankfuse.evaluation import (
     average_precision,
@@ -124,6 +127,69 @@ def test_metrics_agree_with_oracle_randomized():
             assert abs(mine_rp - rp) <= 1e-12
         for k in (10, 20):
             assert abs(precision_at(docs, relevant, k) - oracle_walk(docs, relevant, k)) <= 1e-12
+
+
+def _loop_average_precision(ranked_docs, relevant):
+    """The per-doc loop average_precision ran before it moved to the mask kernel."""
+    total = len(relevant)
+    if total == 0:
+        return math.nan
+    hits = 0
+    acc = 0.0
+    for position, doc_id in enumerate(ranked_docs, start=1):
+        if doc_id in relevant:
+            hits += 1
+            acc += hits / position
+    return acc / total
+
+
+def _loop_r_precision(ranked_docs, relevant):
+    total = len(relevant)
+    if total == 0:
+        return math.nan
+    found = sum(1 for doc_id in ranked_docs[:total] if doc_id in relevant)
+    return found / total
+
+
+def _loop_precision_at(ranked_docs, relevant, cutoff):
+    found = sum(1 for doc_id in ranked_docs[:cutoff] if doc_id in relevant)
+    return found / cutoff
+
+
+def _same_float(got, want):
+    return type(got) is float and (got == want or (math.isnan(got) and math.isnan(want)))
+
+
+_QUERY = st.tuples(
+    st.lists(st.integers(0, 80), unique=True, max_size=60),  # the ranking, maybe empty
+    st.sets(st.integers(0, 80), max_size=50),  # the relevant docs, maybe none
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_QUERY, min_size=1, max_size=5), st.integers(1, 70))
+def test_metric_kernel_is_bit_identical_to_the_loops(queries, cutoff):
+    # rankings shorter than R(q) or than the cutoff, and of unequal lengths in
+    # one evaluate call, all occur
+    rankings = {str(q): [f"d{i}" for i in ranking] for q, (ranking, _) in enumerate(queries)}
+    judged = {str(q): frozenset(f"d{i}" for i in rel) for q, (_, rel) in enumerate(queries)}
+    run = RunList.from_scores(
+        "r", {q: {d: -i for i, d in enumerate(docs)} for q, docs in rankings.items() if docs}
+    )
+    qrels = Qrels({q: {d: 1 for d in rel} for q, rel in judged.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # queries missing from the run
+        report = evaluate(run, qrels, rankings)
+    for row in report.per_query:
+        docs, relevant = rankings[row.query_id], judged[row.query_id]
+        ap, rp = _loop_average_precision(docs, relevant), _loop_r_precision(docs, relevant)
+        assert _same_float(average_precision(docs, relevant), ap)
+        assert _same_float(r_precision(docs, relevant), rp)
+        assert _same_float(precision_at(docs, relevant, cutoff),
+                           _loop_precision_at(docs, relevant, cutoff))
+        assert _same_float(row.ap, ap) and _same_float(row.rp, rp)
+        assert _same_float(row.p10, _loop_precision_at(docs, relevant, 10))
+        assert _same_float(row.p20, _loop_precision_at(docs, relevant, 20))
 
 
 def test_evaluate_single_query_worked_example():

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankfuse.evaluation import evaluate
 from rankfuse.fusion import borda, comb_mnz, comb_sum, linear_combine, normalize_reciprocal
@@ -258,6 +262,90 @@ def test_compare_methods_equals_per_prefix_public_calls_exactly():
             expected.append(row(method, size, fused))
 
     rows = compare_methods(runs, training, official, FUSION_METHODS, 7.5, 9)
+    assert [(r.method, r.num_systems, r.map, r.rp, r.p10, r.p20) for r in rows] == expected
+
+
+@st.composite
+def _ragged_corpora(draw):
+    """Runs, training and official qrels, constant and depth of a ragged corpus.
+
+    Query 1 has one candidate, which every system ranks (up to 9 systems);
+    query 2 is ranked by every system; the middle queries have candidate
+    counts from 1 to 40 and may be skipped by any system; the last query is
+    ranked by the last system alone, so no shorter prefix ranks it. One
+    query has R(q) = 0 under the official qrels, and one fold may have no
+    relevant training label. Scores tie often, so doc-id tie-breaks matter.
+    """
+    systems = draw(st.integers(2, 9), label="systems")
+    widths = draw(st.lists(st.sampled_from((1, 2, 3, 12, 40)), min_size=1, max_size=4))
+    queries = ["1", *(str(q) for q in range(2, len(widths) + 2)), str(len(widths) + 2)]
+    score = st.integers(1, 5).map(float)
+
+    def ranking(width, may_skip):
+        docs = draw(st.sets(st.integers(0, width - 1), min_size=0 if may_skip else 1,
+                            max_size=width))
+        return {f"D{d:02d}": draw(score) for d in sorted(docs)}
+
+    per_run = [{"1": {"D00": draw(score)}} for _ in range(systems)]
+    for query_id, width in zip(queries[1:], widths):
+        for scores in per_run:
+            scores[query_id] = ranking(width, may_skip=query_id != "2")
+    per_run[-1][queries[-1]] = ranking(draw(st.sampled_from((1, 12))), may_skip=False)
+    runs = [RunList.from_scores(f"s{r}", {q: d for q, d in scores.items() if d})
+            for r, scores in enumerate(per_run)]
+
+    unjudged = draw(st.sampled_from(queries[1:]), label="R(q) = 0")
+    official = {}
+    for query_id in queries:
+        grades = draw(st.lists(st.integers(0, 1), min_size=40, max_size=40))
+        if query_id == unjudged:
+            grades = [0] * 40
+        official[query_id] = {f"D{d:02d}": g for d, g in enumerate(grades)}
+    official["1"]["D00"] = 1
+    zero_fold = draw(st.sampled_from((None, 0, 1)), label="all-zero-target fold")
+    training = {
+        query_id: {doc: g * (position % 2 != zero_fold) * draw(st.integers(0, 1))
+                   for doc, g in grades.items()}
+        for position, (query_id, grades) in enumerate(official.items())
+    }
+    constant = draw(st.sampled_from((0.5, 7.5, 60.0)))
+    depth = draw(st.integers(1, 15), label="depth")
+    return runs, Qrels(training, "training"), Qrels(official, "official"), constant, depth
+
+
+@settings(deadline=None, max_examples=60)
+@given(_ragged_corpora())
+def test_batched_prefix_loop_equals_per_prefix_public_calls(corpus):
+    runs, training, official, constant, depth = corpus
+    queries = official.query_ids
+    split = split_odd_even(queries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        expected = []
+        for method in FUSION_METHODS:
+            for size in range(2, len(runs) + 1):
+                scored = [normalize_reciprocal(run, constant) for run in runs[:size]]
+                if method == "LC-mlr":
+                    weights_a = solve_ols(assemble_matrix(scored, training, split.partition_a))
+                    weights_b = solve_ols(assemble_matrix(scored, training, split.partition_b))
+                    fused_b = linear_combine(scored, weights_a, depth, queries=split.partition_b)
+                    fused_a = linear_combine(scored, weights_b, depth, queries=split.partition_a)
+                    fused = RunList("LC-mlr", {**fused_a.by_query, **fused_b.by_query})
+                    xval = cross_validated_fusion(runs[:size], training, official, constant, depth)
+                    for got, want in ((xval.weights_a, weights_a), (xval.weights_b, weights_b)):
+                        assert got.weights.tolist() == want.weights.tolist()
+                        assert (got.intercept, got.rss) == (want.intercept, want.rss)
+                    assert xval.fused == fused
+                    assert list(xval.fused.by_query) == list(fused.by_query)
+                elif method == "combsum":
+                    fused = comb_sum(scored, depth, queries=queries)
+                elif method == "combmnz":
+                    fused = comb_mnz(scored, depth, queries=queries)
+                else:
+                    fused = borda(runs[:size], depth, queries=queries)
+                means = evaluate(fused, official, queries).mean_metrics()
+                expected.append((method, size, *(means[m] for m in ("map", "rp", "p10", "p20"))))
+        rows = compare_methods(runs, training, official, FUSION_METHODS, constant, depth)
     assert [(r.method, r.num_systems, r.map, r.rp, r.p10, r.p20) for r in rows] == expected
 
 
