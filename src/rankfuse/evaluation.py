@@ -253,13 +253,19 @@ def sensitivity_table(
 
     The full qrels' query set is evaluated throughout, so every report
     covers the same topics; the partials are expected (not enforced) to
-    be pool-restricted versions of ``full``.
+    be pool-restricted versions of ``full``. A partial is named by its
+    ``name``, else ``partial<i>`` (1-based); a name that repeats an
+    earlier one raises ValueError, since sensitivity_csv keys its rows
+    by name.
     """
+    names = [partial.name or f"partial{index}" for index, partial in enumerate(partials, start=1)]
+    for index, name in enumerate(names):
+        if name in names[:index]:
+            raise ValueError(f"partial qrels name {name!r} repeats; each partial needs its own")
     queries = full.query_ids
     base = evaluate(run, full, queries).mean_metrics()
     rows: list[SensitivityRow] = []
-    for index, partial in enumerate(partials, start=1):
-        name = partial.name or f"partial{index}"
+    for name, partial in zip(names, partials):
         means = evaluate(run, partial, queries).mean_metrics()
         for metric in METRICS:
             rows.append(

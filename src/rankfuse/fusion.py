@@ -2,9 +2,10 @@
 
 A normalized run is a RunList whose scores are the reciprocal model
 score(d) = 1/(constant + rank(d)). Runs are combined per query over the
-union of retrieved documents, held as one systems x candidates table
-built from each system's docs and a parallel value sequence (its scores,
-or its ranks 1..L for Borda), which each method reduces row by row.
+union of retrieved documents, held as a _rank_cube of int32 ranks (one
+query per call here, every query of an experiment in the harness). A
+method looks each system's value up by rank (its scores, or the rank
+itself for Borda) and reduces the systems' rows one at a time.
 Fusion methods: weighted linear combination, CombSum, CombMNZ,
 and Borda count. Every fused run is sorted score-descending with
 doc_id-ascending tie-break, densely ranked, and truncated to the output
@@ -13,14 +14,14 @@ depth, so identical inputs yield byte-identical output.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .trec import _NO_RANKING, Ranking, RunList, sort_query_ids
 
-if TYPE_CHECKING:  # import cycle: regression builds its rows with _score_table
+if TYPE_CHECKING:  # import cycle: regression imports _rank_cube
     from .regression import WeightVector
 
 DEFAULT_RECIPROCAL_CONSTANT = 60.0
@@ -28,25 +29,18 @@ DEFAULT_OUTPUT_DEPTH = 1000
 
 # (values, present) rows, one per system, -> one score per candidate
 _Reduce = Callable[[Iterable[tuple[np.ndarray, np.ndarray]]], np.ndarray]
-# (candidates, systems x candidates values, presence mask) of one query
-_Table = tuple[list[str], np.ndarray, np.ndarray]
 
 
-def _reciprocal(constant: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Reciprocal scores of a rank array: 1/(constant + rank) where rank > 0, else 0.
+def _by_reciprocal(constant: float, longest: int) -> np.ndarray:
+    """The rank -> 1/(constant + rank) lookup of ranks 0..longest, 0.0 at rank 0.
 
     Every reciprocal score in the package is computed here.
     """
     if constant <= -1:
         raise ValueError(f"reciprocal constant must be > -1, got {constant}")
-
-    def values(ranks: np.ndarray) -> np.ndarray:
-        out = np.zeros(ranks.shape)
-        ranked = ranks > 0
-        out[ranked] = 1.0 / (constant + ranks[ranked])
-        return out
-
-    return values
+    lookup = np.zeros(longest + 1)
+    lookup[1:] = 1.0 / (constant + np.arange(1, longest + 1))
+    return lookup
 
 
 def normalize_reciprocal(
@@ -58,71 +52,56 @@ def normalize_reciprocal(
     score; the mapping is strictly decreasing in rank, so the ranking,
     and each query's docs tuple, are kept as they are.
     """
-    reciprocal = _reciprocal(constant)
     longest = max(map(len, run.by_query.values()), default=0)
-    by_rank = reciprocal(np.arange(1, longest + 1)).tolist()
+    by_rank = _by_reciprocal(constant, longest).tolist()
     by_query = {
-        query_id: Ranking(ranking.docs, tuple(by_rank[: len(ranking)]))
+        query_id: Ranking(ranking.docs, tuple(by_rank[1 : len(ranking) + 1]))
         for query_id, ranking in run.by_query.items()
     }
     return RunList(run.run_tag, by_query)
 
 
-def _rankings(runs: Sequence[RunList], query_id: str) -> list[Ranking]:
-    """Each run's ranking of one query, empty where it has none."""
-    return [run.by_query.get(query_id, _NO_RANKING) for run in runs]
+def _rank_cube(
+    runs: Sequence[RunList], query_ids: Sequence[str]
+) -> tuple[list[list[str]], np.ndarray]:
+    """The candidate table of ``query_ids`` over ``runs``.
 
-
-def _candidate_table(
-    systems: Sequence[tuple[Sequence[str], Sequence[float] | np.ndarray]],
-    dtype: type = float,
-) -> _Table:
-    """One query's candidates as a table.
-
-    ``systems`` holds each system's docs and a parallel value sequence.
-    Returns the sorted union C of the docs, a systems x |C| ``dtype``
-    matrix of each system's value per candidate (0 where the system did
-    not rank it) and the matching boolean presence mask.
+    Returns each query's candidates, the doc-id-sorted union of the
+    runs' docs for it, and the int32 queries x runs x width rank cube:
+    ranks[i, j, c] is run j's rank 1..L of candidates[i][c], 0 where run
+    j did not rank it or c is past the query's candidates; the width is
+    the largest candidate count. Doc ids become table columns only here.
     """
-    candidates = sorted(set().union(*(docs for docs, _ in systems)))
-    column = {doc_id: index for index, doc_id in enumerate(candidates)}
-    values = np.zeros((len(systems), len(candidates)), dtype=dtype)
-    present = np.zeros(values.shape, dtype=bool)
-    for row, (docs, row_values) in enumerate(systems):
-        columns = [column[doc_id] for doc_id in docs]
-        values[row, columns] = row_values
-        present[row, columns] = True
-    return candidates, values, present
+    rankings = [[run.by_query.get(q, _NO_RANKING) for run in runs] for q in query_ids]
+    candidates = [sorted(set().union(*(ranking.docs for ranking in row))) for row in rankings]
+    width = max(map(len, candidates), default=0)
+    ranks = np.zeros((len(query_ids), len(runs), width), dtype=np.int32)
+    for row, (docs, per_run) in enumerate(zip(candidates, rankings)):
+        column = {doc_id: index for index, doc_id in enumerate(docs)}
+        for j, ranking in enumerate(per_run):
+            columns = [column[doc_id] for doc_id in ranking.docs]
+            ranks[row, j, columns] = np.arange(1, len(ranking) + 1)
+    return candidates, ranks
 
 
-def _score_table(rankings: Sequence[Ranking]) -> _Table:
-    """The float table of the rankings' scores."""
-    return _candidate_table([(ranking.docs, ranking.scores) for ranking in rankings])
+def _by_score(ranking: Ranking) -> np.ndarray:
+    """A scored ranking's rank -> value lookup: its scores, 0.0 at rank 0."""
+    return np.array((0.0, *ranking.scores))
 
 
-def _rank_table(rankings: Sequence[Ranking]) -> _Table:
-    """The int32 table of the rankings' ranks 1..L (0 = unranked)."""
-    return _candidate_table(
-        [(ranking.docs, np.arange(1, len(ranking) + 1)) for ranking in rankings], np.int32
-    )
+def _by_rank(ranking: Ranking) -> np.ndarray:
+    """Borda's rank -> value lookup: the rank itself, 0 at rank 0."""
+    return np.arange(len(ranking) + 1)
 
 
-def _query_tables(
-    runs: Sequence[RunList],
-    queries: Iterable[str] | None,
-    table: Callable[[Sequence[Ranking]], _Table],
-) -> Iterator[tuple[str, list[str], np.ndarray, np.ndarray]]:
-    """``(query_id, *table)`` per selected query, in natural order, each
-    built only when it is consumed.
+def _scores(ranks: np.ndarray, lookups: Sequence[np.ndarray], reduce: _Reduce) -> np.ndarray:
+    """The fused score of every column of a rank cube, queries x width.
 
-    Every per-query table over a list of runs comes from here: the
-    fusers', the training matrix's and the prefix loop's rank tables.
-    ``queries`` defaults to every query any run ranks.
+    System j's value at rank r is lookups[j][r] (0 at r = 0, unranked).
+    Each row is looked up as ``reduce`` consumes it, so no float cube is
+    built.
     """
-    if queries is None:
-        queries = {query_id for run in runs for query_id in run.by_query}
-    for query_id in sort_query_ids(queries):
-        yield query_id, *table(_rankings(runs, query_id))
+    return reduce((lookup[ranks[:, j]], ranks[:, j] > 0) for j, lookup in enumerate(lookups))
 
 
 def _check_depth(depth: int) -> None:
@@ -130,28 +109,18 @@ def _check_depth(depth: int) -> None:
         raise ValueError(f"output depth must be >= 1, got {depth}")
 
 
-def _fuse(
-    tables: Iterable[tuple[str, Sequence[str], np.ndarray, np.ndarray]],
-    reduce: _Reduce,
-    run_tag: str,
-    depth: int,
-) -> RunList:
-    """One fused run from ``(query_id, candidates, values, present)`` tables.
+def _rank(ranks: np.ndarray, scores: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, lengths): order[i] holds the columns of row i of ``scores``
+    that some system of ``ranks`` ranked, by score descending, then the
+    rest, cut to ``depth``; lengths[i] counts the ranked ones in it.
 
-    Each candidate scores ``reduce`` of the table's rows. The candidates
-    are doc-id-sorted, so a stable argsort of -score is the canonical
-    (score descending, doc_id ascending) order. A query with no
-    candidates is left out. ``depth`` below 1 raises ValueError.
+    Columns are in doc-id order, so a stable argsort of -score is the
+    canonical (score descending, doc_id ascending) order.
     """
     _check_depth(depth)
-    fused: dict[str, Ranking] = {}
-    for query_id, candidates, values, present in tables:
-        if not candidates:
-            continue
-        scores = reduce(zip(values, present))
-        order = np.argsort(-scores, kind="stable")[:depth]
-        fused[query_id] = _ranking(candidates, scores, order)
-    return RunList(run_tag, fused)
+    ranked = (ranks > 0).any(axis=1)
+    order = np.argsort(np.where(ranked, -scores, np.inf), axis=1, kind="stable")[:, :depth]
+    return order, np.minimum(np.count_nonzero(ranked, axis=1), depth)
 
 
 def _ranking(candidates: Sequence[str], scores: np.ndarray, columns: np.ndarray) -> Ranking:
@@ -162,9 +131,39 @@ def _ranking(candidates: Sequence[str], scores: np.ndarray, columns: np.ndarray)
     )
 
 
-# The reducers take one (values, present) row per system, in system order:
-# a query's table rows here, or every query's rows at once in the harness's
-# prefix loop. Both paths share them, so a fused score has one rounding.
+def _fuse(
+    runs: Sequence[RunList],
+    queries: Iterable[str] | None,
+    lookup: Callable[[Ranking], np.ndarray],
+    reduce: _Reduce,
+    run_tag: str,
+    depth: int,
+) -> RunList:
+    """One fused run of ``runs`` over ``queries``, in natural order.
+
+    ``queries`` defaults to every query any run ranks. Each query is
+    scored as a one-row cube, with each run's ``lookup`` of its ranking,
+    so only one query's table is held at a time. A query with no
+    candidates is left out. ``depth`` below 1 raises ValueError.
+    """
+    _check_depth(depth)
+    if queries is None:
+        queries = {query_id for run in runs for query_id in run.by_query}
+    fused: dict[str, Ranking] = {}
+    for query_id in sort_query_ids(queries):
+        (candidates,), ranks = _rank_cube(runs, [query_id])
+        lookups = [lookup(run.by_query.get(query_id, _NO_RANKING)) for run in runs]
+        scores = _scores(ranks, lookups, reduce)
+        (order,), (length,) = _rank(ranks, scores, depth)
+        if length:
+            fused[query_id] = _ranking(candidates, scores[0], order[:length])
+    return RunList(run_tag, fused)
+
+
+# The reducers take one (values, present) row per system, in system order,
+# each row queries x width: one query's from the public fusers, every
+# query's from the harness. Both paths share them, so a fused score has one
+# rounding.
 
 
 def _sums(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -232,8 +231,7 @@ def linear_combine(
         raise ValueError(
             f"scored runs {tags} do not match weight vector systems {w.system_order}"
         )
-    tables = _query_tables(scored, queries, _score_table)
-    return _fuse(tables, _weighted(w), run_tag, depth)
+    return _fuse(scored, queries, _by_score, _weighted(w), run_tag, depth)
 
 
 def comb_sum(
@@ -245,8 +243,7 @@ def comb_sum(
     """Fuse by fused(d) = sum_j score_j(d), missing = 0."""
     if not scored:
         raise ValueError("need at least one scored run")
-    tables = _query_tables(scored, queries, _score_table)
-    return _fuse(tables, _summed, run_tag, depth)
+    return _fuse(scored, queries, _by_score, _summed, run_tag, depth)
 
 
 def comb_mnz(
@@ -258,8 +255,7 @@ def comb_mnz(
     """Fuse by fused(d) = (systems ranking d) * sum_j score_j(d)."""
     if not scored:
         raise ValueError("need at least one scored run")
-    tables = _query_tables(scored, queries, _score_table)
-    return _fuse(tables, _mnz, run_tag, depth)
+    return _fuse(scored, queries, _by_score, _mnz, run_tag, depth)
 
 
 def borda(
@@ -276,4 +272,4 @@ def borda(
     """
     if not runs:
         raise ValueError("need at least one run")
-    return _fuse(_query_tables(runs, queries, _rank_table), _points, run_tag, depth)
+    return _fuse(runs, queries, _by_rank, _points, run_tag, depth)

@@ -12,17 +12,19 @@ Protocol notes that apply throughout:
   the same experiment differ only in the training signal.
 - Everything is deterministic: fixed inputs and seed give byte-stable
   outputs.
-- Each call builds one rank cube: every query's candidates over all the
-  runs, as int32 ranks padded to one width. Each (method, prefix size)
-  fuses, ranks and scores every query of it in one batched pass, with
-  the reducers of the public fusers and the metric kernel of evaluate(),
-  so its numbers equal those of the public calls on ``runs[:size]``.
+- Each call builds one rank cube over every query and all the runs,
+  with fusion's cube builder, and judges its candidates once. Each
+  (method, prefix size) trains, fuses, ranks and scores every query of
+  it in one batched pass, with the scorer, ranker and reducers of the
+  public fusers, the training-row gather of assemble_matrix and the
+  metric kernel of evaluate(), so its numbers equal those of the public
+  calls on ``runs[:size]``.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,17 +34,17 @@ from .evaluation import METRICS, EvalReport, _relevance, _report, evaluate
 from .fusion import (
     DEFAULT_OUTPUT_DEPTH,
     DEFAULT_RECIPROCAL_CONSTANT,
-    _check_depth,
+    _by_reciprocal,
     _mnz,
     _points,
-    _query_tables,
-    _rank_table,
+    _rank,
+    _rank_cube,
     _ranking,
-    _reciprocal,
+    _scores,
     _summed,
     _weighted,
 )
-from .regression import WeightVector, _fit_warning, _solve, _targets
+from .regression import WeightVector, _fit_warning, _solve, _training_rows
 from .trec import Qrels, Ranking, RunList, sort_query_ids
 
 FUSION_METHODS = ("LC-mlr", "combsum", "combmnz", "borda")
@@ -89,19 +91,19 @@ class XvalResult:
 
 
 class _RankCube(NamedTuple):
-    """Every query's candidates over all of a call's runs, padded to one width.
+    """A call's queries and their candidates over all its runs.
 
     Row i describes ``query_ids[i]`` (natural order): ``candidates[i]``
-    are its doc-id-sorted candidates, ``ranks[i]`` the int32 systems x
-    width rank matrix (0 = unranked or padding), ``targets[i]`` each
-    candidate's binarized training judgment, ``relevant[i]`` its official
-    relevance and ``relevant_counts[i]`` R(q) under the official qrels.
+    and ``ranks[i]`` are fusion._rank_cube's, ``training[i]`` and
+    ``relevant[i]`` whether each candidate is relevant under the training
+    and the official qrels (False past its candidates), and
+    ``relevant_counts[i]`` is R(q) under the official qrels.
     """
 
     query_ids: list[str]
     candidates: list[list[str]]
     ranks: np.ndarray
-    targets: np.ndarray
+    training: np.ndarray
     relevant: np.ndarray
     relevant_counts: np.ndarray
 
@@ -110,57 +112,33 @@ class _RankCube(NamedTuple):
         return _RankCube(*(field[parity::2] for field in self))
 
 
-def _rank_cube(runs: Sequence[RunList], training_qrels: Qrels, official_qrels: Qrels) -> _RankCube:
+def _judged_cube(
+    runs: Sequence[RunList], training_qrels: Qrels, official_qrels: Qrels
+) -> _RankCube:
     """The cube of ``runs`` over the official qrels' queries."""
     query_ids = official_qrels.query_ids
-    # (candidates, ranks) of each query; its presence mask is not kept
-    tables = [table[1:3] for table in _query_tables(runs, query_ids, _rank_table)]
-    width = max((len(candidates) for candidates, _ in tables), default=0)
-    ranks = np.zeros((len(query_ids), len(runs), width), dtype=np.int32)
-    targets = np.zeros((len(query_ids), width))
-    relevant = np.zeros((len(query_ids), width), dtype=bool)
+    candidates, ranks = _rank_cube(runs, query_ids)
+    training = np.zeros((len(query_ids), ranks.shape[2]), dtype=bool)
+    relevant = np.zeros_like(training)
     counts = np.zeros(len(query_ids), dtype=np.intp)
-    for row, (query_id, (candidates, table)) in enumerate(zip(query_ids, tables)):
-        columns = slice(0, len(candidates))
-        ranks[row, :, columns] = table
-        targets[row, columns] = _targets(training_qrels, query_id, candidates)
+    for row, (query_id, docs) in enumerate(zip(query_ids, candidates)):
         official = official_qrels.relevant(query_id)
-        relevant[row, columns] = _relevance(candidates, official)
+        training[row, : len(docs)] = _relevance(docs, training_qrels.relevant(query_id))
+        relevant[row, : len(docs)] = _relevance(docs, official)
         counts[row] = len(official)
-    candidates = [docs for docs, _ in tables]
-    return _RankCube(query_ids, candidates, ranks, targets, relevant, counts)
-
-
-def _prefix_scores(
-    cube: _RankCube,
-    size: int,
-    values_of: Callable[[np.ndarray], np.ndarray],
-    reduce: Callable[[Iterable[tuple[np.ndarray, np.ndarray]]], np.ndarray],
-) -> np.ndarray:
-    """The fused score of every query's candidates under the first ``size``
-    systems, queries x width; -inf where none of them ranked the column.
-
-    Each system's values are computed as its row is reduced, so no float
-    cube is built.
-    """
-    ranks = cube.ranks[:, :size]
-    rows = ((values_of(ranks[:, j]), ranks[:, j] > 0) for j in range(size))
-    return np.where((ranks > 0).any(axis=1), reduce(rows), -np.inf)
+    return _RankCube(query_ids, candidates, ranks, training, relevant, counts)
 
 
 def _rank_prefix(
-    cube: _RankCube, scores: np.ndarray, depth: int, run_tag: str, qrels_name: str
+    cube: _RankCube, size: int, scores: np.ndarray, depth: int, run_tag: str, qrels_name: str
 ) -> tuple[np.ndarray, np.ndarray, EvalReport]:
-    """Rank every query of ``cube`` by ``scores`` and evaluate the result.
+    """Rank every query of ``cube`` by the ``scores`` of its first ``size``
+    systems and evaluate the result.
 
-    Returns (order, lengths, report): row i of ``order`` holds query i's
-    columns by score descending, doc id ascending, cut to ``depth``, and
-    its first lengths[i] are ranked; ``report`` is what evaluate() gives
-    for that fused run under the official qrels.
+    Returns (order, lengths, report): fusion._rank's order and lengths,
+    and what evaluate() gives for that fused run under the official qrels.
     """
-    _check_depth(depth)
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :depth]
-    lengths = np.minimum(np.count_nonzero(scores > -np.inf, axis=1), depth)
+    order, lengths = _rank(cube.ranks[:, :size], scores, depth)
     ranked = np.arange(order.shape[1]) < lengths[:, None]
     relevant = np.take_along_axis(cube.relevant, order, axis=1) & ranked
     missing = int(np.count_nonzero(lengths == 0))
@@ -171,17 +149,13 @@ def _rank_prefix(
 def _train_fold(
     fold: _RankCube,
     system_order: tuple[str, ...],
-    reciprocal: Callable[[np.ndarray], np.ndarray],
+    lookups: Sequence[np.ndarray],
     label: str,
 ) -> WeightVector:
     """Solve the fold's training rows, in the order assemble_matrix uses."""
-    ranks = fold.ranks[:, : len(system_order)]
-    keep = (ranks > 0).any(axis=1)
     try:
-        scores = np.empty((np.count_nonzero(keep), len(system_order)))
-        for j in range(len(system_order)):
-            scores[:, j] = reciprocal(ranks[:, j][keep])
-        weights = _solve(system_order, scores, fold.targets[keep])
+        rows = _training_rows(fold.ranks[:, : len(system_order)], lookups, fold.training)
+        weights = _solve(system_order, *rows)
     except Exception as exc:
         raise RuntimeError(f"weight training failed on fold {label}: {exc}") from exc
     warning = _fit_warning(f"fold {label}", weights)
@@ -211,15 +185,15 @@ def _cross_validate(
 ) -> _LcPass:
     """Two-fold LC fusion of the first ``len(system_order)`` systems of ``cube``."""
     split = split_odd_even(cube.query_ids)
-    reciprocal = _reciprocal(constant)
-    fold_a, fold_b = cube.fold(0), cube.fold(1)
-    weights_a = _train_fold(fold_a, system_order, reciprocal, "A")
-    weights_b = _train_fold(fold_b, system_order, reciprocal, "B")
     size = len(system_order)
-    scores = np.empty(cube.targets.shape)
-    scores[1::2] = _prefix_scores(fold_b, size, reciprocal, _weighted(weights_a))
-    scores[0::2] = _prefix_scores(fold_a, size, reciprocal, _weighted(weights_b))
-    order, lengths, report = _rank_prefix(cube, scores, depth, "LC-mlr", qrels_name)
+    lookups = [_by_reciprocal(constant, cube.ranks.shape[2])] * size
+    fold_a, fold_b = cube.fold(0), cube.fold(1)
+    weights_a = _train_fold(fold_a, system_order, lookups, "A")
+    weights_b = _train_fold(fold_b, system_order, lookups, "B")
+    scores = np.empty(cube.relevant.shape)
+    scores[1::2] = _scores(fold_b.ranks[:, :size], lookups, _weighted(weights_a))
+    scores[0::2] = _scores(fold_a.ranks[:, :size], lookups, _weighted(weights_b))
+    order, lengths, report = _rank_prefix(cube, size, scores, depth, "LC-mlr", qrels_name)
     return _LcPass(split, weights_a, weights_b, scores, order, lengths, report)
 
 
@@ -240,7 +214,7 @@ def cross_validated_fusion(
     """
     if len(runs) < 2:
         raise ValueError("fusion experiments need at least 2 runs")
-    cube = _rank_cube(runs, training_qrels, official_qrels)
+    cube = _judged_cube(runs, training_qrels, official_qrels)
     lc = _cross_validate(
         cube, tuple(run.run_tag for run in runs), official_qrels.name, constant, depth
     )
@@ -294,18 +268,22 @@ def compare_methods(
     already be ordered best-first; ``methods=["LC-mlr"]`` alone gives the
     cross-validated LC curve. Every row is computed on the official
     qrels' query set; ``best-component`` is a single row (num_systems 1)
-    evaluating ``runs[0]`` as-is. One rank cube is built over all ``runs``;
-    each prefix and method fuses, ranks and scores every query of it in one
-    pass with the public fusers' reducers, so each row equals the one the
-    public per-method calls on ``runs[:size]`` give.
+    evaluating ``runs[0]`` as-is. ``methods`` must be non-empty and name
+    each method once. One rank cube is built over all ``runs``; each
+    prefix and method fuses, ranks and scores every query of it in one
+    pass with the public fusers' scorer, ranker and reducers, so each row
+    equals the one the public per-method calls on ``runs[:size]`` give.
     """
     unknown = [m for m in methods if m not in ALL_METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; expected a subset of {ALL_METHODS}")
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"methods {list(methods)} must be non-empty and name each method once")
     if len(runs) < 2:
         raise ValueError("fusion experiments need at least 2 runs")
-    cube = _rank_cube(runs, training_qrels, official_qrels)
+    cube = _judged_cube(runs, training_qrels, official_qrels)
     tags = tuple(run.run_tag for run in runs)
+    width = cube.ranks.shape[2]
 
     rows: list[FusionCurveRow] = []
     for method in methods:
@@ -320,12 +298,12 @@ def compare_methods(
                 ).report
             else:
                 if method == "borda":
-                    values_of, reduce = np.asarray, _points  # Borda reduces the ranks
+                    lookup, reduce = np.arange(width + 1), _points  # Borda reduces the ranks
                 else:
-                    values_of = _reciprocal(constant)
+                    lookup = _by_reciprocal(constant, width)
                     reduce = _summed if method == "combsum" else _mnz
-                scores = _prefix_scores(cube, size, values_of, reduce)
-                report = _rank_prefix(cube, scores, depth, method, official_qrels.name)[2]
+                scores = _scores(cube.ranks[:, :size], [lookup] * size, reduce)
+                report = _rank_prefix(cube, size, scores, depth, method, official_qrels.name)[2]
             rows.append(_curve_row(method, size, report))
     return rows
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .fusion import _query_tables, _score_table
-from .trec import Qrels, RunList
+from .evaluation import _relevance
+from .fusion import _by_score, _rank_cube
+from .trec import _NO_RANKING, Qrels, RunList, sort_query_ids
 
 RIDGE_FALLBACK = 1e-8
 _COND_LIMIT = 1e12
@@ -89,25 +90,34 @@ def assemble_matrix(
     if not scored:
         raise ValueError("need at least one scored run")
     keys: list[tuple[str, str]] = []
-    blocks: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    for query_id, candidates, values, _ in _query_tables(scored, queries, _score_table):
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []
+    for query_id in sort_query_ids(queries):
+        (candidates,), ranks = _rank_cube(scored, [query_id])
+        lookups = [_by_score(run.by_query.get(query_id, _NO_RANKING)) for run in scored]
+        relevant = _relevance(candidates, qrels.relevant(query_id))
         keys.extend((query_id, doc_id) for doc_id in candidates)
-        blocks.append(values.T)
-        targets.append(_targets(qrels, query_id, candidates))
+        blocks.append(_training_rows(ranks, lookups, relevant[None, :]))
     if not blocks:
         raise ValueError("query set must be non-empty")
-    # C order: _solve's BLAS products round differently on an F-ordered matrix.
-    scores = np.ascontiguousarray(np.concatenate(blocks))
-    return ScoreMatrix(
-        tuple(system.run_tag for system in scored), tuple(keys), scores, np.concatenate(targets)
-    )
+    scores, targets = (np.concatenate(parts) for parts in zip(*blocks))
+    return ScoreMatrix(tuple(system.run_tag for system in scored), tuple(keys), scores, targets)
 
 
-def _targets(qrels: Qrels, query_id: str, candidates: Sequence[str]) -> np.ndarray:
-    """Binarized judgments of one query's candidates (not relevant -> 0)."""
-    relevant = qrels.relevant(query_id)
-    return np.array([1.0 if doc_id in relevant else 0.0 for doc_id in candidates])
+def _training_rows(
+    ranks: np.ndarray, lookups: Sequence[np.ndarray], relevant: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The training rows of a rank cube and their 0/1 targets from
+    ``relevant`` (queries x width).
+
+    One row per column some system ranked, in query then column order
+    (assemble_matrix's keys); column j is lookups[j] of system j's rank.
+    C order: _solve's BLAS products round differently on an F-ordered matrix.
+    """
+    keep = (ranks > 0).any(axis=1)
+    scores = np.empty((np.count_nonzero(keep), len(lookups)))
+    for j, lookup in enumerate(lookups):
+        scores[:, j] = lookup[ranks[:, j][keep]]
+    return scores, relevant[keep].astype(float)
 
 
 def _spd_solve(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:

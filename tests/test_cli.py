@@ -270,6 +270,26 @@ def test_sensitivity_table(dataset, tmp_path, capsys):
     assert lines[2].startswith("d2.qrels,")
 
 
+def test_sensitivity_refuses_two_partials_of_one_file_name(dataset, tmp_path, capsys):
+    partials = []
+    for depth, folder in (("2", "a"), ("5", "b")):
+        (tmp_path / folder).mkdir()
+        partials.append(str(tmp_path / folder / "p.qrels"))
+        assert main(
+            ["pool", "--runs", *dataset["runs"], "--qrels", dataset["qrels"],
+             "--depth", depth, "--out", partials[-1]]
+        ) == 0
+    assert main(
+        ["sensitivity", "--run", dataset["runs"][0], "--qrels", dataset["qrels"],
+         "--partials", *partials]
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: partial qrels name 'p.qrels' repeats; each partial needs its own\n"
+    )
+
+
 def test_cli_reports_missing_file(capsys):
     assert main(["eval", "--run", "/nonexistent.run", "--qrels", "/nope.qrels"]) == 1
     assert capsys.readouterr().err.startswith("error: ")

@@ -300,6 +300,20 @@ def test_sensitivity_table_detects_map_increase_and_p20_decrease():
     assert by_metric["p20"].formatted_variance == "-50.00%"
 
 
+def test_sensitivity_table_refuses_a_repeated_partial_name():
+    docs = _list_of(20)
+    run = _run_from_docs("t", {"q": docs})
+    full = Qrels({"q": {docs[0]: 1, docs[19]: 1}}, name="full")
+    first = Qrels({"q": {docs[0]: 1}}, name="p.qrels")
+    second = Qrels({"q": {docs[19]: 1}}, name="p.qrels")
+    with pytest.raises(ValueError, match="partial qrels name 'p.qrels' repeats"):
+        sensitivity_table(run, full, [first, second])
+    # an unnamed partial is named by its position, which may repeat a given name
+    with pytest.raises(ValueError, match="partial qrels name 'partial2' repeats"):
+        sensitivity_table(run, full, [Qrels(first.grades, name="partial2"), Qrels(first.grades)])
+    assert len(sensitivity_table(run, full, [Qrels(first.grades), Qrels(first.grades)])) == 8
+
+
 def test_sensitivity_csv_layout():
     docs = _list_of(20)
     run = _run_from_docs("t", {"q": docs})

@@ -289,31 +289,57 @@ def _raw_scores(run):
     return {(q, e.doc_id): e.raw_score for q in run.query_ids for e in run.entries(q)}
 
 
-@pytest.mark.parametrize("seed,num_runs", [(31, 5), (32, 7), (33, 12)])
-def test_fused_scores_equal_a_per_doc_loop_exactly(seed, num_runs):
+@pytest.mark.parametrize(
+    "seed,num_runs,raw",
+    [
+        pytest.param(31, 5, False, id="31-5"),
+        pytest.param(32, 7, False, id="32-7"),
+        pytest.param(33, 12, False, id="33-12"),
+        pytest.param(34, 6, True, id="raw-34-6"),
+    ],
+)
+def test_fused_scores_equal_a_per_doc_loop_exactly(seed, num_runs, raw):
     rng = np.random.default_rng(seed)
     runs = _random_runs(rng, num_runs, num_queries=6, universe=30, max_len=15, skip=0.2)
-    scored = [normalize_reciprocal(r, 7.3) for r in runs]
+    queries = None
+    if raw:
+        # Scores that are no function of rank: negative, fractional, often
+        # tied, and -inf for the first run's top doc of each query. The
+        # selected queries leave some out and add one no run ranks.
+        runs = [
+            RunList.from_scores(run.run_tag, {
+                q: {d: float(rng.integers(-12, 12)) / 7 if r or i else -np.inf
+                    for i, d in enumerate(run.docs(q))}
+                for q in run.query_ids
+            })
+            for r, run in enumerate(runs)
+        ]
+        scored, queries = runs, ["2", "3", "5", "9"]
+    else:
+        scored = [normalize_reciprocal(r, 7.3) for r in runs]
     values = [{q: {e.doc_id: e.raw_score for e in s.entries(q)} for q in s.query_ids}
               for s in scored]
     ranks = [{q: {e.doc_id: e.rank for e in r.entries(q)} for q in r.query_ids} for r in runs]
     weights = rng.normal(size=num_runs)  # mixed signs
     w = _weights([s.run_tag for s in scored], weights, intercept=-0.37)
 
-    lc = _naive_fusion(
-        values, lambda union, present: -0.37 + _summed(weights[j] * v for j, v in present)
-    )
-    combsum = _naive_fusion(values, lambda union, present: _summed(v for _, v in present))
-    combmnz = _naive_fusion(
-        values, lambda union, present: len(present) * _summed(v for _, v in present)
-    )
-    points = _naive_fusion(
+    def loop(per_system, combine):
+        fused = _naive_fusion(per_system, combine)
+        return {key: v for key, v in fused.items() if queries is None or key[0] in queries}
+
+    lc = loop(values, lambda union, present: -0.37 + _summed(weights[j] * v for j, v in present))
+    combsum = loop(values, lambda union, present: _summed(v for _, v in present))
+    combmnz = loop(values, lambda union, present: len(present) * _summed(v for _, v in present))
+    points = loop(
         ranks, lambda union, present: float(sum(len(union) - r + 1 for _, r in present))
     )
-    assert _raw_scores(linear_combine(scored, w)) == lc
-    assert _raw_scores(comb_sum(scored)) == combsum
-    assert _raw_scores(comb_mnz(scored)) == combmnz
-    assert _raw_scores(borda(runs)) == points
+    assert _raw_scores(linear_combine(scored, w, queries=queries)) == lc
+    assert _raw_scores(comb_sum(scored, queries=queries)) == combsum
+    assert _raw_scores(comb_mnz(scored, queries=queries)) == combmnz
+    assert _raw_scores(borda(runs, queries=queries)) == points
+    if raw:
+        assert any(len(set(r.scores)) < len(r) for run in runs for r in run.by_query.values())
+        assert -np.inf in combsum.values() and {q for q, _ in lc} == {"2", "3", "5"}
 
 
 _TIED = {

@@ -355,6 +355,9 @@ def test_compare_methods_subset_and_validation():
     assert {row.method for row in rows} == {"combsum"}
     with pytest.raises(ValueError, match="unknown methods"):
         compare_methods(runs, qrels, qrels, methods=["combsum", "median"])
+    for methods in ([], ["combsum", "borda", "combsum"]):
+        with pytest.raises(ValueError, match="must be non-empty and name each method once"):
+            compare_methods(runs, qrels, qrels, methods=methods)
 
 
 def test_curve_csv_layout():
