@@ -25,6 +25,7 @@ position + 1, so no rank is stored and no per-entry object is kept;
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -98,13 +99,23 @@ _NO_RANKING = Ranking((), ())
 
 
 def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
-    """One Ranking per query: score descending, doc_id ascending on ties."""
+    """One Ranking per query: score descending, doc_id ascending on ties.
+
+    One sort by score suffices when the sorted scores strictly decrease:
+    no two docs tie, so the doc-id tie-break never applies. Otherwise
+    (equal scores, 0.0 beside -0.0, 1 beside 1.0, or a NaN, which compares
+    false) the docs are sorted by doc id and then stably by score.
+    """
     by_query: dict[str, Ranking] = {}
     for query_id, per_doc in scores.items():
-        # Sort by doc id, then stably by score; reverse=True keeps ties in doc-id order.
-        ordered = sorted(per_doc)
-        ordered.sort(key=per_doc.__getitem__, reverse=True)
-        by_query[query_id] = Ranking(tuple(ordered), tuple(map(per_doc.__getitem__, ordered)))
+        ordered = sorted(per_doc, key=per_doc.__getitem__, reverse=True)
+        values = tuple(map(per_doc.__getitem__, ordered))
+        if not all(map(operator.gt, values, values[1:])):
+            # Sort by doc id, then stably by score; reverse=True keeps ties in doc-id order.
+            ordered.sort()
+            ordered.sort(key=per_doc.__getitem__, reverse=True)
+            values = tuple(map(per_doc.__getitem__, ordered))
+        by_query[query_id] = Ranking(tuple(ordered), values)
     return by_query
 
 
@@ -155,6 +166,9 @@ def parse_run(lines: Iterable[str]) -> RunList:
     """
     rows: dict[str, dict[str, float]] = {}
     run_tag: str | None = None
+    # Run files are grouped by query: look a query's docs up only when the id changes.
+    last_query: str | None = None
+    per_doc: dict[str, float] = {}
     for line_no, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts:
@@ -178,7 +192,9 @@ def parse_run(lines: Iterable[str]) -> RunList:
                     f"line {line_no}: run tag {tag!r} differs from earlier tag {run_tag!r}"
                 )
             run_tag = tag
-        per_doc = rows.setdefault(query_id, {})
+        if query_id != last_query:
+            per_doc = rows.setdefault(query_id, {})
+            last_query = query_id
         if doc_id in per_doc:
             raise DuplicateDocError(
                 f"line {line_no}: duplicate entry for query {query_id}, doc {doc_id}"
@@ -260,6 +276,8 @@ def parse_qrels(lines: Iterable[str], name: str = "") -> Qrels:
     """
     grades: dict[str, dict[str, int]] = {}
     duplicates = 0
+    last_query: str | None = None
+    per_query: dict[str, int] = {}
     for line_no, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts:
@@ -271,7 +289,9 @@ def parse_qrels(lines: Iterable[str], name: str = "") -> Qrels:
             grade = int(grade_str)
         except ValueError:
             raise ParseError(line_no, f"grade field {grade_str!r} is not an integer") from None
-        per_query = grades.setdefault(query_id, {})
+        if query_id != last_query:
+            per_query = grades.setdefault(query_id, {})
+            last_query = query_id
         if doc_id in per_query:
             if per_query[doc_id] != grade:
                 raise GradeConflictError(

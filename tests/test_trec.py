@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from rankfuse.trec import (
     Ranking,
     RunEntry,
     RunList,
+    TrecFormatError,
     load_qrels,
     load_run,
     parse_qrels,
@@ -102,6 +105,11 @@ def test_parse_run_non_numeric_and_non_finite_score():
 def test_parse_run_duplicate_doc():
     with pytest.raises(DuplicateDocError, match="query 1, doc a"):
         parse_run(["1 Q0 a 1 2.0 t", "1 Q0 a 2 1.0 t"])
+
+
+def test_parse_run_duplicate_doc_in_a_later_block_of_its_query():
+    with pytest.raises(DuplicateDocError, match="^line 3: duplicate entry for query q1, doc d1$"):
+        parse_run(["q1 Q0 d1 1 2.0 t", "q2 Q0 d1 1 2.0 t", "q1 Q0 d1 2 1.0 t"])
 
 
 def test_parse_run_mixed_tags():
@@ -302,6 +310,14 @@ def test_qrels_conflicting_grade_raises():
         parse_qrels(["1 0 a 1", "1 0 a 0"])
 
 
+def test_qrels_repeat_in_a_later_block_of_its_query():
+    qrels = parse_qrels(["1 0 a 1", "2 0 a 0", "1 0 a 1"])
+    assert qrels.duplicate_warnings == 1
+    assert qrels.grades == {"1": {"a": 1}, "2": {"a": 0}}
+    with pytest.raises(GradeConflictError, match="^line 3: query 1, doc a already has grade 1, now 0$"):
+        parse_qrels(["1 0 a 1", "2 0 a 0", "1 0 a 0"])
+
+
 def test_qrels_malformed_line():
     with pytest.raises(ParseError, match="line 1"):
         parse_qrels(["1 0 a"])
@@ -346,3 +362,134 @@ def test_path_helpers(tmp_path):
     loaded = load_qrels(qrels_path)
     assert loaded == qrels
     assert loaded.name == "x.qrels"  # basename only, paths stay out of outputs
+
+
+# The parsers and canonical order as they were when parse_run looked a query's docs
+# up on every line and _canonical always sorted twice: the new ones must agree.
+def _reference_canonical(scores):
+    by_query = {}
+    for query_id, per_doc in scores.items():
+        ordered = sorted(per_doc)
+        ordered.sort(key=per_doc.__getitem__, reverse=True)
+        by_query[query_id] = Ranking(tuple(ordered), tuple(map(per_doc.__getitem__, ordered)))
+    return by_query
+
+
+def _reference_parse_run(lines):
+    rows = {}
+    run_tag = None
+    for line_no, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != 6:
+            raise ParseError(line_no, f"expected 6 fields, got {len(parts)}")
+        query_id, _iteration, doc_id, rank_str, score_str, tag = parts
+        try:
+            int(rank_str)
+        except ValueError:
+            raise ParseError(line_no, f"rank field {rank_str!r} is not an integer") from None
+        try:
+            score = float(score_str)
+        except ValueError:
+            raise ParseError(line_no, f"score field {score_str!r} is not a number") from None
+        if not math.isfinite(score):
+            raise ParseError(line_no, f"score field {score_str!r} is not finite")
+        if tag != run_tag:
+            if run_tag is not None:
+                raise MixedRunTagsError(
+                    f"line {line_no}: run tag {tag!r} differs from earlier tag {run_tag!r}"
+                )
+            run_tag = tag
+        per_doc = rows.setdefault(query_id, {})
+        if doc_id in per_doc:
+            raise DuplicateDocError(
+                f"line {line_no}: duplicate entry for query {query_id}, doc {doc_id}"
+            )
+        per_doc[doc_id] = score
+    return RunList(run_tag or "", _reference_canonical(rows))
+
+
+def _reference_parse_qrels(lines):
+    grades = {}
+    duplicates = 0
+    for line_no, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise ParseError(line_no, f"expected 4 fields, got {len(parts)}")
+        query_id, _iteration, doc_id, grade_str = parts
+        try:
+            grade = int(grade_str)
+        except ValueError:
+            raise ParseError(line_no, f"grade field {grade_str!r} is not an integer") from None
+        per_query = grades.setdefault(query_id, {})
+        if doc_id in per_query:
+            if per_query[doc_id] != grade:
+                raise GradeConflictError(
+                    f"line {line_no}: query {query_id}, doc {doc_id} already has grade "
+                    f"{per_query[doc_id]}, now {grade}"
+                )
+            duplicates += 1
+            continue
+        per_query[doc_id] = grade
+    return Qrels(grades, duplicate_warnings=duplicates)
+
+
+def _outcome(parse, lines):
+    """What a parser returns, or the class, text and line of what it raises."""
+    try:
+        parsed = parse(lines)
+    except TrecFormatError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return parsed, getattr(parsed, "duplicate_warnings", None)
+
+
+# Blocks of lines per query, so a query's lines can come back after another's
+# (A, B, A); few doc ids and numbers, so repeats across blocks and ties are common.
+def _blocks(line, numbers):
+    block = st.tuples(
+        st.sampled_from(["1", "2", "q"]),
+        st.lists(
+            st.tuples(st.sampled_from(["d1", "d2", "d3", "d4"]), numbers),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda doc_and_number: doc_and_number[0],
+        ),
+    )
+    return st.lists(block, min_size=1, max_size=5).map(
+        lambda blocks: [line.format(q, d, n) for q, docs in blocks for d, n in docs]
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        _HOSTILE.map(str.splitlines),
+        _blocks("{} Q0 {} 1 {} t", st.sampled_from(["2", "2.0", "0", "-0", "0.5"])),
+        _blocks("{} 0 {} {}", st.sampled_from(["0", "1", "-0", "2"])),
+    )
+)
+def test_parsers_match_the_reference_parsers(lines):
+    assert _outcome(parse_run, lines) == _outcome(_reference_parse_run, lines)
+    assert _outcome(parse_qrels, lines) == _outcome(_reference_parse_qrels, lines)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.dictionaries(
+        _TOKENS,
+        st.sampled_from([0.0, -0.0, 1, 1.0, 2.5, math.nan, math.inf, -math.inf]),
+        min_size=1,
+        max_size=10,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_from_scores_matches_the_two_sort_order(per_doc, random):
+    items = list(per_doc.items())
+    random.shuffle(items)
+    run = RunList.from_scores("t", {"1": dict(items)})
+    assert run.by_query == _reference_canonical({"1": per_doc})
+    if all(map(math.isfinite, per_doc.values())):
+        assert run.docs("1") == tuple(sorted(per_doc, key=lambda d: (-per_doc[d], d)))
