@@ -29,6 +29,7 @@ import operator
 import os
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import compress, count
 
 
 class TrecFormatError(ValueError):
@@ -98,22 +99,37 @@ class Ranking:
 _NO_RANKING = Ranking((), ())
 
 
+def _sort_ties_by_doc(ordered: list[str], values: tuple[float, ...]) -> None:
+    """Sort each run of equal ``values`` in the parallel ``ordered`` by doc id, in place."""
+    start = 0
+    # A run ends where the next value is strictly smaller, or at the end.
+    for end in (*compress(count(1), map(operator.gt, values, values[1:])), len(values)):
+        if end - start > 1:
+            ordered[start:end] = sorted(ordered[start:end])
+        start = end
+
+
 def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
     """One Ranking per query: score descending, doc_id ascending on ties.
 
-    One sort by score suffices when the sorted scores strictly decrease:
-    no two docs tie, so the doc-id tie-break never applies. Otherwise
-    (equal scores, 0.0 beside -0.0, 1 beside 1.0, or a NaN, which compares
-    false) the docs are sorted by doc id and then stably by score.
+    The docs are sorted once by score. When the sorted scores strictly
+    decrease no two docs tie and that order is final. Otherwise each run
+    of equal scores (0.0 beside -0.0 and 1 beside 1.0 are equal too) is
+    sorted by doc id. A NaN compares false with everything, so scores
+    with one have no order to repair: those docs are sorted by doc id and
+    then stably by score, which fixes where each NaN lands.
     """
     by_query: dict[str, Ranking] = {}
     for query_id, per_doc in scores.items():
         ordered = sorted(per_doc, key=per_doc.__getitem__, reverse=True)
         values = tuple(map(per_doc.__getitem__, ordered))
         if not all(map(operator.gt, values, values[1:])):
-            # Sort by doc id, then stably by score; reverse=True keeps ties in doc-id order.
-            ordered.sort()
-            ordered.sort(key=per_doc.__getitem__, reverse=True)
+            if all(map(operator.ge, values, values[1:])):
+                _sort_ties_by_doc(ordered, values)
+            else:
+                # reverse=True keeps equal scores in doc-id order.
+                ordered.sort()
+                ordered.sort(key=per_doc.__getitem__, reverse=True)
             values = tuple(map(per_doc.__getitem__, ordered))
         by_query[query_id] = Ranking(tuple(ordered), values)
     return by_query
