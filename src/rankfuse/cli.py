@@ -175,10 +175,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_xval(args: argparse.Namespace) -> int:
+def _load_experiment(args: argparse.Namespace) -> tuple[list, Qrels, Qrels]:
+    """The runs, official and training qrels (default: official) of xval, curve, compare."""
     runs = _load_runs(args.runs)
     official = _load_qrels(args.qrels)
     training = official if args.training_qrels is None else _load_qrels(args.training_qrels)
+    return runs, official, training
+
+
+def _cmd_xval(args: argparse.Namespace) -> int:
+    runs, official, training = _load_experiment(args)
     result = harness.cross_validated_fusion(
         runs, training, official, args.constant, args.depth
     )
@@ -188,27 +194,21 @@ def _cmd_xval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
-    runs = _load_runs(args.runs)
-    official = _load_qrels(args.qrels)
-    training = official if args.training_qrels is None else _load_qrels(args.training_qrels)
-    rows = harness.compare_methods(
-        runs, training, official, ("LC-mlr",), args.constant, args.depth
-    )
-    _emit(harness.curve_csv(rows), args.out)
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    runs = _load_runs(args.runs)
-    official = _load_qrels(args.qrels)
-    training = official if args.training_qrels is None else _load_qrels(args.training_qrels)
-    methods = [token for token in args.methods.split(",") if token]
+def _compare(args: argparse.Namespace, methods: Sequence[str]) -> int:
+    runs, official, training = _load_experiment(args)
     rows = harness.compare_methods(
         runs, training, official, methods, args.constant, args.depth
     )
     _emit(harness.curve_csv(rows), args.out)
     return 0
+
+
+def _cmd_curve(args: argparse.Namespace) -> int:
+    return _compare(args, ("LC-mlr",))
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    return _compare(args, [token for token in args.methods.split(",") if token])
 
 
 def _cmd_group_eval(args: argparse.Namespace) -> int:

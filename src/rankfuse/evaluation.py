@@ -69,6 +69,21 @@ def _relevance(docs: Sequence[str], relevant: Collection[str]) -> np.ndarray:
     return np.fromiter(map(relevant.__contains__, docs), dtype=bool, count=len(docs))
 
 
+def _relevance_table(
+    qrels: Qrels, query_ids: Sequence[str], docs: Sequence[Sequence[str]], width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each of docs[i] is relevant to query_ids[i] under ``qrels``, as
+    a queries x width bool table (False past docs[i]), and each query's R(q).
+    evaluate, assemble_matrix and the harness all fill their tables here."""
+    table = np.zeros((len(query_ids), width), dtype=bool)
+    counts = np.zeros(len(query_ids), dtype=np.intp)
+    for row, (query_id, ranked) in enumerate(zip(query_ids, docs)):
+        relevant = qrels.relevant(query_id)
+        table[row, : len(ranked)] = _relevance(ranked, relevant)
+        counts[row] = len(relevant)
+    return table, counts
+
+
 def _one_ranking(
     ranked_docs: Sequence[str], relevant: Collection[str], cutoffs: Sequence[int] = ()
 ) -> tuple[float, ...]:
@@ -167,8 +182,11 @@ def _report(
 ) -> EvalReport:
     """The EvalReport of _metrics(relevant, relevant_counts) for ``query_ids``.
 
-    ``missing`` queries have an empty ranking: one aggregated warning.
+    ``missing`` queries have an empty ranking: one aggregated warning. An
+    empty ``query_ids`` raises ValueError, so no report is a mean of nothing.
     """
+    if not query_ids:
+        raise ValueError("query set must be non-empty")
     if missing:
         warnings.warn(
             f"{missing} of {len(query_ids)} queries missing from run "
@@ -190,30 +208,19 @@ def evaluate(
     scores and run_tag never affect the result.
     """
     queries = sort_query_ids(qrels.query_ids if query_set is None else query_set)
-    if not queries:
-        raise ValueError("query set must be non-empty")
     rankings = [run.docs(query_id) for query_id in queries]
-    mask = np.zeros((len(queries), max(map(len, rankings))), dtype=bool)
-    counts = []
-    for row, (query_id, docs) in enumerate(zip(queries, rankings)):
-        relevant = qrels.relevant(query_id)
-        mask[row, : len(docs)] = _relevance(docs, relevant)
-        counts.append(len(relevant))
+    mask, counts = _relevance_table(qrels, queries, rankings, max(map(len, rankings), default=0))
     missing = sum(1 for docs in rankings if not docs)
     return _report(run.run_tag, qrels.name, queries, mask, counts, missing)
 
 
 def report_csv(report: EvalReport) -> str:
     """Eval report as CSV with a trailing ``__mean__`` row."""
-    out = ["query_id,map,rp,p10,p20\n"]
+    out = ["query_id," + ",".join(METRICS) + "\n"]
     for row in report.per_query:
-        out.append(
-            f"{row.query_id},{row.ap:.6f},{row.rp:.6f},{row.p10:.6f},{row.p20:.6f}\n"
-        )
+        out.append(f"{row.query_id}," + ",".join(f"{row.value(m):.6f}" for m in METRICS) + "\n")
     means = report.mean_metrics()
-    out.append(
-        "__mean__," + ",".join(f"{means[metric]:.6f}" for metric in METRICS) + "\n"
-    )
+    out.append("__mean__," + ",".join(f"{means[m]:.6f}" for m in METRICS) + "\n")
     return "".join(out)
 
 

@@ -1,15 +1,16 @@
 """Rank-to-score normalization and run fusion.
 
 A normalized run is a RunList whose scores are the reciprocal model
-score(d) = 1/(constant + rank(d)). Runs are combined per query over the
-union of retrieved documents, held as a _rank_cube of int32 ranks (one
-query per call here, every query of an experiment in the harness). A
-method looks each system's value up by rank (its scores, or the rank
-itself for Borda) and reduces the systems' rows one at a time.
-Fusion methods: weighted linear combination, CombSum, CombMNZ,
-and Borda count. Every fused run is sorted score-descending with
-doc_id-ascending tie-break, densely ranked, and truncated to the output
-depth, so identical inputs yield byte-identical output.
+score(d) = 1/(constant + rank(d)). Fusion methods: weighted linear
+combination, CombSum, CombMNZ, and Borda count. This module makes each
+fusion decision once, for its public fusers and the harness alike:
+_rank_cube turns doc ids into an int32 rank cube (one query per call
+here, every query of an experiment in the harness); each system's value
+is looked up by rank (its scores, or the rank itself for Borda) and
+reduced by the method's reducer (_REDUCERS, or _weighted for LC); _rank
+orders each row score-descending with doc_id-ascending tie-break, cut
+to the output depth; and _rankings builds the fused Rankings. Identical
+inputs yield byte-identical output.
 """
 
 from __future__ import annotations
@@ -89,11 +90,6 @@ def _by_score(ranking: Ranking) -> np.ndarray:
     return np.array((0.0, *ranking.scores))
 
 
-def _by_rank(ranking: Ranking) -> np.ndarray:
-    """Borda's rank -> value lookup: the rank itself, 0 at rank 0."""
-    return np.arange(len(ranking) + 1)
-
-
 def _scores(ranks: np.ndarray, lookups: Sequence[np.ndarray], reduce: _Reduce) -> np.ndarray:
     """The fused score of every column of a rank cube, queries x width.
 
@@ -123,12 +119,25 @@ def _rank(ranks: np.ndarray, scores: np.ndarray, depth: int) -> tuple[np.ndarray
     return order, np.minimum(np.count_nonzero(ranked, axis=1), depth)
 
 
-def _ranking(candidates: Sequence[str], scores: np.ndarray, columns: np.ndarray) -> Ranking:
-    """The Ranking of the candidates at ``columns``, in that order, with their scores."""
-    return Ranking(
-        tuple([candidates[column] for column in columns.tolist()]),
-        tuple(scores[columns].tolist()),
-    )
+def _rankings(
+    query_ids: Sequence[str],
+    candidates: Sequence[Sequence[str]],
+    scores: np.ndarray,
+    order: np.ndarray,
+    lengths: np.ndarray,
+) -> dict[str, Ranking]:
+    """Each query's fused Ranking: its candidates at the first lengths[i]
+    columns of _rank's order[i], with their scores; one with none is left out."""
+    fused: dict[str, Ranking] = {}
+    for query_id, docs, row, columns, length in zip(
+        query_ids, candidates, scores, order, lengths.tolist()
+    ):
+        if length:
+            columns = columns[:length]
+            fused[query_id] = Ranking(
+                tuple([docs[column] for column in columns.tolist()]), tuple(row[columns].tolist())
+            )
+    return fused
 
 
 def _fuse(
@@ -151,12 +160,10 @@ def _fuse(
         queries = {query_id for run in runs for query_id in run.by_query}
     fused: dict[str, Ranking] = {}
     for query_id in sort_query_ids(queries):
-        (candidates,), ranks = _rank_cube(runs, [query_id])
+        candidates, ranks = _rank_cube(runs, [query_id])
         lookups = [lookup(run.by_query.get(query_id, _NO_RANKING)) for run in runs]
         scores = _scores(ranks, lookups, reduce)
-        (order,), (length,) = _rank(ranks, scores, depth)
-        if length:
-            fused[query_id] = _ranking(candidates, scores[0], order[:length])
+        fused.update(_rankings([query_id], candidates, scores, *_rank(ranks, scores, depth)))
     return RunList(run_tag, fused)
 
 
@@ -189,15 +196,6 @@ def _weighted(w: WeightVector) -> _Reduce:
     )[0]
 
 
-def _summed(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    return _sums(rows)[0]
-
-
-def _mnz(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    total, count = _sums(rows)
-    return count * total
-
-
 def _points(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Borda over int rank rows (0 = unranked): |C| + 1 - rank from each
     system that ranked the candidate, as floats.
@@ -208,6 +206,16 @@ def _points(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     rank_sum, systems = _sums(rows)
     candidates = np.count_nonzero(systems, axis=-1, keepdims=True)
     return ((candidates + 1) * systems - rank_sum).astype(float)
+
+
+# The reducer of each unweighted method, read by its public fuser and by the
+# harness: CombSum's sum of scores, CombMNZ's sum times the number of systems
+# that ranked the candidate, and Borda's points from the ranks.
+_REDUCERS: dict[str, _Reduce] = {
+    "combsum": lambda rows: _sums(rows)[0],
+    "combmnz": lambda rows: np.multiply(*_sums(rows)),
+    "borda": _points,
+}
 
 
 def linear_combine(
@@ -243,7 +251,7 @@ def comb_sum(
     """Fuse by fused(d) = sum_j score_j(d), missing = 0."""
     if not scored:
         raise ValueError("need at least one scored run")
-    return _fuse(scored, queries, _by_score, _summed, run_tag, depth)
+    return _fuse(scored, queries, _by_score, _REDUCERS["combsum"], run_tag, depth)
 
 
 def comb_mnz(
@@ -255,7 +263,7 @@ def comb_mnz(
     """Fuse by fused(d) = (systems ranking d) * sum_j score_j(d)."""
     if not scored:
         raise ValueError("need at least one scored run")
-    return _fuse(scored, queries, _by_score, _mnz, run_tag, depth)
+    return _fuse(scored, queries, _by_score, _REDUCERS["combmnz"], run_tag, depth)
 
 
 def borda(
@@ -272,4 +280,6 @@ def borda(
     """
     if not runs:
         raise ValueError("need at least one run")
-    return _fuse(runs, queries, _by_rank, _points, run_tag, depth)
+    return _fuse(
+        runs, queries, lambda r: np.arange(len(r) + 1), _REDUCERS["borda"], run_tag, depth
+    )

@@ -12,13 +12,14 @@ Protocol notes that apply throughout:
   the same experiment differ only in the training signal.
 - Everything is deterministic: fixed inputs and seed give byte-stable
   outputs.
-- Each call builds one rank cube over every query and all the runs,
-  with fusion's cube builder, and judges its candidates once. Each
-  (method, prefix size) trains, fuses, ranks and scores every query of
-  it in one batched pass, with the scorer, ranker and reducers of the
-  public fusers, the training-row gather of assemble_matrix and the
-  metric kernel of evaluate(), so its numbers equal those of the public
-  calls on ``runs[:size]``.
+- Each call builds one rank cube over every query and all the runs and
+  judges its candidates once. Each (method, prefix size) trains, fuses,
+  ranks and scores every query of it in one batched pass, so its numbers
+  equal those of the public calls on ``runs[:size]``. The harness makes
+  none of their decisions itself: fusion owns the cube, each method's
+  reducer, the ranking and the fused Rankings; regression the training
+  rows and the solve; evaluation the relevance tables, the metrics and
+  the CSV columns (METRICS); split_odd_even the folds.
 """
 
 from __future__ import annotations
@@ -30,22 +31,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evaluation import METRICS, EvalReport, _relevance, _report, evaluate
+from .evaluation import METRICS, EvalReport, _relevance_table, _report, evaluate
 from .fusion import (
+    _REDUCERS,
     DEFAULT_OUTPUT_DEPTH,
     DEFAULT_RECIPROCAL_CONSTANT,
     _by_reciprocal,
-    _mnz,
-    _points,
     _rank,
     _rank_cube,
-    _ranking,
+    _rankings,
     _scores,
-    _summed,
     _weighted,
 )
 from .regression import WeightVector, _fit_warning, _solve, _training_rows
-from .trec import Qrels, Ranking, RunList, sort_query_ids
+from .trec import Qrels, RunList, sort_query_ids
 
 FUSION_METHODS = ("LC-mlr", "combsum", "combmnz", "borda")
 ALL_METHODS = FUSION_METHODS + ("best-component",)
@@ -118,14 +117,8 @@ def _judged_cube(
     """The cube of ``runs`` over the official qrels' queries."""
     query_ids = official_qrels.query_ids
     candidates, ranks = _rank_cube(runs, query_ids)
-    training = np.zeros((len(query_ids), ranks.shape[2]), dtype=bool)
-    relevant = np.zeros_like(training)
-    counts = np.zeros(len(query_ids), dtype=np.intp)
-    for row, (query_id, docs) in enumerate(zip(query_ids, candidates)):
-        official = official_qrels.relevant(query_id)
-        training[row, : len(docs)] = _relevance(docs, training_qrels.relevant(query_id))
-        relevant[row, : len(docs)] = _relevance(docs, official)
-        counts[row] = len(official)
+    training, _ = _relevance_table(training_qrels, query_ids, candidates, ranks.shape[2])
+    relevant, counts = _relevance_table(official_qrels, query_ids, candidates, ranks.shape[2])
     return _RankCube(query_ids, candidates, ranks, training, relevant, counts)
 
 
@@ -218,23 +211,17 @@ def cross_validated_fusion(
     lc = _cross_validate(
         cube, tuple(run.run_tag for run in runs), official_qrels.name, constant, depth
     )
-    fused: dict[str, Ranking] = {}
-    for row in (*range(0, len(cube.query_ids), 2), *range(1, len(cube.query_ids), 2)):
-        columns = lc.order[row, : lc.lengths[row]]
-        if columns.size:
-            fused[cube.query_ids[row]] = _ranking(cube.candidates[row], lc.scores[row], columns)
+    rankings = _rankings(cube.query_ids, cube.candidates, lc.scores, lc.order, lc.lengths)
+    in_fold_order = (*lc.split.partition_a, *lc.split.partition_b)
+    fused = {query_id: rankings[query_id] for query_id in in_fold_order if query_id in rankings}
     return XvalResult(
         RunList("LC-mlr", fused), lc.report, lc.split, lc.weights_a, lc.weights_b
     )
 
 
-# FusionCurveRow field of each metric: the fields are named after them
-_CURVE_FIELDS = {metric: metric for metric in METRICS}
-
-
 @dataclass(frozen=True)
 class FusionCurveRow:
-    """Mean metrics for one method at one prefix size."""
+    """Mean metrics for one method at one prefix size, one field per metric."""
 
     method: str
     num_systems: int
@@ -244,14 +231,7 @@ class FusionCurveRow:
     p20: float
 
     def value(self, metric: str) -> float:
-        return getattr(self, _CURVE_FIELDS[metric])
-
-
-def _curve_row(method: str, num_systems: int, report: EvalReport) -> FusionCurveRow:
-    means = report.mean_metrics()
-    return FusionCurveRow(
-        method, num_systems, means["map"], means["rp"], means["p10"], means["p20"]
-    )
+        return getattr(self, metric)
 
 
 def compare_methods(
@@ -289,7 +269,7 @@ def compare_methods(
     for method in methods:
         if method == "best-component":
             report = evaluate(runs[0], official_qrels, cube.query_ids)
-            rows.append(_curve_row(method, 1, report))
+            rows.append(FusionCurveRow(method, 1, **report.mean_metrics()))
             continue
         for size in range(2, len(runs) + 1):
             if method == "LC-mlr":
@@ -297,25 +277,22 @@ def compare_methods(
                     cube, tags[:size], official_qrels.name, constant, depth
                 ).report
             else:
-                if method == "borda":
-                    lookup, reduce = np.arange(width + 1), _points  # Borda reduces the ranks
+                if method == "borda":  # Borda reduces the ranks
+                    lookup = np.arange(width + 1)
                 else:
                     lookup = _by_reciprocal(constant, width)
-                    reduce = _summed if method == "combsum" else _mnz
-                scores = _scores(cube.ranks[:, :size], [lookup] * size, reduce)
+                scores = _scores(cube.ranks[:, :size], [lookup] * size, _REDUCERS[method])
                 report = _rank_prefix(cube, size, scores, depth, method, official_qrels.name)[2]
-            rows.append(_curve_row(method, size, report))
+            rows.append(FusionCurveRow(method, size, **report.mean_metrics()))
     return rows
 
 
 def curve_csv(rows: Sequence[FusionCurveRow]) -> str:
     """Curve/compare rows as CSV, one line per (method, prefix size)."""
-    out = ["method,num_systems,map,rp,p10,p20\n"]
+    out = ["method,num_systems," + ",".join(METRICS) + "\n"]
     for row in rows:
-        out.append(
-            f"{row.method},{row.num_systems},{row.map:.6f},{row.rp:.6f},"
-            f"{row.p10:.6f},{row.p20:.6f}\n"
-        )
+        cells = ",".join(f"{row.value(metric):.6f}" for metric in METRICS)
+        out.append(f"{row.method},{row.num_systems},{cells}\n")
     return "".join(out)
 
 
@@ -407,7 +384,7 @@ def grouped_eval(
 
 def group_csv(reports: Sequence[GroupReport]) -> str:
     """Grouped evaluation as CSV, one line per group plus ``all``."""
-    out = ["group,num_queries,mean_relevant,map,rp,p10,p20\n"]
+    out = ["group,num_queries,mean_relevant," + ",".join(METRICS) + "\n"]
     for entry in reports:
         means = entry.report.mean_metrics()
         cells = ",".join(f"{means[metric]:.6f}" for metric in METRICS)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .evaluation import _relevance
+from .evaluation import _relevance_table
 from .fusion import _by_score, _rank_cube
 from .trec import _NO_RANKING, Qrels, RunList, sort_query_ids
 
@@ -94,9 +94,9 @@ def assemble_matrix(
     for query_id in sort_query_ids(queries):
         (candidates,), ranks = _rank_cube(scored, [query_id])
         lookups = [_by_score(run.by_query.get(query_id, _NO_RANKING)) for run in scored]
-        relevant = _relevance(candidates, qrels.relevant(query_id))
+        relevant, _ = _relevance_table(qrels, [query_id], [candidates], ranks.shape[2])
         keys.extend((query_id, doc_id) for doc_id in candidates)
-        blocks.append(_training_rows(ranks, lookups, relevant[None, :]))
+        blocks.append(_training_rows(ranks, lookups, relevant))
     if not blocks:
         raise ValueError("query set must be non-empty")
     scores, targets = (np.concatenate(parts) for parts in zip(*blocks))

@@ -3,11 +3,13 @@ error reporting, and byte determinism."""
 
 from __future__ import annotations
 
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from rankfuse.cli import main
+from rankfuse.cli import console, main
 from rankfuse.fusion import normalize_reciprocal
 from rankfuse.regression import assemble_matrix, solve_ols, weights_to_csv
 from rankfuse.trec import load_qrels, load_run
@@ -302,6 +304,16 @@ def test_cli_reports_parse_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_compare_refuses_an_empty_qrels(dataset, tmp_path, capsys):
+    empty = tmp_path / "empty.qrels"
+    empty.write_text("")
+    compare = ["compare", "--runs", *dataset["runs"], "--qrels", str(empty), "--methods", "combsum"]
+    assert main(compare) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: query set must be non-empty\n"
+
+
 def test_cli_rejects_a_depth_below_one(dataset, capsys):
     runs_and_qrels = ["--runs", *dataset["runs"], "--qrels", dataset["qrels"]]
     for argv in (
@@ -378,17 +390,47 @@ def test_empty_run_files_reported_on_stderr_only(dataset, tmp_path, capsys):
     )
 
 
-def test_warnings_print_as_one_line_each_and_reach_the_caller(dataset, tmp_path, capsys):
+def _twin_xval(dataset, tmp_path):
+    """xval of sys01 and a copy of it: each fold's design is rank-deficient."""
     twin = tmp_path / "twin.run"
-    twin.write_text(open(dataset["runs"][0]).read().replace(" sys01\n", " twin\n"))
-    xval = ["xval", "--runs", dataset["runs"][0], str(twin), "--qrels", dataset["qrels"]]
+    twin.write_text(Path(dataset["runs"][0]).read_text().replace(" sys01\n", " twin\n"))
+    return ["xval", "--runs", dataset["runs"][0], str(twin), "--qrels", dataset["qrels"]]
+
+
+_RIDGE = "the design is rank-deficient; solved with a ridge of 1e-08"
+
+
+def test_warnings_print_as_one_line_each_and_reach_the_caller(dataset, tmp_path, capsys):
     with pytest.warns(UserWarning, match="rank-deficient") as caught:
-        assert main(xval) == 0
+        assert main(_twin_xval(dataset, tmp_path)) == 0
     assert len(caught) == 2
-    ridge = "the design is rank-deficient; solved with a ridge of 1e-08"
     assert capsys.readouterr().err == (
-        f"warning: fold A (2 systems): {ridge}\nwarning: fold B (2 systems): {ridge}\n"
+        f"warning: fold A (2 systems): {_RIDGE}\nwarning: fold B (2 systems): {_RIDGE}\n"
     )
+
+
+def test_console_prints_each_warning_once_and_errors_as_one_line(
+    dataset, tmp_path, capsys, monkeypatch
+):
+    """console() is the installed ``rankfuse`` program: a warning main() has
+    printed is not printed again in Python's own format."""
+    with warnings.catch_warnings():
+        # as outside pytest: a warning no filter ignores is written to stderr
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda *shown: sys.stderr.write(
+            warnings.formatwarning(*shown[:4])
+        )
+        monkeypatch.setattr(sys, "argv", ["rankfuse", *_twin_xval(dataset, tmp_path)])
+        assert console() == 0
+        assert capsys.readouterr().err == (
+            f"warning: fold A (2 systems): {_RIDGE}\nwarning: fold B (2 systems): {_RIDGE}\n"
+        )
+        monkeypatch.setattr(sys, "argv", ["rankfuse", "eval", "--run", "/nonexistent.run",
+                                          "--qrels", dataset["qrels"]])
+        assert console() == 1
+        out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_a_repeated_warning_prints_once(dataset, tmp_path, capsys):

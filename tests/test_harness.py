@@ -163,6 +163,24 @@ def test_xval_requires_two_runs():
         cross_validated_fusion(runs, qrels, qrels)
 
 
+@pytest.mark.parametrize("experiment", [
+    lambda runs, qrels: cross_validated_fusion(runs, qrels, qrels),
+    lambda runs, qrels: compare_methods(runs, qrels, qrels, methods=["LC-mlr"]),
+], ids=["xval", "curve"])
+def test_cross_validation_requires_two_queries(experiment):
+    runs, qrels = generate_synthetic(1, 4, 2, 10, 3)
+    one_query = Qrels({"301": qrels.grades["301"]})
+    with pytest.raises(ValueError, match="cross-validation needs at least 2 queries"):
+        experiment(runs, one_query)
+
+
+def test_compare_methods_refuses_an_empty_query_set():
+    # the methods that gave NaN rows here; LC-mlr would fail first on its folds
+    runs, qrels = generate_synthetic(26, 6, 3, 20, 5)
+    with pytest.raises(ValueError, match="query set must be non-empty"):
+        compare_methods(runs, qrels, Qrels({}), methods=["combsum", "combmnz", "borda"])
+
+
 def test_curve_row_per_prefix():
     runs, qrels = generate_synthetic(21, 8, 4, 30, 6)
     rows = compare_methods(runs, qrels, qrels, methods=["LC-mlr"])
