@@ -4,9 +4,15 @@ One subcommand per experiment step: pool, sweep, train, fuse, eval,
 xval, curve, compare, group-eval, sensitivity, synth. Tables are CSV
 with headers, written to stdout unless an output path is given. Exit
 code 0 on success; any failure prints one ``error: ...`` diagnostic to
-stderr and exits nonzero, and each distinct warning prints one
-``warning: ...`` line. Fixed inputs (and seed, where applicable) produce
-byte-identical outputs.
+stderr and exits nonzero. Every notice, the loaders' and the command's
+alike, is raised with ``warnings.warn``; main is the one place that
+prints notices, one stderr line per distinct message. Fixed inputs (and
+seed, where applicable) produce byte-identical outputs.
+
+The commands make no fusion decision: the fusers cut to ``--depth``,
+the writers write every entry, and ``linear_combine`` matches weights
+to runs by tag. ``fuse`` normalizes once for every method; Borda reads
+only each query's order, which normalization keeps.
 """
 
 from __future__ import annotations
@@ -47,11 +53,11 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _load_runs(paths: Sequence[str]) -> list:
-    """load_run of each path, with one stderr line per file that has no run entries."""
+    """load_run of each path, with one warning per file that has no run entries."""
     runs = [load_run(path) for path in paths]
     for path, run in zip(paths, runs):
         if not run.by_query:
-            print(f"warning: {path}: no run entries", file=sys.stderr)
+            warnings.warn(f"{path}: no run entries", stacklevel=2)
     tags = [run.run_tag for run in runs]
     duplicates = sorted({tag for tag in tags if tags.count(tag) > 1})
     if duplicates:
@@ -60,13 +66,13 @@ def _load_runs(paths: Sequence[str]) -> list:
 
 
 def _load_qrels(path: str) -> Qrels:
-    """load_qrels, with one stderr line when the file repeats a judgment."""
+    """load_qrels, with one warning when the file repeats a judgment."""
     qrels = load_qrels(path)
     if qrels.duplicate_warnings:
-        print(
-            f"warning: {path}: {qrels.duplicate_warnings} duplicate (query, doc) "
+        warnings.warn(
+            f"{path}: {qrels.duplicate_warnings} duplicate (query, doc) "
             "lines with the same grade; each pair counted once",
-            file=sys.stderr,
+            stacklevel=2,
         )
     return qrels
 
@@ -130,40 +136,23 @@ def _cmd_train(args: argparse.Namespace) -> int:
     weights = solve_ols(assemble_matrix(scored, qrels, queries))
     warning = _fit_warning("train", weights)
     if warning:
-        print(f"warning: {warning}", file=sys.stderr)
+        warnings.warn(warning, stacklevel=2)
     _emit(weights_to_csv(weights), args.out_weights)
     return 0
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
-    runs = _load_runs(args.runs)
+    scored = [normalize_reciprocal(run, args.constant) for run in _load_runs(args.runs)]
     if args.method == "lc":
         if args.weights is None:
             raise ValueError("--weights is required for method 'lc'")
         with open(args.weights, encoding="utf-8") as handle:
             weights = weights_from_csv(handle.read())
-        scored = {
-            s.run_tag: s
-            for s in (normalize_reciprocal(run, args.constant) for run in runs)
-        }
-        if set(scored) != set(weights.system_order):
-            raise ValueError(
-                f"run tags {sorted(scored)} do not match trained systems "
-                f"{sorted(weights.system_order)}"
-            )
-        ordered = [scored[tag] for tag in weights.system_order]
-        fused = linear_combine(
-            ordered, weights, args.depth, args.tag or "LC-mlr"
-        )
-    elif args.method == "borda":
-        fused = borda(runs, args.depth, args.tag or "borda")
+        fused = linear_combine(scored, weights, args.depth, args.tag or "LC-mlr")
     else:
-        scored_list = [normalize_reciprocal(run, args.constant) for run in runs]
-        if args.method == "combsum":
-            fused = comb_sum(scored_list, args.depth, args.tag or "combsum")
-        else:
-            fused = comb_mnz(scored_list, args.depth, args.tag or "combmnz")
-    _emit(write_run(fused, depth_limit=args.depth), args.out)
+        fuser = {"combsum": comb_sum, "combmnz": comb_mnz, "borda": borda}[args.method]
+        fused = fuser(scored, args.depth, args.tag or args.method)
+    _emit(write_run(fused), args.out)
     return 0
 
 
@@ -189,7 +178,7 @@ def _cmd_xval(args: argparse.Namespace) -> int:
         runs, training, official, args.constant, args.depth
     )
     if args.out_run is not None:
-        save_run(result.fused, args.out_run, depth_limit=args.depth)
+        save_run(result.fused, args.out_run)
     _emit(report_csv(result.report), args.csv)
     return 0
 

@@ -227,19 +227,26 @@ def linear_combine(
 ) -> RunList:
     """Fuse by fused(d) = intercept + sum_j w_j * score_j(d), missing = 0.
 
-    The scored runs must line up one-to-one with w.system_order. The
-    intercept shifts all fused scores equally, so it never alters the
-    ranking; it is kept so fused scores match the trained model's
-    predictions.
+    Each weight goes to the scored run whose tag is its system, so the
+    runs may come in any order; their tags must be w.system_order's, each
+    once, or ValueError is raised. The intercept shifts all fused scores
+    equally, so it never alters the ranking; it is kept so fused scores
+    match the trained model's predictions.
     """
     if not scored:
         raise ValueError("need at least one scored run")
     tags = tuple(system.run_tag for system in scored)
-    if tags != w.system_order or len(w.weights) != len(scored):
+    by_tag = dict(zip(tags, scored))
+    if (
+        len(by_tag) < len(tags)
+        or sorted(tags) != sorted(w.system_order)
+        or len(w.weights) != len(tags)
+    ):
         raise ValueError(
             f"scored runs {tags} do not match weight vector systems {w.system_order}"
         )
-    return _fuse(scored, queries, _by_score, _weighted(w), run_tag, depth)
+    ordered = [by_tag[tag] for tag in w.system_order]
+    return _fuse(ordered, queries, _by_score, _weighted(w), run_tag, depth)
 
 
 def comb_sum(

@@ -248,11 +248,12 @@ def compare_methods(
     already be ordered best-first; ``methods=["LC-mlr"]`` alone gives the
     cross-validated LC curve. Every row is computed on the official
     qrels' query set; ``best-component`` is a single row (num_systems 1)
-    evaluating ``runs[0]`` as-is. ``methods`` must be non-empty and name
-    each method once. One rank cube is built over all ``runs``; each
-    prefix and method fuses, ranks and scores every query of it in one
-    pass with the public fusers' scorer, ranker and reducers, so each row
-    equals the one the public per-method calls on ``runs[:size]`` give.
+    evaluating ``runs[0]`` as-is, with no rank cube. ``methods`` must be
+    non-empty and name each method once. For the fusion methods one rank
+    cube is built over all ``runs``; each prefix and method fuses, ranks
+    and scores every query of it in one pass with the public fusers'
+    scorer, ranker and reducers, so each row equals the one the public
+    per-method calls on ``runs[:size]`` give.
     """
     unknown = [m for m in methods if m not in ALL_METHODS]
     if unknown:
@@ -261,14 +262,15 @@ def compare_methods(
         raise ValueError(f"methods {list(methods)} must be non-empty and name each method once")
     if len(runs) < 2:
         raise ValueError("fusion experiments need at least 2 runs")
-    cube = _judged_cube(runs, training_qrels, official_qrels)
+    if any(method != "best-component" for method in methods):
+        cube = _judged_cube(runs, training_qrels, official_qrels)
+        width = cube.ranks.shape[2]
     tags = tuple(run.run_tag for run in runs)
-    width = cube.ranks.shape[2]
 
     rows: list[FusionCurveRow] = []
     for method in methods:
         if method == "best-component":
-            report = evaluate(runs[0], official_qrels, cube.query_ids)
+            report = evaluate(runs[0], official_qrels)
             rows.append(FusionCurveRow(method, 1, **report.mean_metrics()))
             continue
         for size in range(2, len(runs) + 1):

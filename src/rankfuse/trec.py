@@ -219,32 +219,30 @@ def parse_run(lines: Iterable[str]) -> RunList:
     return RunList(run_tag or "", _canonical(rows))
 
 
-def write_run(run: RunList, depth_limit: int = 1000) -> str:
-    """Serialize a RunList to TREC 6-column text, top ``depth_limit`` per query.
+def write_run(run: RunList) -> str:
+    """Serialize a RunList to TREC 6-column text, every entry of every query.
 
-    Ranks are written as 1..L and scores with 6 significant digits
-    (``.6g``). A list whose scores need more digits than that, such as a
-    fused run, does not survive a round trip: scores that differ beyond
-    the sixth digit are written equal, and re-parsing breaks those ties
-    by doc id, which can change the ranking. A list whose scores ``.6g``
-    prints exactly (integers below 10**6, for one), with no empty query
-    and none cut at ``depth_limit``, re-parses to an equal RunList.
+    The writer cuts nothing: a fused run is already cut to its output
+    depth by the fuser that made it. Ranks are written as 1..L and
+    scores with 6 significant digits (``.6g``). A list whose scores need
+    more digits than that, such as a fused run, does not survive a round
+    trip: scores that differ beyond the sixth digit are written equal,
+    and re-parsing breaks those ties by doc id, which can change the
+    ranking. A list whose scores ``.6g`` prints exactly (integers below
+    10**6, for one), with no empty query, re-parses to an equal RunList.
 
     A run with entries whose tag is empty or contains whitespace raises
     ValueError, since parse_run could not read the tag column back.
     """
-    if depth_limit < 1:
-        raise ValueError("depth_limit must be >= 1")
     tag = run.run_tag
     if tag.split() != [tag] and any(run.by_query.values()):
         raise ValueError(f"run tag {tag!r} is empty or contains whitespace")
     out: list[str] = []
     for query_id in run.query_ids:
         ranking = run.by_query[query_id]
-        top = zip(ranking.docs[:depth_limit], ranking.scores[:depth_limit])
         out.extend(
             f"{query_id} Q0 {doc_id} {rank} {score:.6g} {tag}\n"
-            for rank, (doc_id, score) in enumerate(top, start=1)
+            for rank, (doc_id, score) in enumerate(zip(ranking.docs, ranking.scores), start=1)
         )
     return "".join(out)
 
@@ -335,9 +333,10 @@ def load_run(path: str | os.PathLike[str]) -> RunList:
         return parse_run(f)
 
 
-def save_run(run: RunList, path: str | os.PathLike[str], depth_limit: int = 1000) -> None:
+def save_run(run: RunList, path: str | os.PathLike[str]) -> None:
+    """Write ``write_run(run)`` to ``path``: every entry, none cut."""
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(write_run(run, depth_limit))
+        f.write(write_run(run))
 
 
 def load_qrels(path: str | os.PathLike[str]) -> Qrels:

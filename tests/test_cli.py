@@ -42,6 +42,20 @@ def test_synth_writes_expected_files(dataset):
     assert len(run.query_ids) == 8
 
 
+def test_synth_writes_every_doc(tmp_path):
+    out = tmp_path / "deep"
+    assert main(
+        [
+            "synth", "--seed", "7", "--num-queries", "2", "--num-systems", "2",
+            "--docs-per-query", "1500", "--relevant-per-query", "10",
+            "--out-dir", str(out),
+        ]
+    ) == 0
+    for name in ("sys01.run", "sys02.run"):
+        run = load_run(out / name)
+        assert [len(run.docs(q)) for q in run.query_ids] == [1500, 1500]
+
+
 def test_synth_deterministic_bytes(tmp_path, dataset):
     again = tmp_path / "again"
     assert main(
@@ -126,11 +140,11 @@ def test_train_with_query_subset(dataset, capsys):
 
 
 def test_train_reports_degenerate_or_ridge_regularized_weights(dataset, tmp_path, capsys):
-    text = open(dataset["runs"][0]).read()
+    text = Path(dataset["runs"][0]).read_text()
     twin = tmp_path / "twin.run"
     twin.write_text(text.replace(" sys01\n", " twin\n"))
     unjudged = tmp_path / "unjudged.qrels"
-    unjudged.write_text(open(dataset["qrels"]).read().replace(" 1\n", " 0\n"))
+    unjudged.write_text(Path(dataset["qrels"]).read_text().replace(" 1\n", " 0\n"))
     cases = [
         (dataset["runs"], dataset["qrels"], ""),
         (dataset["runs"], str(unjudged), "warning: train (4 systems): no training label is "
@@ -151,13 +165,17 @@ def test_train_reports_degenerate_or_ridge_regularized_weights(dataset, tmp_path
         assert capsys.readouterr() == ("", warning)
 
 
-def test_fuse_unweighted_methods(dataset, tmp_path):
+def test_fuse_unweighted_methods(dataset, tmp_path, capsys):
     for method, tag in (("combsum", "combsum"), ("combmnz", "combmnz"), ("borda", "borda")):
         out = tmp_path / f"{method}.run"
         assert main(
             ["fuse", "--runs", *dataset["runs"], "--method", method,
              "--out", str(out)]
         ) == 0
+        assert main(
+            ["fuse", "--runs", *dataset["runs"], "--method", method, "--constant", "-1"]
+        ) == 1
+        assert capsys.readouterr() == ("", "error: reciprocal constant must be > -1, got -1.0\n")
         assert load_run(out).run_tag == tag
 
 
@@ -339,7 +357,7 @@ def test_fuse_refuses_a_tag_that_cannot_be_read_back(dataset, capsys):
 
 def test_cli_rejects_duplicate_run_tags(dataset, tmp_path, capsys):
     copy = tmp_path / "copy.run"
-    copy.write_text(open(dataset["runs"][0]).read())
+    copy.write_text(Path(dataset["runs"][0]).read_text())
     assert main(
         ["sweep", "--runs", dataset["runs"][0], str(copy),
          "--qrels", dataset["qrels"]]
@@ -348,7 +366,7 @@ def test_cli_rejects_duplicate_run_tags(dataset, tmp_path, capsys):
 
 
 def test_duplicate_qrels_lines_reported_on_stderr_only(dataset, tmp_path, capsys):
-    text = open(dataset["qrels"]).read()
+    text = Path(dataset["qrels"]).read_text()
     first, second = text.splitlines(keepends=True)[:2]
     doubled = tmp_path / "doubled.qrels"
     doubled.write_text(first + text + second + first)
@@ -409,6 +427,28 @@ def test_warnings_print_as_one_line_each_and_reach_the_caller(dataset, tmp_path,
     )
 
 
+@pytest.mark.parametrize("notice", ["empty-run", "duplicate-qrels"])
+def test_loader_notices_reach_the_caller(notice, dataset, tmp_path, capsys):
+    runs, qrels = dataset["runs"], dataset["qrels"]
+    if notice == "empty-run":
+        empty = tmp_path / "empty.run"
+        empty.write_text("\n")
+        runs, message = [*runs, str(empty)], f"{empty}: no run entries"
+    else:
+        doubled = tmp_path / "doubled.qrels"
+        text = Path(qrels).read_text()
+        doubled.write_text(text + text.splitlines(keepends=True)[0])
+        qrels = str(doubled)
+        message = (
+            f"{doubled}: 1 duplicate (query, doc) lines with the same grade; "
+            "each pair counted once"
+        )
+    with pytest.warns(UserWarning) as caught:
+        assert main(["sweep", "--runs", *runs, "--qrels", qrels]) == 0
+    assert [str(w.message) for w in caught] == [message]
+    assert capsys.readouterr().err == f"warning: {message}\n"
+
+
 def test_console_prints_each_warning_once_and_errors_as_one_line(
     dataset, tmp_path, capsys, monkeypatch
 ):
@@ -437,7 +477,7 @@ def test_a_repeated_warning_prints_once(dataset, tmp_path, capsys):
     # no run ranks query 301, so each of the prefixes 2, 3 and 4 warns the same line
     runs = [tmp_path / Path(path).name for path in dataset["runs"]]
     for path, copy in zip(dataset["runs"], runs):
-        lines = open(path).read().splitlines(keepends=True)
+        lines = Path(path).read_text().splitlines(keepends=True)
         copy.write_text("".join(line for line in lines if not line.startswith("301 ")))
     compare = ["compare", "--runs", *map(str, runs), "--qrels", dataset["qrels"],
                "--methods", "combsum"]

@@ -82,6 +82,7 @@ def test_linear_combine_hand_example():
     s1 = RunList.from_scores("s1", {"q": {"a": 0.5, "b": 0.2}})
     s2 = RunList.from_scores("s2", {"q": {"a": 0.1, "b": 0.4}})
     fused = linear_combine([s1, s2], _weights(["s1", "s2"], [1.0, 2.0]))
+    assert linear_combine([s2, s1], _weights(["s1", "s2"], [1.0, 2.0])) == fused
     assert fused.docs("q") == ("b", "a")
     scores = {e.doc_id: e.raw_score for e in fused.entries("q")}
     assert scores["a"] == pytest.approx(0.7)
@@ -138,6 +139,9 @@ def test_linear_combine_dimension_mismatch():
         linear_combine([s1], _weights(["s1", "s2"], [1.0, 1.0]))
     with pytest.raises(ValueError):
         linear_combine([s1], _weights(["other"], [1.0]))
+    for tags in (["s1", "s1"], ["s1"], ["s1", "s2"]):
+        with pytest.raises(ValueError, match="do not match"):
+            linear_combine([s1, s1], _weights(tags, [1.0] * len(tags)))
     with pytest.raises(ValueError):
         linear_combine([], _weights([], []))
 

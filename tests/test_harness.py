@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankfuse import harness
 from rankfuse.evaluation import evaluate
 from rankfuse.fusion import borda, comb_mnz, comb_sum, linear_combine, normalize_reciprocal
 from rankfuse.harness import (
     FUSION_METHODS,
     FoldSplit,
+    FusionCurveRow,
     compare_methods,
     cross_validated_fusion,
     curve_csv,
@@ -365,6 +367,20 @@ def test_batched_prefix_loop_equals_per_prefix_public_calls(corpus):
                 expected.append((method, size, *(means[m] for m in ("map", "rp", "p10", "p20"))))
         rows = compare_methods(runs, training, official, FUSION_METHODS, constant, depth)
     assert [(r.method, r.num_systems, r.map, r.rp, r.p10, r.p20) for r in rows] == expected
+
+
+def test_best_component_alone_builds_no_rank_cube(monkeypatch):
+    def no_cube(*args):
+        raise AssertionError("rank cube built")
+
+    monkeypatch.setattr(harness, "_rank_cube", no_cube)
+    runs, qrels = generate_synthetic(26, 6, 3, 20, 5)
+    (row,) = compare_methods(runs, qrels, qrels, methods=["best-component"])
+    assert row == FusionCurveRow("best-component", 1, **evaluate(runs[0], qrels).mean_metrics())
+    with pytest.raises(ValueError, match="at least 2 runs"):
+        compare_methods(runs[:1], qrels, qrels, methods=["best-component"])
+    with pytest.raises(ValueError, match="query set must be non-empty"):
+        compare_methods(runs, qrels, Qrels({}), methods=["best-component"])
 
 
 def test_compare_methods_subset_and_validation():

@@ -140,13 +140,12 @@ def test_write_run_line_format():
     assert write_run(run) == "301 Q0 FBIS3-1 1 12.5 runA\n"
 
 
-def test_write_run_depth_limit():
+def test_write_run_writes_every_entry():
     scores = {"1": {f"d{i:04d}": float(2000 - i) for i in range(2000)}}
     run = RunList.from_scores("t", scores)
-    text = write_run(run, depth_limit=1000)
-    assert len(text.splitlines()) == 1000
-    with pytest.raises(ValueError):
-        write_run(run, depth_limit=0)
+    lines = write_run(run).splitlines()
+    assert len(lines) == 2000
+    assert parse_run(lines) == run
 
 
 @pytest.mark.parametrize("tag", ["", "a b", "a\tb", " a", "a\n", "a\x85b", "a\u2028"])
