@@ -5,12 +5,12 @@ score(d) = 1/(constant + rank(d)). Fusion methods: weighted linear
 combination, CombSum, CombMNZ, and Borda count. This module makes each
 fusion decision once, for its public fusers and the harness alike:
 _rank_cube turns doc ids into an int32 rank cube (one query per call
-here, every query of an experiment in the harness); each system's value
-is looked up by rank (its scores, or the rank itself for Borda) and
-reduced by the method's reducer (_REDUCERS, or _weighted for LC); _rank
-orders each row score-descending with doc_id-ascending tie-break, cut
-to the output depth; and _rankings builds the fused Rankings. Identical
-inputs yield byte-identical output.
+here, every query of an experiment in the harness); the method's scorer
+(_SCORERS, or _weighted for LC) gives each column its fused score from
+the cube and each system's rank -> value lookup, Borda's from the ranks
+alone; _rank orders each row score-descending with doc_id-ascending
+tie-break, cut to the output depth; and _rankings builds the fused
+Rankings. Identical inputs yield byte-identical output.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ if TYPE_CHECKING:  # import cycle: regression imports _rank_cube
 DEFAULT_RECIPROCAL_CONSTANT = 60.0
 DEFAULT_OUTPUT_DEPTH = 1000
 
-# (values, present) rows, one per system, -> one score per candidate
-_Reduce = Callable[[Iterable[tuple[np.ndarray, np.ndarray]]], np.ndarray]
+# (rank cube, each system's rank -> value lookup) -> one score per column
+_Score = Callable[[np.ndarray, Iterable[np.ndarray]], np.ndarray]
 
 
 def _by_reciprocal(constant: float, longest: int) -> np.ndarray:
@@ -90,16 +90,6 @@ def _by_score(ranking: Ranking) -> np.ndarray:
     return np.array((0.0, *ranking.scores))
 
 
-def _scores(ranks: np.ndarray, lookups: Sequence[np.ndarray], reduce: _Reduce) -> np.ndarray:
-    """The fused score of every column of a rank cube, queries x width.
-
-    System j's value at rank r is lookups[j][r] (0 at r = 0, unranked).
-    Each row is looked up as ``reduce`` consumes it, so no float cube is
-    built.
-    """
-    return reduce((lookup[ranks[:, j]], ranks[:, j] > 0) for j, lookup in enumerate(lookups))
-
-
 def _check_depth(depth: int) -> None:
     if depth < 1:
         raise ValueError(f"output depth must be >= 1, got {depth}")
@@ -143,78 +133,80 @@ def _rankings(
 def _fuse(
     runs: Sequence[RunList],
     queries: Iterable[str] | None,
-    lookup: Callable[[Ranking], np.ndarray],
-    reduce: _Reduce,
+    score: _Score,
     run_tag: str,
     depth: int,
 ) -> RunList:
     """One fused run of ``runs`` over ``queries``, in natural order.
 
     ``queries`` defaults to every query any run ranks. Each query is
-    scored as a one-row cube, with each run's ``lookup`` of its ranking,
-    so only one query's table is held at a time. A query with no
-    candidates is left out. ``depth`` below 1 raises ValueError.
+    scored as a one-row cube by ``score``, with each run's scores as its
+    lookup, so only one query's table is held at a time; the lookups are
+    built as ``score`` reads them, and not at all by Borda's. A query with
+    no candidates is left out. No runs, or ``depth`` below 1, raises
+    ValueError.
     """
+    if not runs:
+        raise ValueError("need at least one run")
     _check_depth(depth)
     if queries is None:
         queries = {query_id for run in runs for query_id in run.by_query}
     fused: dict[str, Ranking] = {}
     for query_id in sort_query_ids(queries):
         candidates, ranks = _rank_cube(runs, [query_id])
-        lookups = [lookup(run.by_query.get(query_id, _NO_RANKING)) for run in runs]
-        scores = _scores(ranks, lookups, reduce)
+        scores = score(ranks, (_by_score(run.by_query.get(query_id, _NO_RANKING)) for run in runs))
         fused.update(_rankings([query_id], candidates, scores, *_rank(ranks, scores, depth)))
     return RunList(run_tag, fused)
 
 
-# The reducers take one (values, present) row per system, in system order,
-# each row queries x width: one query's from the public fusers, every
-# query's from the harness. Both paths share them, so a fused score has one
-# rounding.
+# The scorers take a queries x systems x width rank cube (one query's from the
+# public fusers, every query's from the harness) and each system's rank ->
+# value lookup, in system order, and give the fused score of every column.
+# Both paths share them, so a fused score has one rounding.
 
 
-def _sums(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Per candidate, the rows' values added one row at a time from 0 in
-    system order, and the number of rows it is present in.
+def _sums(
+    ranks: np.ndarray, lookups: Iterable[np.ndarray], weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Per column, each system's lookups[j][ranks[:, j]], times weights[j]
+    if given, added one system at a time from 0 in system order.
 
     numpy's sum(axis=0) adds a one-column table pairwise, and a BLAS
     product could reorder the sum; either could change the last bit of a
     fused score.
     """
-    total = count = 0
-    for values, present in rows:
-        total += values  # the first row rebinds to a new array, the rest add in place
-        count += present
-    return total, count
+    total = 0
+    for j, lookup in enumerate(lookups):
+        values = lookup[ranks[:, j]]
+        # the first system rebinds total to a new array, the rest add in place
+        total += values if weights is None else weights[j] * values
+    return total
 
 
-def _weighted(w: WeightVector) -> _Reduce:
-    """intercept + sum_j w_j * value_j."""
-    weights = np.asarray(w.weights, dtype=float)
-    return lambda rows: w.intercept + _sums(
-        (weight * values, present) for weight, (values, present) in zip(weights, rows)
-    )[0]
+def _weighted(w: WeightVector) -> _Score:
+    """LC's scorer: intercept + sum_j w_j * value_j."""
+    return lambda ranks, lookups: w.intercept + _sums(ranks, lookups, w.weights)
 
 
-def _points(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Borda over int rank rows (0 = unranked): |C| + 1 - rank from each
-    system that ranked the candidate, as floats.
+def _borda(ranks: np.ndarray, lookups: Iterable[np.ndarray]) -> np.ndarray:
+    """Borda points from the ranks alone: |C| + 1 - rank from each system
+    that ranked the candidate, as floats; ``lookups`` is not read.
 
     Summed as (|C| + 1) * m - (sum of the m ranks), in integers, which is
     exact; |C| counts the columns some system ranked.
     """
-    rank_sum, systems = _sums(rows)
+    systems = np.count_nonzero(ranks, axis=1)
     candidates = np.count_nonzero(systems, axis=-1, keepdims=True)
-    return ((candidates + 1) * systems - rank_sum).astype(float)
+    return ((candidates + 1) * systems - ranks.sum(axis=1)).astype(float)
 
 
-# The reducer of each unweighted method, read by its public fuser and by the
+# The scorer of each unweighted method, read by its public fuser and by the
 # harness: CombSum's sum of scores, CombMNZ's sum times the number of systems
 # that ranked the candidate, and Borda's points from the ranks.
-_REDUCERS: dict[str, _Reduce] = {
-    "combsum": lambda rows: _sums(rows)[0],
-    "combmnz": lambda rows: np.multiply(*_sums(rows)),
-    "borda": _points,
+_SCORERS: dict[str, _Score] = {
+    "combsum": _sums,
+    "combmnz": lambda ranks, lookups: _sums(ranks, lookups) * np.count_nonzero(ranks, axis=1),
+    "borda": _borda,
 }
 
 
@@ -233,8 +225,6 @@ def linear_combine(
     equally, so it never alters the ranking; it is kept so fused scores
     match the trained model's predictions.
     """
-    if not scored:
-        raise ValueError("need at least one scored run")
     tags = tuple(system.run_tag for system in scored)
     by_tag = dict(zip(tags, scored))
     if (
@@ -246,7 +236,7 @@ def linear_combine(
             f"scored runs {tags} do not match weight vector systems {w.system_order}"
         )
     ordered = [by_tag[tag] for tag in w.system_order]
-    return _fuse(ordered, queries, _by_score, _weighted(w), run_tag, depth)
+    return _fuse(ordered, queries, _weighted(w), run_tag, depth)
 
 
 def comb_sum(
@@ -256,9 +246,7 @@ def comb_sum(
     queries: Iterable[str] | None = None,
 ) -> RunList:
     """Fuse by fused(d) = sum_j score_j(d), missing = 0."""
-    if not scored:
-        raise ValueError("need at least one scored run")
-    return _fuse(scored, queries, _by_score, _REDUCERS["combsum"], run_tag, depth)
+    return _fuse(scored, queries, _SCORERS["combsum"], run_tag, depth)
 
 
 def comb_mnz(
@@ -268,9 +256,7 @@ def comb_mnz(
     queries: Iterable[str] | None = None,
 ) -> RunList:
     """Fuse by fused(d) = (systems ranking d) * sum_j score_j(d)."""
-    if not scored:
-        raise ValueError("need at least one scored run")
-    return _fuse(scored, queries, _by_score, _REDUCERS["combmnz"], run_tag, depth)
+    return _fuse(scored, queries, _SCORERS["combmnz"], run_tag, depth)
 
 
 def borda(
@@ -285,8 +271,4 @@ def borda(
     that did not rank d awards 0. Unranked candidates share no residual
     points under this variant.
     """
-    if not runs:
-        raise ValueError("need at least one run")
-    return _fuse(
-        runs, queries, lambda r: np.arange(len(r) + 1), _REDUCERS["borda"], run_tag, depth
-    )
+    return _fuse(runs, queries, _SCORERS["borda"], run_tag, depth)

@@ -17,7 +17,7 @@ Protocol notes that apply throughout:
   ranks and scores every query of it in one batched pass, so its numbers
   equal those of the public calls on ``runs[:size]``. The harness makes
   none of their decisions itself: fusion owns the cube, each method's
-  reducer, the ranking and the fused Rankings; regression the training
+  scorer, the ranking and the fused Rankings; regression the training
   rows and the solve; evaluation the relevance tables, the metrics and
   the CSV columns (METRICS); split_odd_even the folds.
 """
@@ -33,14 +33,13 @@ import numpy as np
 
 from .evaluation import METRICS, EvalReport, _relevance_table, _report, evaluate
 from .fusion import (
-    _REDUCERS,
+    _SCORERS,
     DEFAULT_OUTPUT_DEPTH,
     DEFAULT_RECIPROCAL_CONSTANT,
     _by_reciprocal,
     _rank,
     _rank_cube,
     _rankings,
-    _scores,
     _weighted,
 )
 from .regression import WeightVector, _fit_warning, _solve, _training_rows
@@ -173,19 +172,20 @@ def _cross_validate(
     cube: _RankCube,
     system_order: tuple[str, ...],
     qrels_name: str,
-    constant: float,
+    reciprocal: np.ndarray,
     depth: int,
 ) -> _LcPass:
-    """Two-fold LC fusion of the first ``len(system_order)`` systems of ``cube``."""
+    """Two-fold LC fusion of the first ``len(system_order)`` systems of
+    ``cube``, each scoring its ranks by the ``reciprocal`` lookup."""
     split = split_odd_even(cube.query_ids)
     size = len(system_order)
-    lookups = [_by_reciprocal(constant, cube.ranks.shape[2])] * size
+    lookups = [reciprocal] * size
     fold_a, fold_b = cube.fold(0), cube.fold(1)
     weights_a = _train_fold(fold_a, system_order, lookups, "A")
     weights_b = _train_fold(fold_b, system_order, lookups, "B")
     scores = np.empty(cube.relevant.shape)
-    scores[1::2] = _scores(fold_b.ranks[:, :size], lookups, _weighted(weights_a))
-    scores[0::2] = _scores(fold_a.ranks[:, :size], lookups, _weighted(weights_b))
+    scores[1::2] = _weighted(weights_a)(fold_b.ranks[:, :size], lookups)
+    scores[0::2] = _weighted(weights_b)(fold_a.ranks[:, :size], lookups)
     order, lengths, report = _rank_prefix(cube, size, scores, depth, "LC-mlr", qrels_name)
     return _LcPass(split, weights_a, weights_b, scores, order, lengths, report)
 
@@ -208,9 +208,9 @@ def cross_validated_fusion(
     if len(runs) < 2:
         raise ValueError("fusion experiments need at least 2 runs")
     cube = _judged_cube(runs, training_qrels, official_qrels)
-    lc = _cross_validate(
-        cube, tuple(run.run_tag for run in runs), official_qrels.name, constant, depth
-    )
+    tags = tuple(run.run_tag for run in runs)
+    reciprocal = _by_reciprocal(constant, cube.ranks.shape[2])
+    lc = _cross_validate(cube, tags, official_qrels.name, reciprocal, depth)
     rankings = _rankings(cube.query_ids, cube.candidates, lc.scores, lc.order, lc.lengths)
     in_fold_order = (*lc.split.partition_a, *lc.split.partition_b)
     fused = {query_id: rankings[query_id] for query_id in in_fold_order if query_id in rankings}
@@ -252,8 +252,10 @@ def compare_methods(
     non-empty and name each method once. For the fusion methods one rank
     cube is built over all ``runs``; each prefix and method fuses, ranks
     and scores every query of it in one pass with the public fusers'
-    scorer, ranker and reducers, so each row equals the one the public
-    per-method calls on ``runs[:size]`` give.
+    scorers and ranker, so each row equals the one the public
+    per-method calls on ``runs[:size]`` give. They all read one
+    reciprocal lookup of ``constant``, built once per call, so a
+    ``constant`` of -1 or less raises ValueError for Borda too.
     """
     unknown = [m for m in methods if m not in ALL_METHODS]
     if unknown:
@@ -264,7 +266,7 @@ def compare_methods(
         raise ValueError("fusion experiments need at least 2 runs")
     if any(method != "best-component" for method in methods):
         cube = _judged_cube(runs, training_qrels, official_qrels)
-        width = cube.ranks.shape[2]
+        reciprocal = _by_reciprocal(constant, cube.ranks.shape[2])
     tags = tuple(run.run_tag for run in runs)
 
     rows: list[FusionCurveRow] = []
@@ -276,14 +278,10 @@ def compare_methods(
         for size in range(2, len(runs) + 1):
             if method == "LC-mlr":
                 report = _cross_validate(
-                    cube, tags[:size], official_qrels.name, constant, depth
+                    cube, tags[:size], official_qrels.name, reciprocal, depth
                 ).report
             else:
-                if method == "borda":  # Borda reduces the ranks
-                    lookup = np.arange(width + 1)
-                else:
-                    lookup = _by_reciprocal(constant, width)
-                scores = _scores(cube.ranks[:, :size], [lookup] * size, _REDUCERS[method])
+                scores = _SCORERS[method](cube.ranks[:, :size], [reciprocal] * size)
                 report = _rank_prefix(cube, size, scores, depth, method, official_qrels.name)[2]
             rows.append(FusionCurveRow(method, size, **report.mean_metrics()))
     return rows

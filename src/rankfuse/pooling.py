@@ -142,14 +142,10 @@ def pick_depth_for_fraction(
         raise ValueError("runs contain no ranked documents")
     counts = _coverage_counts(runs, full, max_depth)
     total = full.total_relevant()
-    best_depth, best_fraction = 1, 0.0
-    best_gap = float("inf")
-    for depth, count in enumerate(counts, start=1):
-        fraction = count / total if total else 0.0
-        gap = abs(fraction - target_fraction)
-        if gap < best_gap:
-            best_depth, best_fraction, best_gap = depth, fraction, gap
-    return best_depth, best_fraction
+    fractions = [count / total if total else 0.0 for count in counts]
+    # min keeps the first of equal gaps, the smaller depth
+    depth = min(range(len(fractions)), key=lambda d: abs(fractions[d] - target_fraction))
+    return depth + 1, fractions[depth]
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:

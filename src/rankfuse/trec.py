@@ -223,13 +223,11 @@ def write_run(run: RunList) -> str:
     """Serialize a RunList to TREC 6-column text, every entry of every query.
 
     The writer cuts nothing: a fused run is already cut to its output
-    depth by the fuser that made it. Ranks are written as 1..L and
-    scores with 6 significant digits (``.6g``). A list whose scores need
-    more digits than that, such as a fused run, does not survive a round
-    trip: scores that differ beyond the sixth digit are written equal,
-    and re-parsing breaks those ties by doc id, which can change the
-    ranking. A list whose scores ``.6g`` prints exactly (integers below
-    10**6, for one), with no empty query, re-parses to an equal RunList.
+    depth by the fuser that made it. Ranks are written as 1..L and each
+    score as the shortest text that parses back to the same float, with
+    no ".0" on an integer-valued one (so below 10**6 it prints as
+    ``.6g`` would). A run with no empty query re-parses to an equal
+    RunList, a fused run included.
 
     A run with entries whose tag is empty or contains whitespace raises
     ValueError, since parse_run could not read the tag column back.
@@ -240,10 +238,11 @@ def write_run(run: RunList) -> str:
     out: list[str] = []
     for query_id in run.query_ids:
         ranking = run.by_query[query_id]
-        out.extend(
-            f"{query_id} Q0 {doc_id} {rank} {score:.6g} {tag}\n"
-            for rank, (doc_id, score) in enumerate(zip(ranking.docs, ranking.scores), start=1)
-        )
+        # one string per query: a list of every line would raise the peak memory
+        out.append("".join([
+            f"{query_id} Q0 {doc_id} {rank} {score.removesuffix('.0')} {tag}\n"
+            for rank, doc_id, score in zip(count(1), ranking.docs, map(str, ranking.scores))
+        ]))
     return "".join(out)
 
 

@@ -248,6 +248,13 @@ def test_curve_and_compare(dataset, capsys):
     methods = {line.split(",")[0] for line in lines[1:]}
     assert methods == {"LC-mlr", "combsum", "best-component"}
 
+    # Borda's points ignore the constant, but compare checks it as fuse does
+    assert main(
+        ["compare", "--runs", *dataset["runs"], "--qrels", dataset["qrels"],
+         "--methods", "borda", "--constant", "-1"]
+    ) == 1
+    assert capsys.readouterr() == ("", "error: reciprocal constant must be > -1, got -1.0\n")
+
 
 def test_group_eval_modes(dataset, capsys):
     assert main(

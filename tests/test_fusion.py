@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankfuse.fusion import (
     borda,
@@ -414,6 +416,25 @@ def test_every_run_stores_one_ranking_of_plain_tuples_per_query():
                 RunEntry(query_id, doc_id, position + 1, score, run.run_tag)
                 for position, (doc_id, score) in enumerate(zip(ranking.docs, ranking.scores))
             ), name
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 15), st.floats(-0.99, 100.0))
+def test_every_fused_run_re_parses_equal(seed, depth, constant):
+    # Reciprocal scores of an arbitrary constant need all 17 digits.
+    rng = np.random.default_rng(seed)
+    runs = _random_runs(rng, num_runs=4, num_queries=4, universe=30, max_len=15, skip=0.2)
+    scored = [normalize_reciprocal(run, constant) for run in runs]
+    w = _weights([s.run_tag for s in scored], rng.normal(size=4), rng.normal())
+    qrels = Qrels({str(q): {f"D{i:02d}": int(i % 3 == 0) for i in range(30)} for q in range(1, 5)})
+    for fused in (
+        linear_combine(scored, w, depth),
+        comb_sum(scored, depth),
+        comb_mnz(scored, depth),
+        borda(runs, depth),
+        cross_validated_fusion(runs, qrels, qrels, constant, depth).fused,
+    ):
+        assert parse_run(write_run(fused).splitlines()) == fused, fused.run_tag
 
 
 @pytest.mark.parametrize("depth", [0, -2])

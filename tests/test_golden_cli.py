@@ -1,9 +1,9 @@
 """Golden bytes of every CLI subcommand on one fixed synthetic corpus.
 
 Each output file (and each stdout/stderr stream that carries text) is
-pinned by its sha256. ``train`` writes repr floats, so a change in the
-last bit of a solved weight shows here; fused run files print 6
-significant digits and need the exact oracles in test_fusion.py as well.
+pinned by its sha256. ``train`` writes repr floats and ``write_run``
+the shortest text of each score that parses back to it, so a change in
+the last bit of a solved weight or of a fused score shows here.
 A failure means the program's output changed: fix the program, do not
 re-record the digests.
 """
@@ -22,7 +22,9 @@ SYNTH = [
     "--qualities", "0.9,0.7,0.6,0.4,0.2",
 ]
 
-# Recorded on the code before the candidate-table refactor of fusion.py.
+# Recorded on the code before the candidate-table refactor of fusion.py;
+# the three fused runs of ``fuse`` and xval's run re-recorded when write_run
+# stopped rounding scores to 6 significant digits.
 GOLDEN = {
     "synth/full.qrels": "607a511a07960341061f273e38330e5506cb718b8284f7eda87cc6071bb513ba",
     "synth/sys01.run": "11b89c40532b6d556f5e64a3f6d0732e0ff6bc31dc4be1a6cfe78e20d0b7f07f",
@@ -36,13 +38,13 @@ GOLDEN = {
     "sweep/stdout": "9e2504f8d2a8d3d8d03a942e81ff8f8254e5d0ec60db0ead5700303c597861cf",
     "train/weights.csv": "d0f942a1499999287239cc517a6ab8d797310d2a9964a65b2289b918f702c607",
     "train/fold.stdout": "f1b52b438494a5e50a4fb9df3eb626533a13ca4e2902f40b89d151327238324b",
-    "fuse/lc.run": "7f6548a2197cf44799e31eea7fe30a8b2fd355668e0ebcfeffacc626e61788dc",
-    "fuse/combsum.run": "d1efc96743b28b8c86229cabea75dfecf7bf95b5aa0048e924e1068cb0eb5600",
-    "fuse/combmnz.run": "eb050c6897a8b3a5906a132423f5faf2c13946de356c01d1ee8e03a12b5fa8ba",
+    "fuse/lc.run": "70fbf37951da6b675ef40ceb6f09f42697aa35c09c291f4edca07c8c0ab80d86",
+    "fuse/combsum.run": "2f2d883b48c77362d07c278c409df4a681f0964bec8316f2d432c09e96a1b8d7",
+    "fuse/combmnz.run": "551485591ef62cda2f06c3b1ecb468f98dec2bf3f3bbb3dbe77c985c42306beb",
     "fuse/borda.run": "598f94f241ef1fd851c21215dc41d3b2b3ade1bc3f6ff8a7749c17fdbab0b5ec",
     "eval/stdout": "05a90d542384f6c14e25ebeabc2e4138c0391983e24908e8b99e3a84c627678a",
     "xval/stdout": "75521b43a035ce66b546f3a6f7eb6812096bf6d6117affc196736d5b4c1fc672",
-    "xval/out-run": "5e469633979e19634e397c5040ef6eeea61c49fa71df4bd044fdd6956b565438",
+    "xval/out-run": "f6cca60486aa0ec5190a6dbc8200755ad9272c1646a859a514d624f3aac71c66",
     "curve/stdout": "e21c12320148e1d93613147c02bb592e7a41dbaf92684e890bc322cc3c3e094a",
     "compare/stdout": "23367430b0f236a40372adf922f2bee78209e3748a2dcc563fc0b1c8c0b86f3d",
     "group-eval/tertiles.stdout": "896ef9a76e7903e2aa518bb0adf78b4831709564a206a34c1f1922540e5c3605",
