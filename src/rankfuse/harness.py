@@ -13,13 +13,16 @@ Protocol notes that apply throughout:
 - Everything is deterministic: fixed inputs and seed give byte-stable
   outputs.
 - Each call builds one rank cube over every query and all the runs and
-  judges its candidates once. Each (method, prefix size) trains, fuses,
-  ranks and scores every query of it in one batched pass, so its numbers
-  equal those of the public calls on ``runs[:size]``. The harness makes
-  none of their decisions itself: fusion owns the cube, each method's
-  scorer, the ranking and the fused Rankings; regression the training
-  rows and the solve; evaluation the relevance tables, the metrics and
-  the CSV columns (METRICS); split_odd_even the folds.
+  judges its candidates once. Each (method, prefix size) goes one way:
+  a scorer gives every query's candidate scores in one batched pass,
+  and _rank_prefix ranks and evaluates them, so its numbers equal those
+  of the public calls on ``runs[:size]``. The unweighted methods' scorers
+  are fusion's; LC's is _cross_validate, which trains each fold and
+  scores the other. The harness makes none of their decisions itself:
+  fusion owns the cube, each method's scorer, the ranking and the fused
+  Rankings; regression the training rows and the solve; evaluation the
+  relevance tables, the metrics and the CSV columns (METRICS);
+  split_odd_even the folds.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .fusion import (
     _weighted,
 )
 from .regression import WeightVector, _fit_warning, _solve, _training_rows
-from .trec import Qrels, RunList, sort_query_ids
+from .trec import Qrels, Ranking, RunList, sort_query_ids
 
 FUSION_METHODS = ("LC-mlr", "combsum", "combmnz", "borda")
 ALL_METHODS = FUSION_METHODS + ("best-component",)
@@ -156,38 +159,25 @@ def _train_fold(
     return weights
 
 
-class _LcPass(NamedTuple):
-    """Two-fold LC fusion of one prefix over a whole cube."""
-
-    split: FoldSplit
-    weights_a: WeightVector
-    weights_b: WeightVector
-    scores: np.ndarray
-    order: np.ndarray
-    lengths: np.ndarray
-    report: EvalReport
-
-
 def _cross_validate(
-    cube: _RankCube,
-    system_order: tuple[str, ...],
-    qrels_name: str,
-    reciprocal: np.ndarray,
-    depth: int,
-) -> _LcPass:
-    """Two-fold LC fusion of the first ``len(system_order)`` systems of
-    ``cube``, each scoring its ranks by the ``reciprocal`` lookup."""
-    split = split_odd_even(cube.query_ids)
+    cube: _RankCube, system_order: tuple[str, ...], lookups: Sequence[np.ndarray]
+) -> tuple[WeightVector, WeightVector, np.ndarray]:
+    """LC's two-fold scorer for the first ``len(system_order)`` systems of
+    ``cube``, each system scoring its ranks by its ``lookups`` entry.
+
+    Weights trained on fold A score fold B's queries and vice versa.
+    Returns (weights_a, weights_b, scores), with ``scores`` in the cube's
+    query order, as the unweighted scorers give them. The cube must hold
+    at least 2 queries; its callers check that through split_odd_even.
+    """
     size = len(system_order)
-    lookups = [reciprocal] * size
     fold_a, fold_b = cube.fold(0), cube.fold(1)
     weights_a = _train_fold(fold_a, system_order, lookups, "A")
     weights_b = _train_fold(fold_b, system_order, lookups, "B")
     scores = np.empty(cube.relevant.shape)
     scores[1::2] = _weighted(weights_a)(fold_b.ranks[:, :size], lookups)
     scores[0::2] = _weighted(weights_b)(fold_a.ranks[:, :size], lookups)
-    order, lengths, report = _rank_prefix(cube, size, scores, depth, "LC-mlr", qrels_name)
-    return _LcPass(split, weights_a, weights_b, scores, order, lengths, report)
+    return weights_a, weights_b, scores
 
 
 def cross_validated_fusion(
@@ -203,20 +193,23 @@ def cross_validated_fusion(
     halves concatenate into one run covering every query of
     ``official_qrels``, evaluated against it. A fold whose weights are
     degenerate (no relevant training label) or ridge-regularized is
-    reported with a warning.
+    reported with a warning. The scores, ranking and report are those
+    compare_methods gives LC at the prefix of all ``runs``.
     """
     if len(runs) < 2:
         raise ValueError("fusion experiments need at least 2 runs")
     cube = _judged_cube(runs, training_qrels, official_qrels)
+    lookups = [_by_reciprocal(constant, cube.ranks.shape[2])] * len(runs)
+    split = split_odd_even(cube.query_ids)
     tags = tuple(run.run_tag for run in runs)
-    reciprocal = _by_reciprocal(constant, cube.ranks.shape[2])
-    lc = _cross_validate(cube, tags, official_qrels.name, reciprocal, depth)
-    rankings = _rankings(cube.query_ids, cube.candidates, lc.scores, lc.order, lc.lengths)
-    in_fold_order = (*lc.split.partition_a, *lc.split.partition_b)
-    fused = {query_id: rankings[query_id] for query_id in in_fold_order if query_id in rankings}
-    return XvalResult(
-        RunList("LC-mlr", fused), lc.report, lc.split, lc.weights_a, lc.weights_b
+    weights_a, weights_b, scores = _cross_validate(cube, tags, lookups)
+    order, lengths, report = _rank_prefix(
+        cube, len(runs), scores, depth, "LC-mlr", official_qrels.name
     )
+    rankings = _rankings(cube.query_ids, cube.candidates, scores, order, lengths)
+    in_fold_order = (*split.partition_a, *split.partition_b)
+    fused = {query_id: rankings[query_id] for query_id in in_fold_order if query_id in rankings}
+    return XvalResult(RunList("LC-mlr", fused), report, split, weights_a, weights_b)
 
 
 @dataclass(frozen=True)
@@ -250,12 +243,14 @@ def compare_methods(
     qrels' query set; ``best-component`` is a single row (num_systems 1)
     evaluating ``runs[0]`` as-is, with no rank cube. ``methods`` must be
     non-empty and name each method once. For the fusion methods one rank
-    cube is built over all ``runs``; each prefix and method fuses, ranks
-    and scores every query of it in one pass with the public fusers'
-    scorers and ranker, so each row equals the one the public
-    per-method calls on ``runs[:size]`` give. They all read one
-    reciprocal lookup of ``constant``, built once per call, so a
-    ``constant`` of -1 or less raises ValueError for Borda too.
+    cube is built over all ``runs``. Each prefix and method scores every
+    query of it in one pass, with the public fusers' scorers or, for LC,
+    _cross_validate; then one _rank_prefix ranks and evaluates the
+    scores. So each row equals the one the public per-method calls on
+    ``runs[:size]`` give. They all read one reciprocal lookup of
+    ``constant``, built once per call, so a ``constant`` of -1 or less
+    raises ValueError for Borda too. With LC among ``methods``, fewer
+    than 2 queries raise ValueError before any prefix trains.
     """
     unknown = [m for m in methods if m not in ALL_METHODS]
     if unknown:
@@ -267,6 +262,8 @@ def compare_methods(
     if any(method != "best-component" for method in methods):
         cube = _judged_cube(runs, training_qrels, official_qrels)
         reciprocal = _by_reciprocal(constant, cube.ranks.shape[2])
+    if "LC-mlr" in methods:
+        split_odd_even(cube.query_ids)  # raises on fewer than 2 queries
     tags = tuple(run.run_tag for run in runs)
 
     rows: list[FusionCurveRow] = []
@@ -276,13 +273,13 @@ def compare_methods(
             rows.append(FusionCurveRow(method, 1, **report.mean_metrics()))
             continue
         for size in range(2, len(runs) + 1):
+            lookups = [reciprocal] * size
             if method == "LC-mlr":
-                report = _cross_validate(
-                    cube, tags[:size], official_qrels.name, reciprocal, depth
-                ).report
+                scores = _cross_validate(cube, tags[:size], lookups)[2]
             else:
-                scores = _SCORERS[method](cube.ranks[:, :size], [reciprocal] * size)
-                report = _rank_prefix(cube, size, scores, depth, method, official_qrels.name)[2]
+                scores = _SCORERS[method](cube.ranks[:, :size], lookups)
+            report = _rank_prefix(cube, size, scores, depth, method, official_qrels.name)[2]
+            del scores  # not held while the next prefix trains: it sets the peak memory
             rows.append(FusionCurveRow(method, size, **report.mean_metrics()))
     return rows
 
@@ -439,9 +436,11 @@ def generate_synthetic(
 
     rng = np.random.default_rng(seed)
     relevant_slice = np.arange(docs_per_query) < relevant_per_query
+    # Strictly decreasing scores: every drawn order is already canonical.
+    scores = tuple(float(docs_per_query - position) for position in range(docs_per_query))
     runs = []
     for index, quality in enumerate(qualities):
-        scores: dict[str, dict[str, float]] = {}
+        rankings: dict[str, Ranking] = {}
         for query_id in query_ids:
             if quality >= 1.0:
                 order = np.concatenate(
@@ -458,9 +457,6 @@ def generate_synthetic(
                 keys = rng.exponential(size=docs_per_query) / weights
                 order = np.argsort(keys, kind="stable")
             docs = doc_ids[query_id]
-            scores[query_id] = {
-                docs[doc_index]: float(docs_per_query - position)
-                for position, doc_index in enumerate(order)
-            }
-        runs.append(RunList.from_scores(f"sys{index + 1:02d}", scores))
+            rankings[query_id] = Ranking(tuple(docs[doc_index] for doc_index in order), scores)
+        runs.append(RunList(f"sys{index + 1:02d}", rankings))
     return runs, qrels

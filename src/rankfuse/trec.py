@@ -115,21 +115,15 @@ def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
     The docs are sorted once by score. When the sorted scores strictly
     decrease no two docs tie and that order is final. Otherwise each run
     of equal scores (0.0 beside -0.0 and 1 beside 1.0 are equal too) is
-    sorted by doc id. A NaN compares false with everything, so scores
-    with one have no order to repair: those docs are sorted by doc id and
-    then stably by score, which fixes where each NaN lands.
+    sorted by doc id. No score may be NaN, which compares false with
+    everything and so has no place in the order.
     """
     by_query: dict[str, Ranking] = {}
     for query_id, per_doc in scores.items():
         ordered = sorted(per_doc, key=per_doc.__getitem__, reverse=True)
         values = tuple(map(per_doc.__getitem__, ordered))
         if not all(map(operator.gt, values, values[1:])):
-            if all(map(operator.ge, values, values[1:])):
-                _sort_ties_by_doc(ordered, values)
-            else:
-                # reverse=True keeps equal scores in doc-id order.
-                ordered.sort()
-                ordered.sort(key=per_doc.__getitem__, reverse=True)
+            _sort_ties_by_doc(ordered, values)
             values = tuple(map(per_doc.__getitem__, ordered))
         by_query[query_id] = Ranking(tuple(ordered), values)
     return by_query
@@ -149,7 +143,16 @@ class RunList:
 
     @classmethod
     def from_scores(cls, run_tag: str, scores: Mapping[str, Mapping[str, float]]) -> RunList:
-        """Build a canonical RunList from per-query doc -> score maps."""
+        """Build a canonical RunList from per-query doc -> score maps.
+
+        Raises ValueError naming the query and the doc of a NaN score.
+        Infinite scores are accepted and rank first or last, but
+        write_run's text of them does not parse back.
+        """
+        for query_id, per_doc in scores.items():
+            for doc_id, score in per_doc.items():
+                if math.isnan(score):
+                    raise ValueError(f"query {query_id!r}, doc {doc_id!r}: score is NaN")
         return cls(run_tag, _canonical(scores))
 
     @property

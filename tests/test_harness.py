@@ -493,6 +493,9 @@ def test_generate_synthetic_deterministic():
     assert write_qrels(first_qrels) == write_qrels(second_qrels)
     for a, b in zip(first_runs, second_runs):
         assert write_run(a) == write_run(b)
+    for run in first_runs:  # built already canonical
+        scores = {q: dict(zip(r.docs, r.scores)) for q, r in run.by_query.items()}
+        assert run == RunList.from_scores(run.run_tag, scores)
     third_runs, _ = generate_synthetic(41, 5, 3, 25, 6)
     assert write_run(first_runs[0]) != write_run(third_runs[0])
 

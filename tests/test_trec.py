@@ -504,6 +504,10 @@ def test_parse_qrels_matches_the_reference_parser(lines):
 def test_from_scores_matches_the_two_sort_order(per_doc, random):
     items = list(per_doc.items())
     random.shuffle(items)
+    if any(map(math.isnan, per_doc.values())):  # NaN has no place in the order
+        with pytest.raises(ValueError, match=r"query '1', doc '.*': score is NaN"):
+            RunList.from_scores("t", {"1": dict(items)})
+        return
     run = RunList.from_scores("t", {"1": dict(items)})
     # repr tells 0.0 from -0.0 and 1 from 1.0, which == does not
     assert repr(run.by_query) == repr(_reference_canonical({"1": per_doc}))
