@@ -16,6 +16,7 @@ Rankings. Identical inputs yield byte-identical output.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
+from itertools import chain, count
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -72,22 +73,34 @@ def _rank_cube(
     ranks[i, j, c] is run j's rank 1..L of candidates[i][c], 0 where run
     j did not rank it or c is past the query's candidates; the width is
     the largest candidate count. Doc ids become table columns only here.
+
+    Per query and run, the doc ids are mapped to columns by builtins
+    (dict(zip(...)), np.fromiter over map), with no Python-level step
+    per entry, and the ranks are slices of one shared arange.
     """
     rankings = [[run.by_query.get(q, _NO_RANKING) for run in runs] for q in query_ids]
     candidates = [sorted(set().union(*(ranking.docs for ranking in row))) for row in rankings]
     width = max(map(len, candidates), default=0)
     ranks = np.zeros((len(query_ids), len(runs), width), dtype=np.int32)
+    longest = max(map(len, chain.from_iterable(rankings)), default=0)
+    by_position = np.arange(1, longest + 1, dtype=np.int32)
     for row, (docs, per_run) in enumerate(zip(candidates, rankings)):
-        column = {doc_id: index for index, doc_id in enumerate(docs)}
+        # CPython makes count()'s ints 28 B and range()'s 32 B: it shows in the peak memory
+        column = dict(zip(docs, count()))
         for j, ranking in enumerate(per_run):
-            columns = [column[doc_id] for doc_id in ranking.docs]
-            ranks[row, j, columns] = np.arange(1, len(ranking) + 1)
+            n = len(ranking)
+            ranks[row, j, np.fromiter(map(column.__getitem__, ranking.docs), np.intp, n)] = (
+                by_position[:n]
+            )
     return candidates, ranks
 
 
 def _by_score(ranking: Ranking) -> np.ndarray:
     """A scored ranking's rank -> value lookup: its scores, 0.0 at rank 0."""
-    return np.array((0.0, *ranking.scores))
+    lookup = np.empty(len(ranking) + 1)
+    lookup[0] = 0.0
+    lookup[1:] = ranking.scores
+    return lookup
 
 
 def _check_depth(depth: int) -> None:
@@ -125,7 +138,7 @@ def _rankings(
         if length:
             columns = columns[:length]
             fused[query_id] = Ranking(
-                tuple([docs[column] for column in columns.tolist()]), tuple(row[columns].tolist())
+                tuple(map(docs.__getitem__, columns.tolist())), tuple(row[columns].tolist())
             )
     return fused
 
@@ -143,8 +156,9 @@ def _fuse(
     scored as a one-row cube by ``score``, with each run's scores as its
     lookup, so only one query's table is held at a time; the lookups are
     built as ``score`` reads them, and not at all by Borda's. A query with
-    no candidates is left out. No runs, or ``depth`` below 1, raises
-    ValueError.
+    no candidates is left out. No runs, ``depth`` below 1, or a NaN fused
+    score (inf + -inf, or a zero weight times inf), raises ValueError;
+    the error names the query and the doc of the first NaN.
     """
     if not runs:
         raise ValueError("need at least one run")
@@ -154,7 +168,14 @@ def _fuse(
     fused: dict[str, Ranking] = {}
     for query_id in sort_query_ids(queries):
         candidates, ranks = _rank_cube(runs, [query_id])
-        scores = score(ranks, (_by_score(run.by_query.get(query_id, _NO_RANKING)) for run in runs))
+        lookups = (_by_score(run.by_query.get(query_id, _NO_RANKING)) for run in runs)
+        with np.errstate(invalid="ignore"):
+            scores = score(ranks, lookups)
+        nan = np.flatnonzero(np.isnan(scores[0]))
+        if nan.size:
+            raise ValueError(
+                f"query {query_id!r}, doc {candidates[0][nan[0]]!r}: fused score is NaN"
+            )
         fused.update(_rankings([query_id], candidates, scores, *_rank(ranks, scores, depth)))
     return RunList(run_tag, fused)
 

@@ -29,7 +29,7 @@ import operator
 import os
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from itertools import compress, count
+from itertools import compress, count, repeat
 
 
 class TrecFormatError(ValueError):
@@ -147,7 +147,8 @@ class RunList:
 
         Raises ValueError naming the query and the doc of a NaN score.
         Infinite scores are accepted and rank first or last, but
-        write_run's text of them does not parse back.
+        write_run refuses to write them, since parse_run could not read
+        them back.
         """
         for query_id, per_doc in scores.items():
             for doc_id, score in per_doc.items():
@@ -232,20 +233,38 @@ def write_run(run: RunList) -> str:
     ``.6g`` would). A run with no empty query re-parses to an equal
     RunList, a fused run included.
 
-    A run with entries whose tag is empty or contains whitespace raises
-    ValueError, since parse_run could not read the tag column back.
+    Each entry is formatted by builtins (map, zip, str.join) with no
+    Python-level step: the rank strings are made once per call, and a
+    query's lines are joined by one separator that ends a line and
+    starts the next.
+
+    A run with entries whose tag is empty or contains whitespace, or
+    with a score that is not finite, raises ValueError, since parse_run
+    could not read it back; the ValueError names the query and the doc
+    of the first such score.
     """
     tag = run.run_tag
     if tag.split() != [tag] and any(run.by_query.values()):
         raise ValueError(f"run tag {tag!r} is empty or contains whitespace")
+    longest = max(map(len, run.by_query.values()), default=0)
+    ranks = list(map(str, range(1, longest + 1)))
+    # a few strings per query: a list of every line would raise the peak memory
     out: list[str] = []
     for query_id in run.query_ids:
         ranking = run.by_query[query_id]
-        # one string per query: a list of every line would raise the peak memory
-        out.append("".join([
-            f"{query_id} Q0 {doc_id} {rank} {score.removesuffix('.0')} {tag}\n"
-            for rank, doc_id, score in zip(count(1), ranking.docs, map(str, ranking.scores))
-        ]))
+        if not ranking:
+            continue
+        if not all(map(math.isfinite, ranking.scores)):
+            score, doc_id = next(
+                (s, d) for s, d in zip(ranking.scores, ranking.docs) if not math.isfinite(s)
+            )
+            raise ValueError(f"query {query_id!r}, doc {doc_id!r}: score {score} is not finite")
+        scores = map(str.removesuffix, map(str, ranking.scores), repeat(".0"))
+        out += (
+            f"{query_id} Q0 ",
+            f" {tag}\n{query_id} Q0 ".join(map(" ".join, zip(ranking.docs, ranks, scores))),
+            f" {tag}\n",
+        )
     return "".join(out)
 
 
@@ -336,9 +355,14 @@ def load_run(path: str | os.PathLike[str]) -> RunList:
 
 
 def save_run(run: RunList, path: str | os.PathLike[str]) -> None:
-    """Write ``write_run(run)`` to ``path``: every entry, none cut."""
+    """Write ``write_run(run)`` to ``path``: every entry, none cut.
+
+    The text is built before the file is opened, so a run write_run
+    refuses leaves whatever is at ``path`` as it was.
+    """
+    text = write_run(run)
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(write_run(run))
+        f.write(text)
 
 
 def load_qrels(path: str | os.PathLike[str]) -> Qrels:
@@ -347,5 +371,6 @@ def load_qrels(path: str | os.PathLike[str]) -> Qrels:
 
 
 def save_qrels(qrels: Qrels, path: str | os.PathLike[str]) -> None:
+    text = write_qrels(qrels)
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(write_qrels(qrels))
+        f.write(text)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankfuse.fusion import (
+    _rank_cube,
     borda,
     comb_mnz,
     comb_sum,
@@ -450,3 +451,57 @@ def test_every_fuser_refuses_a_depth_below_one(depth):
     ):
         with pytest.raises(ValueError, match=f"output depth must be >= 1, got {depth}"):
             fuse()
+
+
+@pytest.mark.parametrize("fuse", ["lc", "combsum", "combmnz"])
+def test_raw_score_fusers_refuse_a_nan_fused_score(fuse):
+    # inf + -inf has no value; tier-1 turns numpy's RuntimeWarning into an
+    # error, so the refusal must come before any warning does.
+    inf = float("inf")
+    runs = [
+        RunList.from_scores("a", {"1": {"y": 1.0}, "2": {"x": inf, "y": 1.0, "z": 0.0}}),
+        RunList.from_scores("b", {"1": {"y": 2.0}, "2": {"x": -inf, "y": 2.0, "z": 5.0}}),
+    ]
+    fusers = {
+        "lc": lambda: linear_combine(runs, _weights(["a", "b"], [0.5, 0.5])),
+        "combsum": lambda: comb_sum(runs),
+        "combmnz": lambda: comb_mnz(runs),
+    }
+    with pytest.raises(ValueError, match=r"query '2', doc 'x': fused score is NaN"):
+        fusers[fuse]()
+    if fuse == "lc":  # a zero weight times inf is NaN too
+        with pytest.raises(ValueError, match=r"query '2', doc 'x': fused score is NaN"):
+            linear_combine(runs[:1], _weights(["a"], [0.0]))
+    assert borda(runs).by_query["2"] == Ranking(("x", "y", "z"), (4.0, 4.0, 4.0))  # ranks only
+
+
+def _reference_rank_cube(runs, query_ids):
+    """A per-doc loop: candidates and a nested-list rank cube from dicts."""
+    candidates = [sorted({d for run in runs for d in run.docs(q)}) for q in query_ids]
+    width = max(map(len, candidates), default=0)
+    cube = []
+    for q, docs in zip(query_ids, candidates):
+        per_run = []
+        for run in runs:
+            rank_of = {e.doc_id: e.rank for e in run.entries(q)}
+            per_run.append([rank_of.get(d, 0) for d in docs] + [0] * (width - len(docs)))
+        cube.append(per_run)
+    return candidates, cube
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5))
+def test_rank_cube_matches_a_per_doc_loop(seed, num_runs, num_queries):
+    # Ragged, partly overlapping runs, each skipping some queries; the query
+    # ids asked for include every query at once (as the harness asks), one
+    # query alone (as the public fusers ask) and a query no run ranks.
+    rng = np.random.default_rng(seed)
+    runs = _random_runs(rng, num_runs, num_queries, universe=25, max_len=15, skip=0.3)
+    every = [str(q) for q in range(1, num_queries + 1)] + ["none"]
+    for query_ids in (every, every[::-1], ["1"], ["none"], []):
+        candidates, ranks = _rank_cube(runs, query_ids)
+        expected_candidates, expected = _reference_rank_cube(runs, query_ids)
+        assert candidates == expected_candidates
+        assert ranks.dtype == np.int32
+        assert ranks.shape == (len(query_ids), num_runs, max(map(len, candidates), default=0))
+        assert ranks.tolist() == expected

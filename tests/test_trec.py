@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import count
 
 import numpy as np
 import pytest
@@ -153,6 +154,24 @@ def test_write_run_refuses_a_tag_parse_run_cannot_read_back(tag):
     with pytest.raises(ValueError, match="empty or contains whitespace"):
         write_run(RunList.from_scores(tag, {"1": {"d": 1.0}}))
     assert write_run(RunList.from_scores(tag, {"1": {}})) == ""  # no line to write
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_write_run_refuses_a_score_parse_run_cannot_read_back(bad, tmp_path):
+    run = RunList("t", {
+        "1": Ranking(("a", "b"), (2.0, 1.0)),
+        "q2": Ranking(("a", "x", "c"), (3.0, bad, 1.0)),
+    })
+    with pytest.raises(ValueError, match=r"query 'q2', doc 'x': score -?(inf|nan) is not finite"):
+        write_run(run)
+    # the file is left as it was, not opened and truncated before the refusal
+    path = tmp_path / "kept.run"
+    path.write_bytes(b"1 Q0 a 1 2 old\n")
+    with pytest.raises(ValueError, match="is not finite"):
+        save_run(run, path)
+    with pytest.raises(ValueError, match="empty or contains whitespace"):
+        save_run(RunList.from_scores("a b", {"1": {"d": 1.0}}), path)
+    assert path.read_bytes() == b"1 Q0 a 1 2 old\n"
 
 
 def test_write_run_orders_queries_naturally():
@@ -513,3 +532,46 @@ def test_from_scores_matches_the_two_sort_order(per_doc, random):
     assert repr(run.by_query) == repr(_reference_canonical({"1": per_doc}))
     if all(map(math.isfinite, per_doc.values())):
         assert run.docs("1") == tuple(sorted(per_doc, key=lambda d: (-per_doc[d], d)))
+
+
+# write_run as it was when it made one f-string per entry: the builtin-only writer
+# must give the same bytes.
+def _reference_write_run(run):
+    tag = run.run_tag
+    if tag.split() != [tag] and any(run.by_query.values()):
+        raise ValueError(f"run tag {tag!r} is empty or contains whitespace")
+    out = []
+    for query_id in run.query_ids:
+        ranking = run.by_query[query_id]
+        out.append("".join([
+            f"{query_id} Q0 {doc_id} {rank} {score.removesuffix('.0')} {tag}\n"
+            for rank, doc_id, score in zip(count(1), ranking.docs, map(str, ranking.scores))
+        ]))
+    return "".join(out)
+
+
+# Scores as they reach write_run: Python ints and floats, numpy float64 scalars,
+# signed zeros, and values whose shortest text has an exponent.
+_WRITTEN_SCORE = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([0.0, -0.0, 1e16, -1e16, 5e-324, 1.0, 10.0, 1e22, np.float64(-0.0)]),
+)
+# Docs per query, some empty; query ids decimal or not (natural or text order).
+_WRITTEN_RANKING = st.lists(st.tuples(_TOKENS, _WRITTEN_SCORE), max_size=6).map(
+    lambda entries: Ranking(*map(tuple, zip(*entries))) if entries else Ranking((), ())
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        st.dictionaries(st.integers(0, 999).map(str), _WRITTEN_RANKING, max_size=5),
+        st.dictionaries(_TOKENS, _WRITTEN_RANKING, max_size=5),
+    ),
+    st.sampled_from(["t", "LC-mlr", "sys.01"]),
+)
+def test_write_run_matches_the_reference_writer(by_query, tag):
+    run = RunList(tag, by_query)
+    assert write_run(run) == _reference_write_run(run)
