@@ -28,10 +28,7 @@ runs, full = generate_synthetic(
 run = runs[0]
 
 # two pooled substitutes: a shallow pool and a very shallow one
-partials = [
-    make_partial_qrels(build_pool(runs, depth), full, name=f"depth-{depth}")
-    for depth in (4, 1)
-]
+partials = [make_partial_qrels(build_pool(runs, depth), full) for depth in (4, 1)]
 rows = sensitivity_table(run, full, partials)
 print(sensitivity_csv(rows))
 

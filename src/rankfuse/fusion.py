@@ -15,6 +15,7 @@ Rankings. Identical inputs yield byte-identical output.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Sequence
 from itertools import chain, count
 from typing import TYPE_CHECKING
@@ -36,10 +37,13 @@ _Score = Callable[[np.ndarray, Iterable[np.ndarray]], np.ndarray]
 def _by_reciprocal(constant: float, longest: int) -> np.ndarray:
     """The rank -> 1/(constant + rank) lookup of ranks 0..longest, 0.0 at rank 0.
 
-    Every reciprocal score in the package is computed here.
+    Every reciprocal score in the package is computed here, so this is
+    where a constant of -1 or less, NaN or +inf is refused.
     """
     if constant <= -1:
         raise ValueError(f"reciprocal constant must be > -1, got {constant}")
+    if not math.isfinite(constant):
+        raise ValueError(f"reciprocal constant must be finite, got {constant}")
     lookup = np.zeros(longest + 1)
     lookup[1:] = 1.0 / (constant + np.arange(1, longest + 1))
     return lookup
@@ -50,8 +54,8 @@ def normalize_reciprocal(
 ) -> RunList:
     """The run with each score replaced by 1/(constant + rank).
 
-    constant must exceed -1 so every rank >= 1 maps to a finite positive
-    score; the mapping is strictly decreasing in rank, so the ranking,
+    constant must be finite and exceed -1 so every rank >= 1 maps to a
+    finite positive score; the mapping is strictly decreasing in rank, so the ranking,
     and each query's docs tuple, are kept as they are.
     """
     longest = max(map(len, run.by_query.values()), default=0)
@@ -143,30 +147,24 @@ def _rankings(
     return fused
 
 
-def _fuse(
-    runs: Sequence[RunList],
-    queries: Iterable[str] | None,
-    score: _Score,
-    run_tag: str,
-    depth: int,
-) -> RunList:
-    """One fused run of ``runs`` over ``queries``, in natural order.
+def _fuse(runs: Sequence[RunList], score: _Score, run_tag: str, depth: int) -> RunList:
+    """One fused run of ``runs`` over every query any run ranks, in natural order.
 
-    ``queries`` defaults to every query any run ranks. Each query is
-    scored as a one-row cube by ``score``, with each run's scores as its
-    lookup, so only one query's table is held at a time; the lookups are
-    built as ``score`` reads them, and not at all by Borda's. A query with
-    no candidates is left out. No runs, ``depth`` below 1, or a NaN fused
+    This is the one query policy of the public fusers; a caller that
+    wants a subset of queries keeps them from the result (each query is
+    fused on its own, so that changes no score). Each query is scored as
+    a one-row cube by ``score``, with each run's scores as its lookup, so
+    only one query's table is held at a time; the lookups are built as
+    ``score`` reads them, and not at all by Borda's. A query with no
+    candidates is left out. No runs, ``depth`` below 1, or a NaN fused
     score (inf + -inf, or a zero weight times inf), raises ValueError;
     the error names the query and the doc of the first NaN.
     """
     if not runs:
         raise ValueError("need at least one run")
     _check_depth(depth)
-    if queries is None:
-        queries = {query_id for run in runs for query_id in run.by_query}
     fused: dict[str, Ranking] = {}
-    for query_id in sort_query_ids(queries):
+    for query_id in sort_query_ids({query_id for run in runs for query_id in run.by_query}):
         candidates, ranks = _rank_cube(runs, [query_id])
         lookups = (_by_score(run.by_query.get(query_id, _NO_RANKING)) for run in runs)
         with np.errstate(invalid="ignore"):
@@ -236,7 +234,6 @@ def linear_combine(
     w: WeightVector,
     depth: int = DEFAULT_OUTPUT_DEPTH,
     run_tag: str = "LC-mlr",
-    queries: Iterable[str] | None = None,
 ) -> RunList:
     """Fuse by fused(d) = intercept + sum_j w_j * score_j(d), missing = 0.
 
@@ -257,34 +254,31 @@ def linear_combine(
             f"scored runs {tags} do not match weight vector systems {w.system_order}"
         )
     ordered = [by_tag[tag] for tag in w.system_order]
-    return _fuse(ordered, queries, _weighted(w), run_tag, depth)
+    return _fuse(ordered, _weighted(w), run_tag, depth)
 
 
 def comb_sum(
     scored: Sequence[RunList],
     depth: int = DEFAULT_OUTPUT_DEPTH,
     run_tag: str = "combsum",
-    queries: Iterable[str] | None = None,
 ) -> RunList:
     """Fuse by fused(d) = sum_j score_j(d), missing = 0."""
-    return _fuse(scored, queries, _SCORERS["combsum"], run_tag, depth)
+    return _fuse(scored, _SCORERS["combsum"], run_tag, depth)
 
 
 def comb_mnz(
     scored: Sequence[RunList],
     depth: int = DEFAULT_OUTPUT_DEPTH,
     run_tag: str = "combmnz",
-    queries: Iterable[str] | None = None,
 ) -> RunList:
     """Fuse by fused(d) = (systems ranking d) * sum_j score_j(d)."""
-    return _fuse(scored, queries, _SCORERS["combmnz"], run_tag, depth)
+    return _fuse(scored, _SCORERS["combmnz"], run_tag, depth)
 
 
 def borda(
     runs: Sequence[RunList],
     depth: int = DEFAULT_OUTPUT_DEPTH,
     run_tag: str = "borda",
-    queries: Iterable[str] | None = None,
 ) -> RunList:
     """Fuse by Borda count over each query's candidate union C.
 
@@ -292,4 +286,4 @@ def borda(
     that did not rank d awards 0. Unranked candidates share no residual
     points under this variant.
     """
-    return _fuse(runs, queries, _SCORERS["borda"], run_tag, depth)
+    return _fuse(runs, _SCORERS["borda"], run_tag, depth)

@@ -248,9 +248,10 @@ def compare_methods(
     _cross_validate; then one _rank_prefix ranks and evaluates the
     scores. So each row equals the one the public per-method calls on
     ``runs[:size]`` give. They all read one reciprocal lookup of
-    ``constant``, built once per call, so a ``constant`` of -1 or less
-    raises ValueError for Borda too. With LC among ``methods``, fewer
-    than 2 queries raise ValueError before any prefix trains.
+    ``constant``, built once per call, so a ``constant`` of -1 or less,
+    NaN or +inf raises ValueError for Borda too. With LC among
+    ``methods``, fewer than 2 queries raise ValueError before any prefix
+    trains.
     """
     unknown = [m for m in methods if m not in ALL_METHODS]
     if unknown:
@@ -408,7 +409,8 @@ def generate_synthetic(
     relevant docs carry weight 1/(1 - c) and the rest weight 1
     (exponential-race keys); c >= 1 ranks all relevant docs first and
     c <= 0 ranks uniformly at random. Higher quality therefore gives
-    stochastically higher MAP. Same seed, same bytes.
+    stochastically higher MAP. A NaN quality has no such meaning and
+    raises ValueError naming its index. Same seed, same bytes.
     """
     if min(num_queries, num_systems, docs_per_query, relevant_per_query) < 1:
         raise ValueError("all counts must be positive")
@@ -422,6 +424,9 @@ def generate_synthetic(
         if len(system_quality_profile) != num_systems:
             raise ValueError("quality profile length must equal num_systems")
         qualities = np.asarray(system_quality_profile, dtype=float)
+        nan = np.flatnonzero(np.isnan(qualities))
+        if nan.size:
+            raise ValueError(f"system_quality_profile[{nan[0]}] is NaN")
 
     query_ids = [str(301 + i) for i in range(num_queries)]
     doc_ids = {

@@ -59,8 +59,8 @@ def build_pool(runs: Sequence[RunList], depth: int) -> Pool:
     return Pool(depth, {q: frozenset(s) for q, s in docs.items()})
 
 
-def make_partial_qrels(pool: Pool, full: Qrels, name: str = "") -> Qrels:
-    """Restrict ``full`` to the pooled documents.
+def make_partial_qrels(pool: Pool, full: Qrels) -> Qrels:
+    """Restrict ``full`` to the pooled documents, named ``depth{pool.depth}``.
 
     The result contains exactly the pooled (query, doc) pairs; pairs
     missing from ``full`` get grade 0. Queries pooled but entirely
@@ -81,7 +81,7 @@ def make_partial_qrels(pool: Pool, full: Qrels, name: str = "") -> Qrels:
             f"(e.g. {unjudged_queries[0]}); their pooled docs get grade 0",
             stacklevel=2,
         )
-    return Qrels(grades, name=name or f"depth{pool.depth}")
+    return Qrels(grades, name=f"depth{pool.depth}")
 
 
 def _coverage_counts(runs: Sequence[RunList], full: Qrels, max_depth: int) -> list[int]:

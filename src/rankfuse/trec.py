@@ -109,6 +109,17 @@ def _sort_ties_by_doc(ordered: list[str], values: tuple[float, ...]) -> None:
         start = end
 
 
+def _as_float(query_id: str, doc_id: str, score: float) -> float:
+    """``score`` as a float; an int too large for one raises ValueError
+    naming the query and the doc, not OverflowError."""
+    try:
+        return float(score)
+    except OverflowError:
+        raise ValueError(
+            f"query {query_id!r}, doc {doc_id!r}: score is too large for a float"
+        ) from None
+
+
 def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
     """One Ranking per query: score descending, doc_id ascending on ties.
 
@@ -145,14 +156,14 @@ class RunList:
     def from_scores(cls, run_tag: str, scores: Mapping[str, Mapping[str, float]]) -> RunList:
         """Build a canonical RunList from per-query doc -> score maps.
 
-        Raises ValueError naming the query and the doc of a NaN score.
-        Infinite scores are accepted and rank first or last, but
-        write_run refuses to write them, since parse_run could not read
-        them back.
+        Raises ValueError naming the query and the doc of a NaN score,
+        or of an int too large for a float. Infinite scores are accepted
+        and rank first or last, but write_run refuses to write them,
+        since parse_run could not read them back.
         """
         for query_id, per_doc in scores.items():
             for doc_id, score in per_doc.items():
-                if math.isnan(score):
+                if math.isnan(_as_float(query_id, doc_id, score)):
                     raise ValueError(f"query {query_id!r}, doc {doc_id!r}: score is NaN")
         return cls(run_tag, _canonical(scores))
 
@@ -239,9 +250,9 @@ def write_run(run: RunList) -> str:
     starts the next.
 
     A run with entries whose tag is empty or contains whitespace, or
-    with a score that is not finite, raises ValueError, since parse_run
-    could not read it back; the ValueError names the query and the doc
-    of the first such score.
+    with a score that is not finite or is an int too large for a float,
+    raises ValueError, since parse_run could not read it back; the
+    ValueError names the query and the doc of the first such score.
     """
     tag = run.run_tag
     if tag.split() != [tag] and any(run.by_query.values()):
@@ -254,11 +265,16 @@ def write_run(run: RunList) -> str:
         ranking = run.by_query[query_id]
         if not ranking:
             continue
-        if not all(map(math.isfinite, ranking.scores)):
-            score, doc_id = next(
-                (s, d) for s, d in zip(ranking.scores, ranking.docs) if not math.isfinite(s)
-            )
-            raise ValueError(f"query {query_id!r}, doc {doc_id!r}: score {score} is not finite")
+        try:
+            finite = all(map(math.isfinite, ranking.scores))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            for doc_id, score in zip(ranking.docs, ranking.scores):
+                if not math.isfinite(_as_float(query_id, doc_id, score)):
+                    raise ValueError(
+                        f"query {query_id!r}, doc {doc_id!r}: score {score} is not finite"
+                    )
         scores = map(str.removesuffix, map(str, ranking.scores), repeat(".0"))
         out += (
             f"{query_id} Q0 ",

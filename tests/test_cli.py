@@ -179,6 +179,26 @@ def test_fuse_unweighted_methods(dataset, tmp_path, capsys):
         assert load_run(out).run_tag == tag
 
 
+@pytest.mark.parametrize("constant", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["fuse", "xval", "compare"])
+def test_a_constant_that_is_not_finite_is_refused(dataset, capsys, command, constant):
+    options = ["--method", "combsum"] if command == "fuse" else ["--qrels", dataset["qrels"]]
+    assert main([command, "--runs", *dataset["runs"], *options, "--constant", constant]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: reciprocal constant must be finite, got {constant}\n"
+    )
+
+
+def test_synth_refuses_a_nan_quality(tmp_path, capsys):
+    out = tmp_path / "nan"
+    assert main(
+        ["synth", "--seed", "1", "--num-systems", "2", "--qualities", "nan,0.5",
+         "--out-dir", str(out)]
+    ) == 1
+    assert capsys.readouterr() == ("", "error: system_quality_profile[0] is NaN\n")
+    assert not out.exists()
+
+
 def test_fuse_lc_requires_weights(dataset, capsys):
     assert main(["fuse", "--runs", *dataset["runs"], "--method", "lc"]) == 1
     assert "error: --weights is required" in capsys.readouterr().err

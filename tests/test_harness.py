@@ -247,40 +247,55 @@ def _prefix_runs():
     return runs, training, official
 
 
-def test_compare_methods_equals_per_prefix_public_calls_exactly():
-    runs, training, official = _prefix_runs()
+def _kept(fused, queries):
+    """``fused`` with only ``queries`` kept, in ``fused``'s order."""
+    return RunList(fused.run_tag, {q: r for q, r in fused.by_query.items() if q in queries})
+
+
+def _per_prefix_public_rows(runs, training, official, constant, depth):
+    """compare_methods' rows, rebuilt from the public calls one method and
+    prefix at a time: normalize, train each fold's weights, fuse every
+    query and keep the fold's (or the official queries), and evaluate.
+
+    Each prefix's cross_validated_fusion is checked on the way against
+    the public LC chain: each fold's weights, the fused run, and its
+    fold order (fold A's queries, then fold B's).
+    """
     queries = official.query_ids
     split = split_odd_even(queries)
-    assert not any(run.entries("8") for run in runs[:4])
-    assert any("D35" in run.docs(q) for run in runs[3:] for q in queries)
-
-    def row(method, size, fused):
-        report = evaluate(fused, official, queries).mean_metrics()
-        return (method, size, report["map"], report["rp"], report["p10"], report["p20"])
-
     expected = []
-    for method in ("LC-mlr", "combsum", "combmnz", "borda"):
+    for method in FUSION_METHODS:
         for size in range(2, len(runs) + 1):
-            scored = [normalize_reciprocal(run, 7.5) for run in runs[:size]]
+            scored = [normalize_reciprocal(run, constant) for run in runs[:size]]
             if method == "LC-mlr":
                 weights_a = solve_ols(assemble_matrix(scored, training, split.partition_a))
                 weights_b = solve_ols(assemble_matrix(scored, training, split.partition_b))
-                fused_b = linear_combine(scored, weights_a, 9, queries=split.partition_b)
-                fused_a = linear_combine(scored, weights_b, 9, queries=split.partition_a)
+                fused_b = _kept(linear_combine(scored, weights_a, depth), split.partition_b)
+                fused_a = _kept(linear_combine(scored, weights_b, depth), split.partition_a)
                 fused = RunList("LC-mlr", {**fused_a.by_query, **fused_b.by_query})
-                xval = cross_validated_fusion(runs[:size], training, official, 7.5, 9)
+                xval = cross_validated_fusion(runs[:size], training, official, constant, depth)
                 for got, want in ((xval.weights_a, weights_a), (xval.weights_b, weights_b)):
                     assert got.weights.tolist() == want.weights.tolist()
                     assert (got.intercept, got.rss) == (want.intercept, want.rss)
                 assert xval.fused == fused
+                assert list(xval.fused.by_query) == list(fused.by_query)
             elif method == "combsum":
-                fused = comb_sum(scored, 9, queries=queries)
+                fused = _kept(comb_sum(scored, depth), queries)
             elif method == "combmnz":
-                fused = comb_mnz(scored, 9, queries=queries)
+                fused = _kept(comb_mnz(scored, depth), queries)
             else:
-                fused = borda(runs[:size], 9, queries=queries)
-            expected.append(row(method, size, fused))
+                fused = _kept(borda(runs[:size], depth), queries)
+            means = evaluate(fused, official, queries).mean_metrics()
+            expected.append((method, size, *(means[m] for m in ("map", "rp", "p10", "p20"))))
+    return expected
 
+
+def test_compare_methods_equals_per_prefix_public_calls_exactly():
+    runs, training, official = _prefix_runs()
+    queries = official.query_ids
+    assert not any(run.entries("8") for run in runs[:4])
+    assert any("D35" in run.docs(q) for run in runs[3:] for q in queries)
+    expected = _per_prefix_public_rows(runs, training, official, 7.5, 9)
     rows = compare_methods(runs, training, official, FUSION_METHODS, 7.5, 9)
     assert [(r.method, r.num_systems, r.map, r.rp, r.p10, r.p20) for r in rows] == expected
 
@@ -337,34 +352,9 @@ def _ragged_corpora(draw):
 @given(_ragged_corpora())
 def test_batched_prefix_loop_equals_per_prefix_public_calls(corpus):
     runs, training, official, constant, depth = corpus
-    queries = official.query_ids
-    split = split_odd_even(queries)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        expected = []
-        for method in FUSION_METHODS:
-            for size in range(2, len(runs) + 1):
-                scored = [normalize_reciprocal(run, constant) for run in runs[:size]]
-                if method == "LC-mlr":
-                    weights_a = solve_ols(assemble_matrix(scored, training, split.partition_a))
-                    weights_b = solve_ols(assemble_matrix(scored, training, split.partition_b))
-                    fused_b = linear_combine(scored, weights_a, depth, queries=split.partition_b)
-                    fused_a = linear_combine(scored, weights_b, depth, queries=split.partition_a)
-                    fused = RunList("LC-mlr", {**fused_a.by_query, **fused_b.by_query})
-                    xval = cross_validated_fusion(runs[:size], training, official, constant, depth)
-                    for got, want in ((xval.weights_a, weights_a), (xval.weights_b, weights_b)):
-                        assert got.weights.tolist() == want.weights.tolist()
-                        assert (got.intercept, got.rss) == (want.intercept, want.rss)
-                    assert xval.fused == fused
-                    assert list(xval.fused.by_query) == list(fused.by_query)
-                elif method == "combsum":
-                    fused = comb_sum(scored, depth, queries=queries)
-                elif method == "combmnz":
-                    fused = comb_mnz(scored, depth, queries=queries)
-                else:
-                    fused = borda(runs[:size], depth, queries=queries)
-                means = evaluate(fused, official, queries).mean_metrics()
-                expected.append((method, size, *(means[m] for m in ("map", "rp", "p10", "p20"))))
+        expected = _per_prefix_public_rows(runs, training, official, constant, depth)
         rows = compare_methods(runs, training, official, FUSION_METHODS, constant, depth)
     assert [(r.method, r.num_systems, r.map, r.rp, r.p10, r.p20) for r in rows] == expected
 
@@ -524,3 +514,12 @@ def test_generate_synthetic_validation():
         generate_synthetic(1, 0, 2, 10, 5)
     with pytest.raises(ValueError):
         generate_synthetic(1, 5, 2, 10, 5, system_quality_profile=[0.5])
+
+
+def test_generate_synthetic_refuses_a_nan_quality_and_reads_infinite_ones():
+    with pytest.raises(ValueError, match=r"system_quality_profile\[1\] is NaN"):
+        generate_synthetic(1, 4, 3, 20, 4, [0.5, np.nan, 0.0])
+    # +inf is >= 1, perfect; -inf is <= 0, uniform
+    assert generate_synthetic(1, 4, 2, 20, 4, [np.inf, -np.inf]) == generate_synthetic(
+        1, 4, 2, 20, 4, [1.0, 0.0]
+    )

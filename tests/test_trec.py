@@ -174,6 +174,22 @@ def test_write_run_refuses_a_score_parse_run_cannot_read_back(bad, tmp_path):
     assert path.read_bytes() == b"1 Q0 a 1 2 old\n"
 
 
+def test_an_int_score_too_large_for_a_float_is_refused_by_name(tmp_path):
+    with pytest.raises(ValueError, match=r"query '1', doc 'a': score is too large for a float"):
+        RunList.from_scores("t", {"1": {"b": 1, "a": 10**400}})
+    run = RunList("t", {
+        "1": Ranking(("a", "b"), (2.0, 1.0)),
+        "q2": Ranking(("x", "c"), (10**400, 1)),
+    })
+    with pytest.raises(ValueError, match=r"query 'q2', doc 'x': score is too large for a float"):
+        write_run(run)
+    path = tmp_path / "kept.run"
+    path.write_bytes(b"1 Q0 a 1 2 old\n")
+    with pytest.raises(ValueError, match="too large for a float"):
+        save_run(run, path)
+    assert path.read_bytes() == b"1 Q0 a 1 2 old\n"
+
+
 def test_write_run_orders_queries_naturally():
     run = RunList.from_scores("t", {"10": {"a": 1.0}, "9": {"b": 1.0}})
     lines = write_run(run).splitlines()
