@@ -41,7 +41,16 @@ from .regression import (
     weights_from_csv,
     weights_to_csv,
 )
-from .trec import Qrels, load_qrels, load_run, save_qrels, save_run, write_qrels, write_run
+from .trec import (
+    Qrels,
+    _share_doc_ids,
+    load_qrels,
+    load_run,
+    save_qrels,
+    save_run,
+    write_qrels,
+    write_run,
+)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -53,8 +62,14 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _load_runs(paths: Sequence[str]) -> list:
-    """load_run of each path, with one warning per file that has no run entries."""
-    runs = [load_run(path) for path in paths]
+    """load_run of each path, with one warning per file that has no run entries.
+
+    The runs share one str per doc id: TREC runs of one experiment rank
+    largely the same docs, and each parse makes its own strings, which
+    would otherwise be most of a loaded run's memory.
+    """
+    docs: dict[str, str] = {}
+    runs = [_share_doc_ids(load_run(path), docs) for path in paths]
     for path, run in zip(paths, runs):
         if not run.by_query:
             warnings.warn(f"{path}: no run entries", stacklevel=2)

@@ -38,7 +38,10 @@ def _by_reciprocal(constant: float, longest: int) -> np.ndarray:
     """The rank -> 1/(constant + rank) lookup of ranks 0..longest, 0.0 at rank 0.
 
     Every reciprocal score in the package is computed here, so this is
-    where a constant of -1 or less, NaN or +inf is refused.
+    where a constant of -1 or less, NaN or +inf is refused, and so is a
+    finite one too large for the scores of ranks 1..longest to strictly
+    decrease (from about 2**53 the float spacing exceeds 1, so ranks
+    share a score and the fusers would order by doc id alone).
     """
     if constant <= -1:
         raise ValueError(f"reciprocal constant must be > -1, got {constant}")
@@ -46,6 +49,11 @@ def _by_reciprocal(constant: float, longest: int) -> np.ndarray:
         raise ValueError(f"reciprocal constant must be finite, got {constant}")
     lookup = np.zeros(longest + 1)
     lookup[1:] = 1.0 / (constant + np.arange(1, longest + 1))
+    if not (lookup[1:-1] > lookup[2:]).all():
+        raise ValueError(
+            f"reciprocal constant {constant} is too large: 1/(constant + rank) "
+            f"does not strictly decrease over ranks 1..{longest}"
+        )
     return lookup
 
 
@@ -55,8 +63,9 @@ def normalize_reciprocal(
     """The run with each score replaced by 1/(constant + rank).
 
     constant must be finite and exceed -1 so every rank >= 1 maps to a
-    finite positive score; the mapping is strictly decreasing in rank, so the ranking,
-    and each query's docs tuple, are kept as they are.
+    finite positive score, and small enough (below about 2**53) that the
+    scores strictly decrease over the run's ranks; so the ranking, and
+    each query's docs tuple, are kept as they are.
     """
     longest = max(map(len, run.by_query.values()), default=0)
     by_rank = _by_reciprocal(constant, longest).tolist()

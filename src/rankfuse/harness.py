@@ -249,7 +249,8 @@ def compare_methods(
     scores. So each row equals the one the public per-method calls on
     ``runs[:size]`` give. They all read one reciprocal lookup of
     ``constant``, built once per call, so a ``constant`` of -1 or less,
-    NaN or +inf raises ValueError for Borda too. With LC among
+    NaN, +inf or one too large for the scores to strictly decrease
+    raises ValueError for Borda too. With LC among
     ``methods``, fewer than 2 queries raise ValueError before any prefix
     trains.
     """

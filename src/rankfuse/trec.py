@@ -20,6 +20,11 @@ A RunList stores one Ranking per query: a tuple of doc ids in rank
 order and the parallel tuple of their raw scores. A doc's rank is its
 position + 1, so no rank is stored and no per-entry object is kept;
 ``RunList.entries`` builds RunEntry views on demand.
+
+Each parse makes its own str for every doc id. Runs of one experiment
+rank largely the same docs, so a caller that holds many of them (each
+CLI command) passes every parsed run through _share_doc_ids with one
+dict, and the runs then hold one str per doc id between them.
 """
 
 from __future__ import annotations
@@ -123,14 +128,20 @@ def _as_float(query_id: str, doc_id: str, score: float) -> float:
 def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
     """One Ranking per query: score descending, doc_id ascending on ties.
 
-    The docs are sorted once by score. When the sorted scores strictly
-    decrease no two docs tie and that order is final. Otherwise each run
-    of equal scores (0.0 beside -0.0 and 1 beside 1.0 are equal too) is
-    sorted by doc id. No score may be NaN, which compares false with
-    everything and so has no place in the order.
+    A query whose scores already strictly decrease in insertion order,
+    as write_run writes them, is kept in that order with no sort.
+    Otherwise the docs are sorted once by score. When the sorted scores
+    strictly decrease no two docs tie and that order is final. Otherwise
+    each run of equal scores (0.0 beside -0.0 and 1 beside 1.0 are equal
+    too) is sorted by doc id. No score may be NaN, which compares false
+    with everything and so has no place in the order.
     """
     by_query: dict[str, Ranking] = {}
     for query_id, per_doc in scores.items():
+        values = tuple(per_doc.values())
+        if all(map(operator.gt, values, values[1:])):
+            by_query[query_id] = Ranking(tuple(per_doc), values)
+            continue
         ordered = sorted(per_doc, key=per_doc.__getitem__, reverse=True)
         values = tuple(map(per_doc.__getitem__, ordered))
         if not all(map(operator.gt, values, values[1:])):
@@ -201,12 +212,13 @@ def parse_run(lines: Iterable[str]) -> RunList:
     last_query: str | None = None
     per_doc: dict[str, float] = {}
     for line_no, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        if len(parts) != 6:
-            raise ParseError(line_no, f"expected 6 fields, got {len(parts)}")
-        query_id, _iteration, doc_id, rank_str, score_str, tag = parts
+        try:
+            query_id, _iteration, doc_id, rank_str, score_str, tag = raw.split()
+        except ValueError:  # not 6 fields
+            fields = len(raw.split())
+            if not fields:
+                continue
+            raise ParseError(line_no, f"expected 6 fields, got {fields}") from None
         try:
             int(rank_str)
         except ValueError:
@@ -368,6 +380,24 @@ def write_qrels(qrels: Qrels) -> str:
 def load_run(path: str | os.PathLike[str]) -> RunList:
     with open(path, encoding="utf-8") as f:
         return parse_run(f)
+
+
+def _share_doc_ids(run: RunList, docs: dict[str, str]) -> RunList:
+    """``run`` with each doc id replaced by the equal str kept in ``docs``.
+
+    A doc id ``docs`` lacks is added, so the runs passed with one
+    ``docs`` hold one str object per doc id, not one per run: each
+    parse makes its own. Scores tuples are kept, and the ids are looked
+    up by builtins (tuple over map), with no Python-level step per entry.
+    """
+    share = docs.setdefault
+    return RunList(
+        run.run_tag,
+        {
+            query_id: Ranking(tuple(map(share, ranking.docs, ranking.docs)), ranking.scores)
+            for query_id, ranking in run.by_query.items()
+        },
+    )
 
 
 def save_run(run: RunList, path: str | os.PathLike[str]) -> None:

@@ -3,16 +3,20 @@ error reporting, and byte determinism."""
 
 from __future__ import annotations
 
+import gc
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
+from rankfuse import cli
 from rankfuse.cli import console, main
 from rankfuse.fusion import normalize_reciprocal
+from rankfuse.harness import generate_synthetic
 from rankfuse.regression import assemble_matrix, solve_ols, weights_to_csv
-from rankfuse.trec import load_qrels, load_run
+from rankfuse.trec import RunList, load_qrels, load_run, save_run
 
 
 @pytest.fixture()
@@ -187,6 +191,17 @@ def test_a_constant_that_is_not_finite_is_refused(dataset, capsys, command, cons
     assert capsys.readouterr() == (
         "", f"error: reciprocal constant must be finite, got {constant}\n"
     )
+
+
+@pytest.mark.parametrize("command", ["fuse", "xval", "compare"])
+def test_a_constant_too_large_to_order_the_ranks_is_refused(dataset, capsys, command):
+    # 1/(1e17 + rank) is one float for every rank, so each doc would tie
+    options = ["--method", "combsum"] if command == "fuse" else ["--qrels", dataset["qrels"]]
+    assert main([command, "--runs", *dataset["runs"], *options, "--constant", "1e17"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: reciprocal constant 1e+17 is too large: ")
+    assert err.count("\n") == 1
 
 
 def test_synth_refuses_a_nan_quality(tmp_path, capsys):
@@ -390,6 +405,65 @@ def test_cli_rejects_duplicate_run_tags(dataset, tmp_path, capsys):
          "--qrels", dataset["qrels"]]
     ) == 1
     assert "duplicate run tags" in capsys.readouterr().err
+
+
+def _overlapping_run_files(tmp_path):
+    """Three run files over one doc universe: a partial run, a full one, a reversed one."""
+    lines = {
+        "a": "1 Q0 d1 1 3 a\n1 Q0 d2 2 2 a\n2 Q0 d9 1 1 a\n",
+        "b": "1 Q0 d3 1 5 b\n1 Q0 d2 2 4 b\n1 Q0 d1 3 4 b\n2 Q0 d9 1 0 b\n",
+        "c": "1 Q0 d1 1 -1 c\n1 Q0 d3 2 2.5 c\n2 Q0 d8 1 1 c\n2 Q0 d9 2 1.0 c\n",
+    }
+    paths = []
+    for tag, text in lines.items():
+        path = tmp_path / f"{tag}.run"
+        path.write_text(text)
+        paths.append(str(path))
+    return paths
+
+
+def test_loaded_runs_equal_per_file_loads_and_share_doc_ids(tmp_path):
+    paths = _overlapping_run_files(tmp_path)
+    runs = cli._load_runs(paths)
+    alone = [load_run(path) for path in paths]
+    assert runs == alone
+    assert repr(runs) == repr(alone)  # each score keeps its sign and type
+    a, b, c = (run.by_query for run in runs)
+    assert [a["1"].docs, b["1"].docs, c["1"].docs] == [
+        ("d1", "d2"), ("d3", "d1", "d2"), ("d3", "d1")
+    ]
+    assert a["1"].docs[0] is b["1"].docs[1] is c["1"].docs[1]  # d1
+    assert a["1"].docs[1] is b["1"].docs[2]  # d2
+    assert b["1"].docs[0] is c["1"].docs[0]  # d3
+    assert a["2"].docs[0] is b["2"].docs[0] is c["2"].docs[1]  # d9
+    # each run file's own parse still makes its own strings
+    assert alone[1].by_query["1"].docs[1] is not alone[0].by_query["1"].docs[0]
+
+
+def _retained_bytes(load):
+    """Bytes still allocated, under tracemalloc, once ``load()`` has returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, loaded
+    finally:
+        tracemalloc.stop()
+
+
+def test_runs_that_rank_the_same_docs_hold_each_doc_id_once(tmp_path):
+    runs, _ = generate_synthetic(3, 5, 10, 200, 20)  # every run ranks every doc
+    paths = []
+    for run in runs:
+        paths.append(str(tmp_path / f"{run.run_tag}.run"))
+        save_run(run, paths[-1])
+    alone, per_file = _retained_bytes(lambda: [load_run(path) for path in paths])
+    shared, loaded = _retained_bytes(lambda: cli._load_runs(paths))
+    assert loaded == per_file == runs
+    assert all(isinstance(run, RunList) for run in loaded)
+    assert shared < 0.6 * alone
 
 
 def test_duplicate_qrels_lines_reported_on_stderr_only(dataset, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from rankfuse.fusion import (
     linear_combine,
     normalize_reciprocal,
 )
-from rankfuse.harness import cross_validated_fusion
+from rankfuse.harness import compare_methods, cross_validated_fusion
 from rankfuse.regression import WeightVector
 from rankfuse.trec import Qrels, Ranking, RunEntry, RunList, parse_run, write_run
 
@@ -81,6 +83,27 @@ def test_normalize_constant_configurable_and_validated():
     for constant in (np.nan, np.inf):
         with pytest.raises(ValueError, match="reciprocal constant must be finite"):
             normalize_reciprocal(run, constant)
+
+
+@pytest.mark.parametrize("constant", [60.0, 1e12, 1e15, -0.999, 2.0**53, 1e16, 1e17])
+def test_a_constant_whose_ranks_would_tie_is_refused(constant):
+    # From about 2**53 the float spacing exceeds 1, so 1/(constant + rank) stops
+    # decreasing over 5000 ranks, and the fusers would order by doc id alone.
+    docs = [f"d{i:04d}" for i in range(5000)][::-1]  # ranked in doc-id descending order
+    runs = [_run("a", {"q": docs}), _run("b", {"q": docs})]
+    qrels = Qrels({"q": {docs[0]: 1}})
+    if constant < 2**53:
+        scored = [normalize_reciprocal(run, constant) for run in runs]
+        assert comb_sum(scored, 5000).docs("q") == tuple(docs)
+        assert len(compare_methods(runs, qrels, qrels, ["combsum"], constant)) == 1
+        return
+    message = re.escape(f"reciprocal constant {constant} is too large")
+    with pytest.raises(ValueError, match=message):
+        normalize_reciprocal(runs[0], constant)
+    with pytest.raises(ValueError, match=message):
+        comb_sum([normalize_reciprocal(run, constant) for run in runs])
+    with pytest.raises(ValueError, match=message):
+        compare_methods(runs, qrels, qrels, ["combsum"], constant)
 
 
 def test_linear_combine_hand_example():

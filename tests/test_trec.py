@@ -489,16 +489,18 @@ def _outcome(parse, lines):
 
 # Blocks of lines per query, so a query's lines can come back after another's
 # (A, B, A); few doc ids and numbers, so repeats across blocks and ties are common.
-def _blocks(line, numbers):
-    block = st.tuples(
-        st.sampled_from(["1", "2", "q"]),
-        st.lists(
-            st.tuples(st.sampled_from(["d1", "d2", "d3", "d4"]), numbers),
-            min_size=1,
-            max_size=4,
-            unique_by=lambda doc_and_number: doc_and_number[0],
-        ),
+# With ``descending``, each block's lines come in score-descending order, as
+# write_run writes them, with tied scores left in the order drawn.
+def _blocks(line, numbers, descending=False):
+    docs = st.lists(
+        st.tuples(st.sampled_from(["d1", "d2", "d3", "d4"]), numbers),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda doc_and_number: doc_and_number[0],
     )
+    if descending:
+        docs = docs.map(lambda pairs: sorted(pairs, key=lambda pair: -float(pair[1])))
+    block = st.tuples(st.sampled_from(["1", "2", "q"]), docs)
     return st.lists(block, min_size=1, max_size=5).map(
         lambda blocks: [line.format(q, d, n) for q, docs in blocks for d, n in docs]
     )
@@ -509,6 +511,11 @@ def _blocks(line, numbers):
     st.one_of(
         _HOSTILE.map(str.splitlines),
         _blocks("{} Q0 {} 1 {} t", st.sampled_from(["2", "2.0", "0", "-0", "0.5"])),
+        _blocks(
+            "{} Q0 {} 1 {} t",
+            st.sampled_from(["2", "1", "1.0", "0.5", "0", "-0", "-1"]),
+            descending=True,
+        ),
     )
 )
 def test_parse_run_matches_the_reference_parser(lines):
@@ -535,10 +542,13 @@ def test_parse_qrels_matches_the_reference_parser(lines):
         max_size=10,
     ),
     st.randoms(use_true_random=False),
+    st.booleans(),
 )
-def test_from_scores_matches_the_two_sort_order(per_doc, random):
+def test_from_scores_matches_the_two_sort_order(per_doc, random, descending):
     items = list(per_doc.items())
     random.shuffle(items)
+    if descending:  # the order write_run writes, ties left shuffled
+        items.sort(key=lambda item: item[1], reverse=True)
     if any(map(math.isnan, per_doc.values())):  # NaN has no place in the order
         with pytest.raises(ValueError, match=r"query '1', doc '.*': score is NaN"):
             RunList.from_scores("t", {"1": dict(items)})
