@@ -199,7 +199,7 @@ def cross_validated_fusion(
     if len(runs) < 2:
         raise ValueError("fusion experiments need at least 2 runs")
     cube = _judged_cube(runs, training_qrels, official_qrels)
-    lookups = [_by_reciprocal(constant, cube.ranks.shape[2])] * len(runs)
+    lookups = [_by_reciprocal(constant, int(cube.ranks.max(initial=0)))] * len(runs)
     split = split_odd_even(cube.query_ids)
     tags = tuple(run.run_tag for run in runs)
     weights_a, weights_b, scores = _cross_validate(cube, tags, lookups)
@@ -249,8 +249,9 @@ def compare_methods(
     scores. So each row equals the one the public per-method calls on
     ``runs[:size]`` give. They all read one reciprocal lookup of
     ``constant``, built once per call, so a ``constant`` of -1 or less,
-    NaN, +inf or one too large for the scores to strictly decrease
-    raises ValueError for Borda too. With LC among
+    NaN, +inf or one too large for the scores to strictly decrease over
+    ranks 1 to the deepest rank in the cube raises ValueError for Borda
+    too, as normalize_reciprocal does over its run's ranks. With LC among
     ``methods``, fewer than 2 queries raise ValueError before any prefix
     trains.
     """
@@ -263,7 +264,7 @@ def compare_methods(
         raise ValueError("fusion experiments need at least 2 runs")
     if any(method != "best-component" for method in methods):
         cube = _judged_cube(runs, training_qrels, official_qrels)
-        reciprocal = _by_reciprocal(constant, cube.ranks.shape[2])
+        reciprocal = _by_reciprocal(constant, int(cube.ranks.max(initial=0)))
     if "LC-mlr" in methods:
         split_odd_even(cube.query_ids)  # raises on fewer than 2 queries
     tags = tuple(run.run_tag for run in runs)

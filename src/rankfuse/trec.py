@@ -128,20 +128,14 @@ def _as_float(query_id: str, doc_id: str, score: float) -> float:
 def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
     """One Ranking per query: score descending, doc_id ascending on ties.
 
-    A query whose scores already strictly decrease in insertion order,
-    as write_run writes them, is kept in that order with no sort.
-    Otherwise the docs are sorted once by score. When the sorted scores
-    strictly decrease no two docs tie and that order is final. Otherwise
-    each run of equal scores (0.0 beside -0.0 and 1 beside 1.0 are equal
-    too) is sorted by doc id. No score may be NaN, which compares false
-    with everything and so has no place in the order.
+    The docs are sorted once by score. When the sorted scores strictly
+    decrease no two docs tie and that order is final. Otherwise each run
+    of equal scores (0.0 beside -0.0 and 1 beside 1.0 are equal too) is
+    sorted by doc id. No score may be NaN, which compares false with
+    everything and so has no place in the order.
     """
     by_query: dict[str, Ranking] = {}
     for query_id, per_doc in scores.items():
-        values = tuple(per_doc.values())
-        if all(map(operator.gt, values, values[1:])):
-            by_query[query_id] = Ranking(tuple(per_doc), values)
-            continue
         ordered = sorted(per_doc, key=per_doc.__getitem__, reverse=True)
         values = tuple(map(per_doc.__getitem__, ordered))
         if not all(map(operator.gt, values, values[1:])):

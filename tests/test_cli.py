@@ -13,7 +13,7 @@ import pytest
 
 from rankfuse import cli
 from rankfuse.cli import console, main
-from rankfuse.fusion import normalize_reciprocal
+from rankfuse.fusion import _by_reciprocal, normalize_reciprocal
 from rankfuse.harness import generate_synthetic
 from rankfuse.regression import assemble_matrix, solve_ols, weights_to_csv
 from rankfuse.trec import RunList, load_qrels, load_run, save_run
@@ -202,6 +202,49 @@ def test_a_constant_too_large_to_order_the_ranks_is_refused(dataset, capsys, com
     assert out == ""
     assert err.startswith("error: reciprocal constant 1e+17 is too large: ")
     assert err.count("\n") == 1
+
+
+def _disjoint_corpus(tmp_path):
+    """Two runs ranking 3 docs per query and sharing none: each query has 6 candidates."""
+    paths = []
+    for tag, first in (("a", 0), ("b", 3)):
+        path = tmp_path / f"{tag}.run"
+        path.write_text("".join(
+            f"{q} Q0 {q}-d{first + rank} {rank} {4 - rank} {tag}\n"
+            for q in ("1", "2") for rank in (1, 2, 3)
+        ))
+        paths.append(str(path))
+    qrels = tmp_path / "full.qrels"
+    qrels.write_text("1 0 1-d1 1\n1 0 1-d5 1\n2 0 2-d2 1\n2 0 2-d4 1\n")
+    return paths, str(qrels)
+
+
+# Every score is then within 1e-15 of 1/constant, so LC's design is rank-deficient.
+@pytest.mark.filterwarnings("ignore:fold [AB] .*rank-deficient:UserWarning")
+@pytest.mark.parametrize("command", ["fuse", "xval", "compare"])
+@pytest.mark.parametrize("constant, accepted", [("7e15", True), ("8e15", False)])
+def test_commands_agree_on_a_constant_near_the_edge(tmp_path, capsys, command, constant, accepted):
+    # Every command bounds the constant by the deepest rank it scores (3
+    # here), not by a query's candidate count (6): 7e15's scores strictly
+    # decrease over ranks 1..3 but not 1..4, and 8e15's not over 1..3.
+    assert [_strictly_decreasing(float(constant), n) for n in (3, 4)] == [accepted, False]
+    runs, qrels = _disjoint_corpus(tmp_path)
+    options = ["--method", "combsum"] if command == "fuse" else ["--qrels", qrels]
+    code = main([command, "--runs", *runs, *options, "--constant", constant])
+    out, err = capsys.readouterr()
+    if accepted:
+        assert (code, bool(out)) == (0, True)
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: reciprocal constant {float(constant)} is too large: ")
+
+
+def _strictly_decreasing(constant, longest):
+    try:
+        _by_reciprocal(constant, longest)
+    except ValueError:
+        return False
+    return True
 
 
 def test_synth_refuses_a_nan_quality(tmp_path, capsys):
