@@ -219,7 +219,7 @@ def _disjoint_corpus(tmp_path):
     return paths, str(qrels)
 
 
-# Every score is then within 1e-15 of 1/constant, so LC's design is rank-deficient.
+# The scores of all ranks then agree to about 15 digits, so LC's design is rank-deficient.
 @pytest.mark.filterwarnings("ignore:fold [AB] .*rank-deficient:UserWarning")
 @pytest.mark.parametrize("command", ["fuse", "xval", "compare"])
 @pytest.mark.parametrize("constant, accepted", [("7e15", True), ("8e15", False)])
