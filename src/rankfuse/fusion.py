@@ -68,9 +68,11 @@ def normalize_reciprocal(
     each query's docs tuple, are kept as they are.
     """
     longest = max(map(len, run.by_query.values()), default=0)
-    by_rank = _by_reciprocal(constant, longest).tolist()
+    # every query slices one tuple, and a full-length slice is the tuple itself,
+    # so the queries of the run's longest length share their scores
+    by_rank = tuple(_by_reciprocal(constant, longest).tolist()[1:])
     by_query = {
-        query_id: Ranking(ranking.docs, tuple(by_rank[1 : len(ranking) + 1]))
+        query_id: Ranking(ranking.docs, by_rank[: len(ranking)])
         for query_id, ranking in run.by_query.items()
     }
     return RunList(run.run_tag, by_query)

@@ -199,6 +199,10 @@ def parse_run(lines: Iterable[str]) -> RunList:
     lines are skipped. Raises ParseError for malformed lines,
     DuplicateDocError for repeated (query, doc) pairs and
     MixedRunTagsError when the tag column is not constant.
+
+    A rank field must be one int() reads. A decimal one is not converted,
+    so it is accepted at any length, beyond int()'s digit limit
+    (sys.get_int_max_str_digits()) too.
     """
     rows: dict[str, dict[str, float]] = {}
     run_tag: str | None = None
@@ -214,7 +218,10 @@ def parse_run(lines: Iterable[str]) -> RunList:
                 continue
             raise ParseError(line_no, f"expected 6 fields, got {fields}") from None
         try:
-            int(rank_str)
+            # int() reads every non-empty decimal str (a test checks each decimal
+            # code point), so it runs only on other forms: "+1", "1_0" pass, "x" not.
+            if not rank_str.isdecimal():
+                int(rank_str)
         except ValueError:
             raise ParseError(line_no, f"rank field {rank_str!r} is not an integer") from None
         try:

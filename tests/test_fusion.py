@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +74,26 @@ def test_normalize_preserves_order():
             values = [_score(scored, query_id, d) for d in docs]
             assert values == sorted(values, reverse=True)
             assert all(v > 0 for v in values)
+
+
+def test_normalized_queries_of_one_length_share_their_scores():
+    run = _run("t", {"1": ["a", "b", "c"], "2": ["d", "e", "f"], "3": ["g"]})
+    scored = normalize_reciprocal(run)
+    assert scored.by_query["1"].scores is scored.by_query["2"].scores
+    assert scored.by_query["3"].scores == scored.by_query["1"].scores[:1]
+    # 50 queries of 400 docs: one shared tuple of 400 scores, not one per query
+    run = _run("t", {str(q): [f"d{i:03d}" for i in range(400)] for q in range(50)})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scored = normalize_reciprocal(run)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert scored.by_query["1"].scores == normalize_reciprocal(run).by_query["1"].scores
+    assert retained / run.num_entries() < 2.0  # a tuple per query alone is 8 B per entry
 
 
 def test_normalize_constant_configurable_and_validated():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from itertools import count
 
 import numpy as np
@@ -71,6 +72,26 @@ def test_parse_run_resorts_by_score_descending():
     assert [e.rank for e in run.entries("301")] == [1, 2]
 
 
+def test_every_decimal_string_parses_as_an_int():
+    # parse_run skips int() for a decimal rank field on this premise, which
+    # rests on the interpreter's Unicode database: check it on each version
+    decimal = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isdecimal()]
+    assert len(decimal) > 600
+    for digit in decimal:
+        int(digit)
+        int("1" + digit)
+
+
+def test_a_decimal_rank_beyond_the_int_digit_limit_is_accepted():
+    # int() refuses a str of more digits than sys.get_int_max_str_digits()
+    # (4300 by default), to bound its conversion time; parse_run converts no
+    # decimal rank, so it accepts one of any length and ignores it as any other
+    long_rank = "7" * 5000
+    assert parse_run([f"1 Q0 d1 {long_rank} 2.5 t"]) == parse_run(["1 Q0 d1 1 2.5 t"])
+    with pytest.raises(ParseError, match="rank field '\\+7+' is not an integer"):
+        parse_run([f"1 Q0 d1 +{long_rank} 2.5 t"])
+
+
 def test_parse_run_tie_breaks_by_doc_id():
     run = parse_run(
         [
@@ -94,6 +115,17 @@ def test_parse_run_field_count_error_names_line():
 def test_parse_run_non_numeric_rank():
     with pytest.raises(ParseError, match="line 1.*rank"):
         parse_run(["301 Q0 docX one 12.5 runA"])
+
+
+@pytest.mark.parametrize("rank", ["+1", "-0", "1_0", "\u0663", "\uff10", "\uff11\uff12"])
+def test_parse_run_accepts_any_rank_int_reads(rank):
+    assert parse_run([f"1 Q0 d1 {rank} 2.5 t"]) == parse_run(["1 Q0 d1 1 2.5 t"])
+
+
+@pytest.mark.parametrize("rank", ["\u00b2", "0x1", "1.0", "1e3", "_1", "one"])
+def test_parse_run_refuses_a_rank_int_cannot_read(rank):
+    with pytest.raises(ParseError, match=f"^line 2: rank field '{rank}' is not an integer$"):
+        parse_run(["1 Q0 d1 1 2.5 t", f"1 Q0 d2 {rank} 2.5 t"])
 
 
 def test_parse_run_non_numeric_and_non_finite_score():
@@ -284,7 +316,14 @@ def test_integer_scores_round_trip(scores):
 
 # Run, qrels and weights-CSV texts with good and bad fields, and mixtures with any text.
 _ID = st.sampled_from(["1", "2", "d1", "d2", "\u00b2"])
-_NUMBER = st.sampled_from(["1", "0", "-2", "3.5", "nan", "inf", "1e999", "x", "\u00b2", "1_0"])
+# "\u0663" (Arabic-Indic 3) and "\uff11\uff12" (fullwidth 12) are decimal; "+1" and "0x1"
+# are not, so parse_run reads them with int(), which takes the first and refuses the second.
+_NUMBER = st.sampled_from(
+    [
+        "1", "0", "-2", "3.5", "nan", "inf", "1e999", "x", "\u00b2", "1_0",
+        "\u0663", "\uff11\uff12", "+1", "0x1",
+    ]
+)
 _RUN_LINE = st.tuples(_ID, st.just("Q0"), _ID, _NUMBER, _NUMBER, st.sampled_from(["t", "t2"]))
 _QRELS_LINE = st.tuples(_ID, st.just("0"), _ID, _NUMBER)
 _CSV_ROW = st.tuples(st.sampled_from(["a", "b", "a,b", "__intercept__", "__rss__", ""]), _NUMBER)
