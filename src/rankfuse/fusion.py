@@ -67,12 +67,14 @@ def normalize_reciprocal(
     scores strictly decrease over the run's ranks; so the ranking, and
     each query's docs tuple, are kept as they are.
     """
-    longest = max(map(len, run.by_query.values()), default=0)
-    # every query slices one tuple, and a full-length slice is the tuple itself,
-    # so the queries of the run's longest length share their scores
-    by_rank = tuple(_by_reciprocal(constant, longest).tolist()[1:])
+    lengths = set(map(len, run.by_query.values()))
+    by_rank = _by_reciprocal(constant, max(lengths, default=0))[1:]
+    by_rank.flags.writeable = False
+    # one read-only view of one lookup per length: the queries of the run share
+    # one buffer, and the queries of one length one scores array
+    views = {n: by_rank[:n] for n in lengths}
     by_query = {
-        query_id: Ranking(ranking.docs, by_rank[: len(ranking)])
+        query_id: Ranking(ranking.docs, views[len(ranking)])
         for query_id, ranking in run.by_query.items()
     }
     return RunList(run.run_tag, by_query)
@@ -152,9 +154,7 @@ def _rankings(
     ):
         if length:
             columns = columns[:length]
-            fused[query_id] = Ranking(
-                tuple(map(docs.__getitem__, columns.tolist())), tuple(row[columns].tolist())
-            )
+            fused[query_id] = Ranking(tuple(map(docs.__getitem__, columns.tolist())), row[columns])
     return fused
 
 

@@ -443,8 +443,10 @@ def generate_synthetic(
 
     rng = np.random.default_rng(seed)
     relevant_slice = np.arange(docs_per_query) < relevant_per_query
-    # Strictly decreasing scores: every drawn order is already canonical.
-    scores = tuple(float(docs_per_query - position) for position in range(docs_per_query))
+    # Strictly decreasing scores, one read-only array that every ranking
+    # shares: every drawn order is already canonical.
+    scores = np.arange(docs_per_query, 0, -1, dtype=np.float64)
+    scores.flags.writeable = False
     runs = []
     for index, quality in enumerate(qualities):
         rankings: dict[str, Ranking] = {}

@@ -17,9 +17,9 @@ Canonicalization is deterministic: the same entries produce the same
 RunList regardless of line order.
 
 A RunList stores one Ranking per query: a tuple of doc ids in rank
-order and the parallel tuple of their raw scores. A doc's rank is its
-position + 1, so no rank is stored and no per-entry object is kept;
-``RunList.entries`` builds RunEntry views on demand.
+order and a parallel read-only float64 array of their raw scores. A
+doc's rank is its position + 1, so no rank is stored and no per-entry
+object is kept; ``RunList.entries`` builds RunEntry views on demand.
 
 Each parse makes its own str for every doc id. Runs of one experiment
 rank largely the same docs, so a caller that holds many of them (each
@@ -30,11 +30,12 @@ dict, and the runs then hold one str per doc id between them.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
+from itertools import repeat
+
+import numpy as np
 
 
 class TrecFormatError(ValueError):
@@ -81,21 +82,47 @@ class RunEntry:
     run_tag: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Ranking:
     """One query's canonical ranking: doc ids in rank order and their raw scores.
 
     The doc at position i has rank i + 1. ``len`` is the number of docs.
+    ``scores`` is a read-only float64 array. Any other sequence, or a
+    writable array, is copied into one here, so changing what was passed
+    changes no Ranking; an int too large for a float raises ValueError
+    naming its doc. Rankings compare by value and are not hashable.
     """
 
     docs: tuple[str, ...]
-    scores: tuple[float, ...]
+    scores: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.docs) != len(self.scores):
-            raise ValueError(
-                f"ranking has {len(self.docs)} docs but {len(self.scores)} scores"
-            )
+        scores = self.scores
+        if not (
+            type(scores) is np.ndarray
+            and scores.dtype == np.float64
+            and not scores.flags.writeable
+        ):
+            try:
+                scores = np.array(scores, dtype=np.float64)
+            except OverflowError:  # an int too large for a float
+                for doc_id, score in zip(self.docs, self.scores):
+                    try:
+                        float(score)
+                    except OverflowError:
+                        raise ValueError(
+                            f"doc {doc_id!r}: score is too large for a float"
+                        ) from None
+                raise
+            scores.flags.writeable = False
+            object.__setattr__(self, "scores", scores)
+        if scores.shape != (len(self.docs),):
+            raise ValueError(f"ranking has {len(self.docs)} docs but {scores.size} scores")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Ranking:
+            return NotImplemented
+        return self.docs == other.docs and np.array_equal(self.scores, other.scores)
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -104,11 +131,11 @@ class Ranking:
 _NO_RANKING = Ranking((), ())
 
 
-def _sort_ties_by_doc(ordered: list[str], values: tuple[float, ...]) -> None:
+def _sort_ties_by_doc(ordered: list[str], values: np.ndarray) -> None:
     """Sort each run of equal ``values`` in the parallel ``ordered`` by doc id, in place."""
     start = 0
     # A run ends where the next value is strictly smaller, or at the end.
-    for end in (*compress(count(1), map(operator.gt, values, values[1:])), len(values)):
+    for end in (*(np.flatnonzero(values[:-1] > values[1:]) + 1).tolist(), len(values)):
         if end - start > 1:
             ordered[start:end] = sorted(ordered[start:end])
         start = end
@@ -128,19 +155,20 @@ def _as_float(query_id: str, doc_id: str, score: float) -> float:
 def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
     """One Ranking per query: score descending, doc_id ascending on ties.
 
-    The docs are sorted once by score. When the sorted scores strictly
-    decrease no two docs tie and that order is final. Otherwise each run
-    of equal scores (0.0 beside -0.0 and 1 beside 1.0 are equal too) is
-    sorted by doc id. No score may be NaN, which compares false with
-    everything and so has no place in the order.
+    The docs are sorted once by score. When the sorted scores, as
+    floats, strictly decrease no two docs tie and that order is final.
+    Otherwise each run of equal floats (0.0 beside -0.0, and two ints
+    that round to one float, are equal too) is sorted by doc id. No
+    score may be NaN, which compares false with everything and so has no
+    place in the order.
     """
     by_query: dict[str, Ranking] = {}
     for query_id, per_doc in scores.items():
         ordered = sorted(per_doc, key=per_doc.__getitem__, reverse=True)
-        values = tuple(map(per_doc.__getitem__, ordered))
-        if not all(map(operator.gt, values, values[1:])):
+        values = np.fromiter(map(per_doc.__getitem__, ordered), np.float64, len(ordered))
+        if not (values[:-1] > values[1:]).all():
             _sort_ties_by_doc(ordered, values)
-            values = tuple(map(per_doc.__getitem__, ordered))
+            values = np.fromiter(map(per_doc.__getitem__, ordered), np.float64, len(ordered))
         by_query[query_id] = Ranking(tuple(ordered), values)
     return by_query
 
@@ -181,7 +209,9 @@ class RunList:
         ranking = self.by_query.get(query_id, _NO_RANKING)
         return tuple(
             RunEntry(query_id, doc_id, rank, score, self.run_tag)
-            for rank, (doc_id, score) in enumerate(zip(ranking.docs, ranking.scores), start=1)
+            for rank, (doc_id, score) in enumerate(
+                zip(ranking.docs, ranking.scores.tolist()), start=1
+            )
         )
 
     def docs(self, query_id: str) -> tuple[str, ...]:
@@ -200,9 +230,9 @@ def parse_run(lines: Iterable[str]) -> RunList:
     DuplicateDocError for repeated (query, doc) pairs and
     MixedRunTagsError when the tag column is not constant.
 
-    A rank field must be one int() reads. A decimal one is not converted,
-    so it is accepted at any length, beyond int()'s digit limit
-    (sys.get_int_max_str_digits()) too.
+    A rank field must be one int() reads. A decimal one, with or without
+    one leading sign, is not converted, so it is accepted at any length,
+    beyond int()'s digit limit (sys.get_int_max_str_digits()) too.
     """
     rows: dict[str, dict[str, float]] = {}
     run_tag: str | None = None
@@ -220,7 +250,11 @@ def parse_run(lines: Iterable[str]) -> RunList:
         try:
             # int() reads every non-empty decimal str (a test checks each decimal
             # code point), so it runs only on other forms: "+1", "1_0" pass, "x" not.
-            if not rank_str.isdecimal():
+            # Nor on one sign and a decimal str, which int()'s digit limit would
+            # refuse when long.
+            if not rank_str.isdecimal() and not (
+                rank_str[0] in "+-" and rank_str[1:].isdecimal()
+            ):
                 int(rank_str)
         except ValueError:
             raise ParseError(line_no, f"rank field {rank_str!r} is not an integer") from None
@@ -263,9 +297,9 @@ def write_run(run: RunList) -> str:
     starts the next.
 
     A run with entries whose tag is empty or contains whitespace, or
-    with a score that is not finite or is an int too large for a float,
-    raises ValueError, since parse_run could not read it back; the
-    ValueError names the query and the doc of the first such score.
+    with a score that is not finite, raises ValueError, since parse_run
+    could not read it back; the ValueError names the query and the doc
+    of the first such score.
     """
     tag = run.run_tag
     if tag.split() != [tag] and any(run.by_query.values()):
@@ -278,17 +312,14 @@ def write_run(run: RunList) -> str:
         ranking = run.by_query[query_id]
         if not ranking:
             continue
-        try:
-            finite = all(map(math.isfinite, ranking.scores))
-        except OverflowError:  # an int too large for a float
-            finite = False
-        if not finite:
-            for doc_id, score in zip(ranking.docs, ranking.scores):
-                if not math.isfinite(_as_float(query_id, doc_id, score)):
-                    raise ValueError(
-                        f"query {query_id!r}, doc {doc_id!r}: score {score} is not finite"
-                    )
-        scores = map(str.removesuffix, map(str, ranking.scores), repeat(".0"))
+        finite = np.isfinite(ranking.scores)
+        if not finite.all():
+            bad = finite.argmin()  # the first False
+            raise ValueError(
+                f"query {query_id!r}, doc {ranking.docs[bad]!r}: "
+                f"score {ranking.scores[bad]} is not finite"
+            )
+        scores = map(str.removesuffix, map(str, ranking.scores.tolist()), repeat(".0"))
         out += (
             f"{query_id} Q0 ",
             f" {tag}\n{query_id} Q0 ".join(map(" ".join, zip(ranking.docs, ranks, scores))),
@@ -388,8 +419,9 @@ def _share_doc_ids(run: RunList, docs: dict[str, str]) -> RunList:
 
     A doc id ``docs`` lacks is added, so the runs passed with one
     ``docs`` hold one str object per doc id, not one per run: each
-    parse makes its own. Scores tuples are kept, and the ids are looked
-    up by builtins (tuple over map), with no Python-level step per entry.
+    parse makes its own. Each scores array is kept, not copied, and the
+    ids are looked up by builtins (tuple over map), with no Python-level
+    step per entry.
     """
     share = docs.setdefault
     return RunList(

@@ -509,6 +509,20 @@ def test_runs_that_rank_the_same_docs_hold_each_doc_id_once(tmp_path):
     assert shared < 0.6 * alone
 
 
+def test_loaded_runs_keep_under_24_bytes_per_entry(tmp_path):
+    # 20 runs of 10 queries x 200 docs: each entry holds a doc-id slot (8 B),
+    # a float64 score (8 B) and a share of its query's and doc id's objects;
+    # a tuple of float objects would add 24 B more per entry
+    runs, _ = generate_synthetic(5, 10, 20, 200, 20)
+    paths = []
+    for run in runs:
+        paths.append(str(tmp_path / f"{run.run_tag}.run"))
+        save_run(run, paths[-1])
+    retained, loaded = _retained_bytes(lambda: cli._load_runs(paths))
+    assert loaded == runs
+    assert retained / sum(run.num_entries() for run in loaded) < 24
+
+
 def test_duplicate_qrels_lines_reported_on_stderr_only(dataset, tmp_path, capsys):
     text = Path(dataset["qrels"]).read_text()
     first, second = text.splitlines(keepends=True)[:2]

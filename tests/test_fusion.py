@@ -19,7 +19,7 @@ from rankfuse.fusion import (
     linear_combine,
     normalize_reciprocal,
 )
-from rankfuse.harness import compare_methods, cross_validated_fusion
+from rankfuse.harness import compare_methods, cross_validated_fusion, generate_synthetic
 from rankfuse.regression import WeightVector
 from rankfuse.trec import Qrels, Ranking, RunEntry, RunList, parse_run, write_run
 
@@ -80,8 +80,9 @@ def test_normalized_queries_of_one_length_share_their_scores():
     run = _run("t", {"1": ["a", "b", "c"], "2": ["d", "e", "f"], "3": ["g"]})
     scored = normalize_reciprocal(run)
     assert scored.by_query["1"].scores is scored.by_query["2"].scores
-    assert scored.by_query["3"].scores == scored.by_query["1"].scores[:1]
-    # 50 queries of 400 docs: one shared tuple of 400 scores, not one per query
+    assert np.shares_memory(scored.by_query["3"].scores, scored.by_query["1"].scores)
+    assert scored.by_query["3"].scores.tolist() == scored.by_query["1"].scores[:1].tolist()
+    # 50 queries of 400 docs: one shared array of 400 scores, not one per query
     run = _run("t", {str(q): [f"d{i:03d}" for i in range(400)] for q in range(50)})
     gc.collect()
     tracemalloc.start()
@@ -93,7 +94,7 @@ def test_normalized_queries_of_one_length_share_their_scores():
     finally:
         tracemalloc.stop()
     assert scored.by_query["0"].scores is scored.by_query["49"].scores
-    assert retained / run.num_entries() < 2.0  # a tuple per query alone is 8 B per entry
+    assert retained / run.num_entries() < 2.0  # an array per query alone is 8 B per entry
 
 
 def test_normalize_constant_configurable_and_validated():
@@ -435,7 +436,7 @@ def test_fused_ties_break_by_doc_id_like_from_scores(method):
     assert all(len(fused.entries(q)) == 3 for q in forward)
 
 
-def test_every_run_stores_one_ranking_of_plain_tuples_per_query():
+def test_every_run_stores_one_ranking_of_docs_and_read_only_scores_per_query():
     rng = np.random.default_rng(8)
     runs = _random_runs(rng, num_runs=3, num_queries=4, skip=0.2)
     scored = [normalize_reciprocal(r) for r in runs]
@@ -449,6 +450,7 @@ def test_every_run_stores_one_ranking_of_plain_tuples_per_query():
         "combmnz": comb_mnz(scored),
         "borda": borda(runs),
         "xval": cross_validated_fusion(runs, qrels, qrels).fused,
+        "synthetic": generate_synthetic(8, 4, 2, 10, 3)[0][1],
     }
     for run, normalized in zip(runs, scored):
         for query_id in run.query_ids:
@@ -457,12 +459,18 @@ def test_every_run_stores_one_ranking_of_plain_tuples_per_query():
         assert run.by_query, name
         for query_id, ranking in run.by_query.items():
             assert type(ranking) is Ranking, name
-            assert type(ranking.docs) is tuple and type(ranking.scores) is tuple, name
+            assert type(ranking.docs) is tuple, name
             assert all(type(d) is str for d in ranking.docs), name
-            assert all(type(v) is float for v in ranking.scores), name
-            assert run.entries(query_id) == tuple(
+            scores = ranking.scores
+            assert type(scores) is np.ndarray and scores.dtype == np.float64, name
+            assert scores.shape == (len(ranking.docs),) and not scores.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                scores[0] = 0.0
+            entries = run.entries(query_id)
+            assert all(type(entry.raw_score) is float for entry in entries), name
+            assert entries == tuple(
                 RunEntry(query_id, doc_id, position + 1, score, run.run_tag)
-                for position, (doc_id, score) in enumerate(zip(ranking.docs, ranking.scores))
+                for position, (doc_id, score) in enumerate(zip(ranking.docs, scores.tolist()))
             ), name
 
 

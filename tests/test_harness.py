@@ -486,6 +486,8 @@ def test_generate_synthetic_deterministic():
     for run in first_runs:  # built already canonical
         scores = {q: dict(zip(r.docs, r.scores)) for q, r in run.by_query.items()}
         assert run == RunList.from_scores(run.run_tag, scores)
+    # every ranking of every run holds the one scores array
+    assert len({id(r.scores) for run in first_runs for r in run.by_query.values()}) == 1
     third_runs, _ = generate_synthetic(41, 5, 3, 25, 6)
     assert write_run(first_runs[0]) != write_run(third_runs[0])
 

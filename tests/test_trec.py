@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 from itertools import count
 
@@ -90,6 +91,12 @@ def test_a_decimal_rank_beyond_the_int_digit_limit_is_accepted():
     assert parse_run([f"1 Q0 d1 {long_rank} 2.5 t"]) == parse_run(["1 Q0 d1 1 2.5 t"])
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_a_signed_rank_beyond_the_int_digit_limit_is_accepted(sign):
+    long_rank = sign + "7" * 5000
+    assert parse_run([f"1 Q0 d1 {long_rank} 2.5 t"]) == parse_run(["1 Q0 d1 1 2.5 t"])
+
+
 def test_parse_run_tie_breaks_by_doc_id():
     run = parse_run(
         [
@@ -120,10 +127,14 @@ def test_parse_run_accepts_any_rank_int_reads(rank):
     assert parse_run([f"1 Q0 d1 {rank} 2.5 t"]) == parse_run(["1 Q0 d1 1 2.5 t"])
 
 
-@pytest.mark.parametrize("rank", ["\u00b2", "0x1", "1.0", "1e3", "_1"])
+@pytest.mark.parametrize(
+    "rank", ["\u00b2", "0x1", "1.0", "1e3", "_1", "+", "-", "+-7", "+x", "-\u00b2"]
+)
 def test_parse_run_refuses_a_rank_int_cannot_read(rank):
-    with pytest.raises(ParseError, match=f"^line 2: rank field '{rank}' is not an integer$"):
+    message = f"^line 2: rank field {re.escape(repr(rank))} is not an integer$"
+    with pytest.raises(ParseError, match=message) as raised:
         parse_run(["1 Q0 d1 1 2.5 t", f"1 Q0 d2 {rank} 2.5 t"])
+    assert raised.value.line_no == 2
 
 
 def test_parse_run_non_numeric_and_non_finite_score():
@@ -204,20 +215,27 @@ def test_write_run_refuses_a_score_parse_run_cannot_read_back(bad, tmp_path):
     assert path.read_bytes() == b"1 Q0 a 1 2 old\n"
 
 
-def test_an_int_score_too_large_for_a_float_is_refused_by_name(tmp_path):
+def test_an_int_score_too_large_for_a_float_is_refused_by_name():
     with pytest.raises(ValueError, match=r"query '1', doc 'a': score is too large for a float"):
         RunList.from_scores("t", {"1": {"b": 1, "a": 10**400}})
-    run = RunList("t", {
-        "1": Ranking(("a", "b"), (2.0, 1.0)),
-        "q2": Ranking(("x", "c"), (10**400, 1)),
-    })
-    with pytest.raises(ValueError, match=r"query 'q2', doc 'x': score is too large for a float"):
-        write_run(run)
-    path = tmp_path / "kept.run"
-    path.write_bytes(b"1 Q0 a 1 2 old\n")
-    with pytest.raises(ValueError, match="too large for a float"):
-        save_run(run, path)
-    assert path.read_bytes() == b"1 Q0 a 1 2 old\n"
+    # a Ranking refuses it where it is made, so no run holds one
+    with pytest.raises(ValueError, match="^doc 'x': score is too large for a float$"):
+        RunList("t", {"q2": Ranking(("x", "c"), (10**400, 1))})
+    with pytest.raises(ValueError, match="^doc 'c': score is too large for a float$"):
+        Ranking(("x", "c"), [1, -(10**400)])
+
+
+def test_an_int_score_beyond_float_precision_is_written_as_its_float():
+    # 2**53 + 1 and 2**53 round to one float, so d and c tie and c ranks first
+    run = RunList.from_scores("t", {"1": {"a": 10**17, "d": 2**53 + 1, "c": 2**53, "b": 3}})
+    assert run.docs("1") == ("a", "c", "d", "b")
+    assert run.by_query["1"].scores.tolist() == [1e17, 2.0**53, 2.0**53, 3.0]
+    text = write_run(run)
+    assert text == (
+        "1 Q0 a 1 1e+17 t\n1 Q0 c 2 9007199254740992 t\n"
+        "1 Q0 d 3 9007199254740992 t\n1 Q0 b 4 3 t\n"
+    )
+    assert parse_run(text.splitlines()) == run
 
 
 def test_write_run_orders_queries_naturally():
@@ -250,6 +268,23 @@ def test_ranking_rejects_docs_and_scores_of_different_lengths():
     with pytest.raises(ValueError, match="0 docs but 1 scores"):
         Ranking((), (1.0,))
     assert len(Ranking(("a", "b"), (2.0, 1.0))) == 2
+
+
+def test_a_ranking_copies_its_scores_into_a_read_only_float64_array():
+    docs = ("a", "b", "c")
+    given = np.array([3.0, -0.0, -1.5])
+    built = [Ranking(docs, (3.0, -0.0, -1.5)), Ranking(docs, [3, -0.0, -1.5]), Ranking(docs, given)]
+    assert built[0] == built[1] == built[2]
+    assert built[0] != Ranking(docs, (3.0, -0.0, -2.5))
+    assert built[0] != Ranking(("a", "c", "b"), (3.0, -0.0, -1.5))
+    given[0] = 9.0  # the caller's array is not the Ranking's
+    assert built[2].scores.tolist() == [3.0, -0.0, -1.5]
+    for ranking in built:
+        assert ranking.scores.dtype == np.float64 and not ranking.scores.flags.writeable
+    # a read-only float64 array is kept as it is, not copied
+    assert Ranking(docs, built[0].scores).scores is built[0].scores
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(built[0])
 
 
 def test_entries_rank_one_to_length():
