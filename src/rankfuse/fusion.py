@@ -167,9 +167,10 @@ def _fuse(runs: Sequence[RunList], score: _Score, run_tag: str, depth: int) -> R
     a one-row cube by ``score``, with each run's scores as its lookup, so
     only one query's table is held at a time; the lookups are built as
     ``score`` reads them, and not at all by Borda's. A query with no
-    candidates is left out. No runs, ``depth`` below 1, or a NaN fused
-    score (inf + -inf, or a zero weight times inf), raises ValueError;
-    the error names the query and the doc of the first NaN.
+    candidates is left out. No runs, ``depth`` below 1, or a fused score
+    that is not finite, raises ValueError; the error names the query and
+    the doc of the first such score. Every input score is finite, so only
+    overflow makes one (1e308 + 1e308 is inf, and inf - inf NaN).
     """
     if not runs:
         raise ValueError("need at least one run")
@@ -178,12 +179,13 @@ def _fuse(runs: Sequence[RunList], score: _Score, run_tag: str, depth: int) -> R
     for query_id in sort_query_ids({query_id for run in runs for query_id in run.by_query}):
         candidates, ranks = _rank_cube(runs, [query_id])
         lookups = (_by_score(run.by_query.get(query_id, _NO_RANKING)) for run in runs)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             scores = score(ranks, lookups)
-        nan = np.flatnonzero(np.isnan(scores[0]))
-        if nan.size:
+        bad = np.flatnonzero(~np.isfinite(scores[0]))
+        if bad.size:
             raise ValueError(
-                f"query {query_id!r}, doc {candidates[0][nan[0]]!r}: fused score is NaN"
+                f"query {query_id!r}, doc {candidates[0][bad[0]]!r}: "
+                f"fused score {scores[0, bad[0]]} is not finite"
             )
         fused.update(_rankings([query_id], candidates, scores, *_rank(ranks, scores, depth)))
     return RunList(run_tag, fused)

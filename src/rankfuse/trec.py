@@ -20,6 +20,8 @@ A RunList stores one Ranking per query: a tuple of doc ids in rank
 order and a parallel read-only float64 array of their raw scores. A
 doc's rank is its position + 1, so no rank is stored and no per-entry
 object is kept; ``RunList.entries`` builds RunEntry views on demand.
+Every score is finite: a Ranking checks that where it is made, so no
+score keeps a RunList from being written and parsed back equal.
 
 Each parse makes its own str for every doc id. Runs of one experiment
 rank largely the same docs, so a caller that holds many of them (each
@@ -87,9 +89,11 @@ class Ranking:
     """One query's canonical ranking: doc ids in rank order and their raw scores.
 
     The doc at position i has rank i + 1. ``len`` is the number of docs.
-    ``scores`` is a read-only float64 array. Any other sequence, or a
-    writable array, is copied into one here, so changing what was passed
-    changes no Ranking; an int too large for a float raises ValueError
+    ``scores`` is a read-only float64 array of one finite score per doc.
+    Any other sequence, or a writable array, is copied into one here, so
+    changing what was passed changes no Ranking. Every form is checked
+    here, the only place a score is: a score that is not finite (NaN,
+    ±inf, None), or an int too large for a float, raises ValueError
     naming its doc. Rankings compare by value and are not hashable.
     """
 
@@ -117,7 +121,14 @@ class Ranking:
             scores.flags.writeable = False
             object.__setattr__(self, "scores", scores)
         if scores.shape != (len(self.docs),):
-            raise ValueError(f"ranking has {len(self.docs)} docs but {scores.size} scores")
+            raise ValueError(
+                f"ranking has {len(self.docs)} docs but {scores.size} scores "
+                f"of shape {scores.shape}"
+            )
+        finite = np.isfinite(scores)
+        if not finite.all():
+            bad = finite.argmin()  # the first False
+            raise ValueError(f"doc {self.docs[bad]!r}: score {scores[bad]} is not finite")
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not Ranking:
@@ -141,35 +152,33 @@ def _sort_ties_by_doc(ordered: list[str], values: np.ndarray) -> None:
         start = end
 
 
-def _as_float(query_id: str, doc_id: str, score: float) -> float:
-    """``score`` as a float; an int too large for one raises ValueError
-    naming the query and the doc, not OverflowError."""
-    try:
-        return float(score)
-    except OverflowError:
-        raise ValueError(
-            f"query {query_id!r}, doc {doc_id!r}: score is too large for a float"
-        ) from None
-
-
 def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
     """One Ranking per query: score descending, doc_id ascending on ties.
 
     The docs are sorted once by score. When the sorted scores, as
     floats, strictly decrease no two docs tie and that order is final.
     Otherwise each run of equal floats (0.0 beside -0.0, and two ints
-    that round to one float, are equal too) is sorted by doc id. No
-    score may be NaN, which compares false with everything and so has no
-    place in the order.
+    that round to one float, are equal too) is sorted by doc id. A score
+    Ranking refuses raises its ValueError with the query id in front.
     """
     by_query: dict[str, Ranking] = {}
     for query_id, per_doc in scores.items():
-        ordered = sorted(per_doc, key=per_doc.__getitem__, reverse=True)
-        values = np.fromiter(map(per_doc.__getitem__, ordered), np.float64, len(ordered))
-        if not (values[:-1] > values[1:]).all():
-            _sort_ties_by_doc(ordered, values)
+        try:
+            ordered = sorted(per_doc, key=per_doc.__getitem__, reverse=True)
             values = np.fromiter(map(per_doc.__getitem__, ordered), np.float64, len(ordered))
-        by_query[query_id] = Ranking(tuple(ordered), values)
+            if not (values[:-1] > values[1:]).all():
+                _sort_ties_by_doc(ordered, values)
+                values = np.fromiter(map(per_doc.__getitem__, ordered), np.float64, len(ordered))
+            values.flags.writeable = False  # so Ranking keeps it, not a copy
+            by_query[query_id] = Ranking(tuple(ordered), values)
+        except (TypeError, OverflowError, ValueError):
+            # None does not sort and 10**400 is no float: Ranking's own
+            # conversion names the first doc it refuses, in the given order
+            try:
+                Ranking(tuple(per_doc), tuple(per_doc.values()))
+            except ValueError as error:
+                raise ValueError(f"query {query_id!r}, {error}") from None
+            raise
     return by_query
 
 
@@ -189,15 +198,9 @@ class RunList:
     def from_scores(cls, run_tag: str, scores: Mapping[str, Mapping[str, float]]) -> RunList:
         """Build a canonical RunList from per-query doc -> score maps.
 
-        Raises ValueError naming the query and the doc of a NaN score,
-        or of an int too large for a float. Infinite scores are accepted
-        and rank first or last, but write_run refuses to write them,
-        since parse_run could not read them back.
+        A score that is not finite (NaN, ±inf, None), or an int too large
+        for a float, raises ValueError naming its query and doc.
         """
-        for query_id, per_doc in scores.items():
-            for doc_id, score in per_doc.items():
-                if math.isnan(_as_float(query_id, doc_id, score)):
-                    raise ValueError(f"query {query_id!r}, doc {doc_id!r}: score is NaN")
         return cls(run_tag, _canonical(scores))
 
     @property
@@ -296,10 +299,9 @@ def write_run(run: RunList) -> str:
     query's lines are joined by one separator that ends a line and
     starts the next.
 
-    A run with entries whose tag is empty or contains whitespace, or
-    with a score that is not finite, raises ValueError, since parse_run
-    could not read it back; the ValueError names the query and the doc
-    of the first such score.
+    A run with entries whose tag is empty or contains whitespace raises
+    ValueError, since parse_run could not read it back. Every score is
+    finite, as Ranking checks, so no score can stop the round trip.
     """
     tag = run.run_tag
     if tag.split() != [tag] and any(run.by_query.values()):
@@ -312,13 +314,6 @@ def write_run(run: RunList) -> str:
         ranking = run.by_query[query_id]
         if not ranking:
             continue
-        finite = np.isfinite(ranking.scores)
-        if not finite.all():
-            bad = finite.argmin()  # the first False
-            raise ValueError(
-                f"query {query_id!r}, doc {ranking.docs[bad]!r}: "
-                f"score {ranking.scores[bad]} is not finite"
-            )
         scores = map(str.removesuffix, map(str, ranking.scores.tolist()), repeat(".0"))
         out += (
             f"{query_id} Q0 ",

@@ -353,11 +353,12 @@ def test_fused_scores_equal_a_per_doc_loop_exactly(seed, num_runs, raw):
     queries = None
     if raw:
         # Scores that are no function of rank: negative, fractional, often
-        # tied, and -inf for the first run's top doc of each query. The
-        # kept queries leave some out and add one no run ranks.
+        # tied, and -1e300, which absorbs every other score it is added to,
+        # for the first run's top doc of each query. The kept queries leave
+        # some out and add one no run ranks.
         runs = [
             RunList.from_scores(run.run_tag, {
-                q: {d: float(rng.integers(-12, 12)) / 7 if r or i else -np.inf
+                q: {d: float(rng.integers(-12, 12)) / 7 if r or i else -1e300
                     for i, d in enumerate(run.docs(q))}
                 for q in run.query_ids
             })
@@ -394,7 +395,7 @@ def test_fused_scores_equal_a_per_doc_loop_exactly(seed, num_runs, raw):
     assert public(borda(runs)) == points
     if raw:
         assert any(len(set(r.scores)) < len(r) for run in runs for r in run.by_query.values())
-        assert -np.inf in combsum.values() and {q for q, _ in lc} == {"2", "3", "5"}
+        assert -1e300 in combsum.values() and {q for q, _ in lc} == {"2", "3", "5"}
 
 
 _TIED = {
@@ -510,24 +511,26 @@ def test_every_fuser_refuses_a_depth_below_one(depth):
 
 @pytest.mark.parametrize("fuse", ["lc", "combsum", "combmnz"])
 def test_raw_score_fusers_refuse_a_nan_fused_score(fuse):
-    # inf + -inf has no value; tier-1 turns numpy's RuntimeWarning into an
+    # Every score of a run is finite, but two near the float limit overflow
+    # when added: 1.5e308 twice is inf, and LC's weights 2, -2 make
+    # inf + -inf, which is NaN. Tier-1 turns numpy's RuntimeWarning into an
     # error, so the refusal must come before any warning does.
-    inf = float("inf")
     runs = [
-        RunList.from_scores("a", {"1": {"y": 1.0}, "2": {"x": inf, "y": 1.0, "z": 0.0}}),
-        RunList.from_scores("b", {"1": {"y": 2.0}, "2": {"x": -inf, "y": 2.0, "z": 5.0}}),
+        RunList.from_scores("a", {"1": {"y": 1.0}, "2": {"x": 1.5e308, "y": 1.0, "z": 0.0}}),
+        RunList.from_scores("b", {"1": {"y": 2.0}, "2": {"x": 1.5e308, "y": 2.0, "z": 5.0}}),
     ]
     fusers = {
-        "lc": lambda: linear_combine(runs, _weights(["a", "b"], [0.5, 0.5])),
+        "lc": lambda: linear_combine(runs, _weights(["a", "b"], [2.0, -2.0])),
         "combsum": lambda: comb_sum(runs),
         "combmnz": lambda: comb_mnz(runs),
     }
-    with pytest.raises(ValueError, match=r"query '2', doc 'x': fused score is NaN"):
+    value = "nan" if fuse == "lc" else "inf"
+    with pytest.raises(ValueError, match=f"^query '2', doc 'x': fused score {value} is not finite$"):
         fusers[fuse]()
-    if fuse == "lc":  # a zero weight times inf is NaN too
-        with pytest.raises(ValueError, match=r"query '2', doc 'x': fused score is NaN"):
-            linear_combine(runs[:1], _weights(["a"], [0.0]))
-    assert borda(runs).by_query["2"] == Ranking(("x", "y", "z"), (4.0, 4.0, 4.0))  # ranks only
+    if fuse == "lc":  # equal weights overflow to inf, as CombSum does
+        with pytest.raises(ValueError, match="^query '2', doc 'x': fused score inf is not finite$"):
+            linear_combine(runs, _weights(["a", "b"], [1.0, 1.0]))
+    assert borda(runs).by_query["2"] == Ranking(("x", "y", "z"), (6.0, 3.0, 3.0))  # ranks only
 
 
 def _reference_rank_cube(runs, query_ids):

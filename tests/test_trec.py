@@ -32,6 +32,7 @@ from rankfuse.trec import (
     write_qrels,
     write_run,
 )
+from rankfuse.fusion import borda
 from rankfuse.regression import weights_from_csv
 
 
@@ -199,17 +200,16 @@ def test_write_run_refuses_a_tag_parse_run_cannot_read_back(tag):
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_write_run_refuses_a_score_parse_run_cannot_read_back(bad, tmp_path):
-    run = RunList("t", {
-        "1": Ranking(("a", "b"), (2.0, 1.0)),
-        "q2": Ranking(("a", "x", "c"), (3.0, bad, 1.0)),
-    })
-    with pytest.raises(ValueError, match=r"query 'q2', doc 'x': score -?(inf|nan) is not finite"):
-        write_run(run)
-    # the file is left as it was, not opened and truncated before the refusal
+    # a Ranking refuses a score that is not finite, so write_run never meets one
+    with pytest.raises(ValueError, match=r"^doc 'x': score -?(inf|nan) is not finite$"):
+        RunList("t", {
+            "1": Ranking(("a", "b"), (2.0, 1.0)),
+            "q2": Ranking(("a", "x", "c"), (3.0, bad, 1.0)),
+        })
+    # save_run refuses a run write_run refuses, and leaves the file as it was,
+    # not opened and truncated before the refusal
     path = tmp_path / "kept.run"
     path.write_bytes(b"1 Q0 a 1 2 old\n")
-    with pytest.raises(ValueError, match="is not finite"):
-        save_run(run, path)
     with pytest.raises(ValueError, match="empty or contains whitespace"):
         save_run(RunList.from_scores("a b", {"1": {"d": 1.0}}), path)
     assert path.read_bytes() == b"1 Q0 a 1 2 old\n"
@@ -267,6 +267,11 @@ def test_ranking_rejects_docs_and_scores_of_different_lengths():
         Ranking(("a", "b"), (1.0,))
     with pytest.raises(ValueError, match="0 docs but 1 scores"):
         Ranking((), (1.0,))
+    # one score per doc, but not a 1-D array of them: the message names the shape
+    with pytest.raises(ValueError, match=re.escape("1 docs but 1 scores of shape (1, 1)")):
+        Ranking(("a",), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match=re.escape("1 docs but 1 scores of shape ()")):
+        Ranking(("a",), 5.0)
     assert len(Ranking(("a", "b"), (2.0, 1.0))) == 2
 
 
@@ -285,6 +290,43 @@ def test_a_ranking_copies_its_scores_into_a_read_only_float64_array():
     assert Ranking(docs, built[0].scores).scores is built[0].scores
     with pytest.raises(TypeError, match="unhashable"):
         hash(built[0])
+
+
+def _read_only(values):
+    array = np.array(values, dtype=np.float64)
+    array.flags.writeable = False
+    return array
+
+
+_DOCS = ("a", "b", "c")
+_MAKERS = {
+    "tuple": lambda values: Ranking(_DOCS, tuple(values)),
+    "list": lambda values: Ranking(_DOCS, list(values)),
+    "array": lambda values: Ranking(_DOCS, np.array(values)),
+    "read-only": lambda values: Ranking(_DOCS, _read_only(values)),  # kept, not copied
+    "from_scores": lambda values: RunList.from_scores(
+        "t", {"1": {"a": 1.0}, "q2": dict(zip(_DOCS, values))}
+    ),
+    # borda reads only positions, so a NaN score in its runs went unseen
+    "borda": lambda values: borda([RunList("t", {"1": Ranking(_DOCS, values)})]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None], ids=repr)
+@pytest.mark.parametrize("maker", sorted(_MAKERS))
+def test_every_way_a_ranking_is_made_refuses_a_score_that_is_not_finite(maker, bad):
+    query = "query 'q2', " if maker == "from_scores" else ""
+    with pytest.raises(ValueError, match=rf"^{query}doc 'b': score -?(nan|inf) is not finite$"):
+        _MAKERS[maker]([1.0, bad, 0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, None], ids=repr)
+def test_from_scores_names_the_first_refused_doc_in_the_given_order(bad):
+    # alone in its query, None sorts; beside NaN, the sort's order is arbitrary
+    with pytest.raises(ValueError, match=r"^query 'q2', doc 'b': score (nan|inf) is not finite$"):
+        RunList.from_scores("t", {"1": {"a": 1.0}, "q2": {"b": bad}})
+    with pytest.raises(ValueError, match=r"^query '1', doc 'y': score (nan|inf) is not finite$"):
+        RunList.from_scores("t", {"1": {"x": 3.0, "y": bad, "z": math.nan}})
 
 
 def test_entries_rank_one_to_length():
@@ -609,7 +651,9 @@ def test_parse_qrels_matches_the_reference_parser(lines):
 @given(
     st.dictionaries(
         _TOKENS,
-        st.sampled_from([0.0, -0.0, 1, 1.0, 2.5, math.nan, math.inf, -math.inf]),
+        st.sampled_from(
+            [0.0, -0.0, 1, 1.0, 2.5, math.nan, math.inf, -math.inf, 10**400, -(10**400)]
+        ),
         min_size=1,
         max_size=10,
     ),
@@ -621,15 +665,26 @@ def test_from_scores_matches_the_two_sort_order(per_doc, random, descending):
     random.shuffle(items)
     if descending:  # the order write_run writes, ties left shuffled
         items.sort(key=lambda item: item[1], reverse=True)
-    if any(map(math.isnan, per_doc.values())):  # NaN has no place in the order
-        with pytest.raises(ValueError, match=r"query '1', doc '.*': score is NaN"):
+    if not all(map(_is_finite, per_doc.values())):  # NaN, ±inf, or an int no float holds
+        with pytest.raises(
+            ValueError, match=r"^query '1', doc '.*': score (-?(nan|inf) is not finite"
+            r"|is too large for a float)$"
+        ):
             RunList.from_scores("t", {"1": dict(items)})
         return
     run = RunList.from_scores("t", {"1": dict(items)})
     # repr tells 0.0 from -0.0 and 1 from 1.0, which == does not
     assert repr(run.by_query) == repr(_reference_canonical({"1": per_doc}))
-    if all(map(math.isfinite, per_doc.values())):
-        assert run.docs("1") == tuple(sorted(per_doc, key=lambda d: (-per_doc[d], d)))
+    assert run.docs("1") == tuple(sorted(per_doc, key=lambda d: (-per_doc[d], d)))
+    # every run that can be built is written and parsed back equal
+    assert parse_run(write_run(run).splitlines()) == run
+
+
+def _is_finite(score):
+    try:
+        return math.isfinite(score)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 # write_run as it was when it made one f-string per entry: the builtin-only writer
