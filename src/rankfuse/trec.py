@@ -91,10 +91,10 @@ class Ranking:
     The doc at position i has rank i + 1. ``len`` is the number of docs.
     ``scores`` is a read-only float64 array of one finite score per doc.
     Any other sequence, or a writable array, is copied into one here, so
-    changing what was passed changes no Ranking. Every form is checked
-    here, the only place a score is: a score that is not finite (NaN,
-    ±inf, None), or an int too large for a float, raises ValueError
-    naming its doc. Rankings compare by value and are not hashable.
+    changing what was passed changes no Ranking. Every form is checked:
+    a score that is not finite (NaN, ±inf, None), or an int too large
+    for a float, raises ValueError naming its doc. Rankings compare by
+    value and are not hashable.
     """
 
     docs: tuple[str, ...]
@@ -172,8 +172,8 @@ def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
             values.flags.writeable = False  # so Ranking keeps it, not a copy
             by_query[query_id] = Ranking(tuple(ordered), values)
         except (TypeError, OverflowError, ValueError):
-            # None does not sort and 10**400 is no float: Ranking's own
-            # conversion names the first doc it refuses, in the given order
+            # NaN or ±inf, None (which does not sort) or 10**400 (no float):
+            # Ranking names the first doc it refuses, in the given order
             try:
                 Ranking(tuple(per_doc), tuple(per_doc.values()))
             except ValueError as error:

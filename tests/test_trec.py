@@ -143,6 +143,11 @@ def test_parse_run_non_numeric_and_non_finite_score():
         parse_run(["1 Q0 a 1 abc t"])
     with pytest.raises(ParseError, match="finite"):
         parse_run(["1 Q0 a 1 inf t"])
+    # the one score check outside Ranking: it names the line of outside input
+    for field in ("nan", "-inf"):
+        with pytest.raises(ParseError, match=f"^line 2: score field '{field}' is not finite$") as e:
+            parse_run(["1 Q0 a 1 2 t", f"1 Q0 b 2 {field} t"])
+        assert e.value.line_no == 2
 
 
 def test_parse_run_duplicate_doc():
