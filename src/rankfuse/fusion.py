@@ -147,14 +147,18 @@ def _rankings(
     lengths: np.ndarray,
 ) -> dict[str, Ranking]:
     """Each query's fused Ranking: its candidates at the first lengths[i]
-    columns of _rank's order[i], with their scores; one with none is left out."""
+    columns of _rank's order[i], with their scores; one with none is left out.
+    Each query's scores are gathered into a new array made read-only, so
+    the Ranking keeps it rather than copying it."""
     fused: dict[str, Ranking] = {}
     for query_id, docs, row, columns, length in zip(
         query_ids, candidates, scores, order, lengths.tolist()
     ):
         if length:
             columns = columns[:length]
-            fused[query_id] = Ranking(tuple(map(docs.__getitem__, columns.tolist())), row[columns])
+            values = row[columns]
+            values.flags.writeable = False
+            fused[query_id] = Ranking(tuple(map(docs.__getitem__, columns.tolist())), values)
     return fused
 
 
@@ -164,13 +168,15 @@ def _fuse(runs: Sequence[RunList], score: _Score, run_tag: str, depth: int) -> R
     This is the one query policy of the public fusers; a caller that
     wants a subset of queries keeps them from the result (each query is
     fused on its own, so that changes no score). Each query is scored as
-    a one-row cube by ``score``, with each run's scores as its lookup, so
-    only one query's table is held at a time; the lookups are built as
-    ``score`` reads them, and not at all by Borda's. A query with no
-    candidates is left out. No runs, ``depth`` below 1, or a fused score
-    that is not finite, raises ValueError; the error names the query and
-    the doc of the first such score. Every input score is finite, so only
-    overflow makes one (1e308 + 1e308 is inf, and inf - inf NaN).
+    a one-row cube by ``score``, with each run's scores as its lookup; the
+    lookups are built as ``score`` reads them, and not at all by Borda's.
+    A query's candidates, cube and scores are let go before the next
+    query's cube is built, so one query's table is alive at a time. A
+    query with no candidates is left out. No runs, ``depth`` below 1, or
+    a fused score that is not finite, raises ValueError; the error names
+    the query and the doc of the first such score. Every input score is
+    finite, so only overflow makes one (1e308 + 1e308 is inf, and
+    inf - inf NaN).
     """
     if not runs:
         raise ValueError("need at least one run")
@@ -188,6 +194,7 @@ def _fuse(runs: Sequence[RunList], score: _Score, run_tag: str, depth: int) -> R
                 f"fused score {scores[0, bad[0]]} is not finite"
             )
         fused.update(_rankings([query_id], candidates, scores, *_rank(ranks, scores, depth)))
+        del candidates, ranks, scores  # not held while the next query's cube is built
     return RunList(run_tag, fused)
 
 

@@ -49,11 +49,7 @@ class ScoreMatrix:
 
     def design(self) -> np.ndarray:
         """Score columns prefixed with an all-ones intercept column."""
-        return _design(self.scores)
-
-
-def _design(scores: np.ndarray) -> np.ndarray:
-    return np.hstack([np.ones((scores.shape[0], 1)), scores])
+        return np.hstack([np.ones((self.num_rows, 1)), self.scores])
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +92,8 @@ def assemble_matrix(
         lookups = [_by_score(run.by_query.get(query_id, _NO_RANKING)) for run in scored]
         relevant, _ = _relevance_table(qrels, [query_id], [candidates], ranks.shape[2])
         keys.extend((query_id, doc_id) for doc_id in candidates)
-        blocks.append(_training_rows(ranks, lookups, relevant))
+        design, targets = _training_rows(ranks, lookups, relevant)
+        blocks.append((design[:, 1:], targets))
     if not blocks:
         raise ValueError("query set must be non-empty")
     scores, targets = (np.concatenate(parts) for parts in zip(*blocks))
@@ -106,18 +103,21 @@ def assemble_matrix(
 def _training_rows(
     ranks: np.ndarray, lookups: Sequence[np.ndarray], relevant: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The training rows of a rank cube and their 0/1 targets from
-    ``relevant`` (queries x width).
+    """The design of a rank cube's training rows and their 0/1 targets
+    from ``relevant`` (queries x width).
 
     One row per column some system ranked, in query then column order
-    (assemble_matrix's keys); column j is lookups[j] of system j's rank.
-    C order: _solve's BLAS products round differently on an F-ordered matrix.
+    (assemble_matrix's keys): a 1 for the intercept, then lookups[j] of
+    system j's rank in column j + 1. It is written in place, so a fold's
+    rows are held once. C order, as ScoreMatrix.design() gives it:
+    _solve's BLAS products round differently on an F-ordered matrix.
     """
     keep = (ranks > 0).any(axis=1)
-    scores = np.empty((np.count_nonzero(keep), len(lookups)))
-    for j, lookup in enumerate(lookups):
-        scores[:, j] = lookup[ranks[:, j][keep]]
-    return scores, relevant[keep].astype(float)
+    design = np.empty((np.count_nonzero(keep), len(lookups) + 1))
+    design[:, 0] = 1.0
+    for j, lookup in enumerate(lookups, start=1):
+        design[:, j] = lookup[ranks[:, j - 1][keep]]
+    return design, relevant[keep].astype(float)
 
 
 def _spd_solve(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -137,23 +137,27 @@ def solve_ols(matrix: ScoreMatrix, ridge_epsilon: float = 0.0) -> WeightVector:
     applies that ridge up front. All-zero targets short-circuit to a
     zero vector flagged ``degenerate``.
     """
-    return _solve(matrix.system_order, matrix.scores, matrix.targets, ridge_epsilon)
+    return _solve(matrix.system_order, matrix.design(), matrix.targets, ridge_epsilon)
 
 
 def _solve(
     system_order: tuple[str, ...],
-    scores: np.ndarray,
+    design: np.ndarray,
     targets: np.ndarray,
     ridge_epsilon: float = 0.0,
 ) -> WeightVector:
-    """solve_ols of the rows ``scores`` (C-ordered, rows x systems) and ``targets``."""
+    """solve_ols of the rows ``design`` and ``targets``.
+
+    ``design`` is C-ordered, rows x (1 + systems): the intercept's ones
+    column, then one column per system, as ScoreMatrix.design() and
+    _training_rows give it. It is read as it is, never copied.
+    """
     if ridge_epsilon < 0:
         raise ValueError("ridge_epsilon must be >= 0")
-    rows, systems = scores.shape
+    rows, systems = design.shape[0], design.shape[1] - 1
     if rows < 1:
         raise ValueError("score matrix has no rows")
 
-    design = _design(scores)
     normal = design.T @ design
     condition = float(np.linalg.cond(normal))
 

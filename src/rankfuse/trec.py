@@ -92,9 +92,10 @@ class Ranking:
     ``scores`` is a read-only float64 array of one finite score per doc.
     Any other sequence, or a writable array, is copied into one here, so
     changing what was passed changes no Ranking. Every form is checked:
-    a score that is not finite (NaN, ±inf, None), or an int too large
-    for a float, raises ValueError naming its doc. Rankings compare by
-    value and are not hashable.
+    a score that is not finite (NaN, ±inf, None), an int too large for a
+    float, or a str or bytes (even one that reads as a number) raises
+    ValueError naming its doc. Rankings compare by value and are not
+    hashable.
     """
 
     docs: tuple[str, ...]
@@ -107,8 +108,15 @@ class Ranking:
             and scores.dtype == np.float64
             and not scores.flags.writeable
         ):
+            values = np.asarray(scores)
+            if values.dtype.kind in "USO" and values.ndim == 1:
+                # numpy would read a str or bytes score as a number
+                given = scores.tolist() if isinstance(scores, np.ndarray) else scores
+                for doc_id, score in zip(self.docs, given):
+                    if isinstance(score, (str, bytes)):
+                        raise ValueError(f"doc {doc_id!r}: score {score!r} is not a number")
             try:
-                scores = np.array(scores, dtype=np.float64)
+                scores = values.astype(np.float64)
             except OverflowError:  # an int too large for a float
                 for doc_id, score in zip(self.docs, self.scores):
                     try:
@@ -165,6 +173,10 @@ def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
     for query_id, per_doc in scores.items():
         try:
             ordered = sorted(per_doc, key=per_doc.__getitem__, reverse=True)
+            if ordered and isinstance(per_doc[ordered[0]], (str, bytes)):
+                # then every score is one (a number beside one does not sort),
+                # and np.fromiter would read them as numbers
+                raise TypeError
             values = np.fromiter(map(per_doc.__getitem__, ordered), np.float64, len(ordered))
             if not (values[:-1] > values[1:]).all():
                 _sort_ties_by_doc(ordered, values)
@@ -172,8 +184,9 @@ def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
             values.flags.writeable = False  # so Ranking keeps it, not a copy
             by_query[query_id] = Ranking(tuple(ordered), values)
         except (TypeError, OverflowError, ValueError):
-            # NaN or ±inf, None (which does not sort) or 10**400 (no float):
-            # Ranking names the first doc it refuses, in the given order
+            # NaN or ±inf, None or a str beside a number (which do not sort),
+            # 10**400 (no float) or a str or bytes: Ranking names the first
+            # doc it refuses, in the given order
             try:
                 Ranking(tuple(per_doc), tuple(per_doc.values()))
             except ValueError as error:
@@ -198,8 +211,9 @@ class RunList:
     def from_scores(cls, run_tag: str, scores: Mapping[str, Mapping[str, float]]) -> RunList:
         """Build a canonical RunList from per-query doc -> score maps.
 
-        A score that is not finite (NaN, ±inf, None), or an int too large
-        for a float, raises ValueError naming its query and doc.
+        A score that is not finite (NaN, ±inf, None), an int too large for
+        a float, or a str or bytes raises ValueError naming its query and
+        doc.
         """
         return cls(run_tag, _canonical(scores))
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankfuse import fusion
 from rankfuse.fusion import (
     _rank_cube,
     borda,
@@ -473,6 +474,47 @@ def test_every_run_stores_one_ranking_of_docs_and_read_only_scores_per_query():
                 RunEntry(query_id, doc_id, position + 1, score, run.run_tag)
                 for position, (doc_id, score) in enumerate(zip(ranking.docs, scores.tolist()))
             ), name
+
+
+@pytest.mark.parametrize("fuse", [
+    lambda runs, qrels: comb_sum(runs),
+    lambda runs, qrels: cross_validated_fusion(runs, qrels, qrels).fused,
+], ids=["fuse", "xval"])
+def test_a_fused_ranking_keeps_its_scores_array_not_a_copy(fuse, monkeypatch):
+    made = []
+
+    def ranking(docs, scores):
+        made.append((scores, Ranking(docs, scores)))
+        return made[-1][1]
+
+    monkeypatch.setattr(fusion, "Ranking", ranking)
+    runs, qrels = generate_synthetic(3, 4, 3, 20, 4)
+    fused = fuse(runs, qrels)
+    assert len(made) == len(fused.by_query) == 4
+    assert all(kept.scores is given for given, kept in made)
+    assert all(any(r is kept for _, kept in made) for r in fused.by_query.values())
+
+
+def test_borda_holds_one_query_cube_at_a_time():
+    # 4 queries of 800 candidates each over 100 runs: a 320 kB cube per query
+    runs, qrels = generate_synthetic(7, 4, 100, 800, 20)
+    cube = _rank_cube(runs, [qrels.query_ids[0]])[1]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fused = borda(runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {len(ranking) for ranking in fused.by_query.values()} == {cube.shape[2]}
+    # The fused run: each query's scores and its docs tuple's 8 B slots.
+    fused_bytes = 2 * sum(ranking.scores.nbytes for ranking in fused.by_query.values())
+    # Slack: half a cube (np.count_nonzero and _rank each make a bool copy of
+    # it, a quarter cube; the rest covers the candidates, the column dict and
+    # the width-long arrays) and one ufunc buffer of intp. A second cube held
+    # while the next is built adds a whole cube.
+    slack = cube.nbytes // 2 + np.getbufsize() * np.dtype(np.intp).itemsize
+    assert peak < cube.nbytes + fused_bytes + slack
 
 
 @settings(deadline=None, max_examples=30)

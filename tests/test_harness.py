@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +13,14 @@ from hypothesis import strategies as st
 
 from rankfuse import harness
 from rankfuse.evaluation import evaluate
-from rankfuse.fusion import borda, comb_mnz, comb_sum, linear_combine, normalize_reciprocal
+from rankfuse.fusion import (
+    _by_reciprocal,
+    borda,
+    comb_mnz,
+    comb_sum,
+    linear_combine,
+    normalize_reciprocal,
+)
 from rankfuse.harness import (
     FUSION_METHODS,
     FoldSplit,
@@ -25,7 +34,7 @@ from rankfuse.harness import (
     grouped_eval,
     split_odd_even,
 )
-from rankfuse.regression import assemble_matrix, solve_ols
+from rankfuse.regression import _training_rows, assemble_matrix, solve_ols
 from rankfuse.trec import Qrels, RunList, write_qrels, write_run
 
 
@@ -157,6 +166,30 @@ def test_xval_warns_on_a_regularized_fold():
     with pytest.warns(UserWarning, match=r"fold B \(2 systems\): the design is rank-deficient"):
         result = cross_validated_fusion([runs[0], twin], qrels, qrels)
     assert result.weights_b.regularized
+
+
+def test_training_a_fold_holds_its_design_once():
+    runs, qrels = generate_synthetic(5, 12, 20, 300, 20)
+    cube = harness._judged_cube(runs, qrels, qrels)
+    fold = cube.fold(0)
+    lookups = [_by_reciprocal(60.0, int(cube.ranks.max()))] * len(runs)
+    tags = tuple(run.run_tag for run in runs)
+    design, targets = _training_rows(fold.ranks, lookups, fold.training)
+    assert design.flags.c_contiguous and design.shape == (targets.size, len(runs) + 1)
+    assert (design[:, 0] == 1.0).all()
+    # The design, its targets and the two row vectors of the residual step,
+    # plus one vector of slack: 1.19 designs at 20 systems. A score block
+    # held beside the design would add 20 more vectors.
+    bound = design.nbytes + 4 * targets.nbytes
+    del design, targets
+    gc.collect()
+    tracemalloc.start()
+    try:
+        harness._train_fold(fold, tags, lookups, "A")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_xval_requires_two_runs():

@@ -334,6 +334,33 @@ def test_from_scores_names_the_first_refused_doc_in_the_given_order(bad):
         RunList.from_scores("t", {"1": {"x": 3.0, "y": bad, "z": math.nan}})
 
 
+_STR_MAKERS = {
+    **{name: _MAKERS[name] for name in ("tuple", "list", "from_scores", "borda")},
+    "object array": lambda values: Ranking(_DOCS, np.array(values, dtype=object)),
+}
+
+
+@pytest.mark.parametrize("bad", ["1.5", b"1.5", "abc"], ids=repr)
+@pytest.mark.parametrize("maker", sorted(_STR_MAKERS))
+def test_every_way_a_ranking_is_made_refuses_a_str_or_bytes_score(maker, bad):
+    query = "query 'q2', " if maker == "from_scores" else ""
+    message = rf"^{query}doc 'b': score {re.escape(repr(bad))} is not a number$"
+    with pytest.raises(ValueError, match=message):
+        _STR_MAKERS[maker]([1.0, bad, 0.5])
+
+
+def test_scores_that_are_all_text_are_refused_by_name():
+    # str scores sort among themselves, and numpy reads each one as a number
+    with pytest.raises(ValueError, match=r"^query '1', doc 'a': score '2' is not a number$"):
+        RunList.from_scores("t", {"1": {"a": "2", "b": "1.5"}})
+    with pytest.raises(ValueError, match=r"^query '1', doc 'a': score b'1' is not a number$"):
+        RunList.from_scores("t", {"1": {"a": b"1"}})
+    with pytest.raises(ValueError, match=r"^doc 'a': score '1.5' is not a number$"):
+        Ranking(("a",), np.array(["1.5"]))
+    # numbers of every other kind still convert
+    assert Ranking(("a", "b", "c"), (True, 2, np.float32(0.5))).scores.tolist() == [1.0, 2.0, 0.5]
+
+
 def test_entries_rank_one_to_length():
     run = RunList.from_scores("t", {"1": {"a": 1.0, "b": 3.0, "c": 3.0}, "2": {"z": 0.0}})
     assert run.entries("1") == (
