@@ -169,7 +169,7 @@ def test_xval_warns_on_a_regularized_fold():
 
 
 def test_training_a_fold_holds_its_design_once():
-    runs, qrels = generate_synthetic(5, 12, 20, 300, 20)
+    runs, qrels = generate_synthetic(5, 12, 20, 600, 20)
     cube = harness._judged_cube(runs, qrels, qrels)
     fold = cube.fold(0)
     lookups = [_by_reciprocal(60.0, int(cube.ranks.max()))] * len(runs)
