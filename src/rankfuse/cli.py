@@ -43,7 +43,7 @@ from .regression import (
 )
 from .trec import (
     Qrels,
-    _share_doc_ids,
+    _one_merge,
     load_qrels,
     load_run,
     save_qrels,
@@ -64,12 +64,11 @@ def _emit(text: str, path: str | None) -> None:
 def _load_runs(paths: Sequence[str]) -> list:
     """load_run of each path, with one warning per file that has no run entries.
 
-    The runs share one str per doc id: TREC runs of one experiment rank
-    largely the same docs, and each parse makes its own strings, which
-    would otherwise be most of a loaded run's memory.
+    The ids the files add to the doc-id table join its order key once,
+    after the last file.
     """
-    docs: dict[str, str] = {}
-    runs = [_share_doc_ids(load_run(path), docs) for path in paths]
+    with _one_merge():
+        runs = [load_run(path) for path in paths]
     for path, run in zip(paths, runs):
         if not run.by_query:
             warnings.warn(f"{path}: no run entries", stacklevel=2)

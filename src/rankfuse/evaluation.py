@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trec import Qrels, RunList, sort_query_ids
+from .trec import _NO_RANKING, Qrels, RunList, _among, _known_codes, sort_query_ids
 
 METRICS = ("map", "rp", "p10", "p20")
 _CUTOFFS = (10, 20)  # the P@k of METRICS
@@ -70,16 +70,18 @@ def _relevance(docs: Sequence[str], relevant: Collection[str]) -> np.ndarray:
 
 
 def _relevance_table(
-    qrels: Qrels, query_ids: Sequence[str], docs: Sequence[Sequence[str]], width: int
+    qrels: Qrels, query_ids: Sequence[str], codes: Sequence[np.ndarray], width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each of docs[i] is relevant to query_ids[i] under ``qrels``, as
-    a queries x width bool table (False past docs[i]), and each query's R(q).
-    evaluate, assemble_matrix and the harness all fill their tables here."""
+    """Whether each doc of codes[i] (doc codes) is relevant to query_ids[i]
+    under ``qrels``, as a queries x width bool table (False past codes[i]),
+    and each query's R(q). evaluate, assemble_matrix and the harness all
+    fill their tables here: each query's relevant ids are looked up in the
+    doc-id table once, and its codes tested against theirs."""
     table = np.zeros((len(query_ids), width), dtype=bool)
     counts = np.zeros(len(query_ids), dtype=np.intp)
-    for row, (query_id, ranked) in enumerate(zip(query_ids, docs)):
+    for row, (query_id, ranked) in enumerate(zip(query_ids, codes)):
         relevant = qrels.relevant(query_id)
-        table[row, : len(ranked)] = _relevance(ranked, relevant)
+        table[row, : len(ranked)] = _among(ranked, _known_codes(relevant))
         counts[row] = len(relevant)
     return table, counts
 
@@ -208,9 +210,9 @@ def evaluate(
     scores and run_tag never affect the result.
     """
     queries = sort_query_ids(qrels.query_ids if query_set is None else query_set)
-    rankings = [run.docs(query_id) for query_id in queries]
+    rankings = [run.by_query.get(query_id, _NO_RANKING).codes for query_id in queries]
     mask, counts = _relevance_table(qrels, queries, rankings, max(map(len, rankings), default=0))
-    missing = sum(1 for docs in rankings if not docs)
+    missing = sum(1 for codes in rankings if not codes.size)
     return _report(run.run_tag, qrels.name, queries, mask, counts, missing)
 
 

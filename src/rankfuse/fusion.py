@@ -4,25 +4,28 @@ A normalized run is a RunList whose scores are the reciprocal model
 score(d) = 1/(constant + rank(d)). Fusion methods: weighted linear
 combination, CombSum, CombMNZ, and Borda count. This module makes each
 fusion decision once, for its public fusers and the harness alike:
-_rank_cube turns doc ids into an int32 rank cube (one query per call
-here, every query of an experiment in the harness); the method's scorer
-(_SCORERS, or _weighted for LC) gives each column its fused score from
-the cube and each system's rank -> value lookup, Borda's from the ranks
-alone; _rank orders each row score-descending with doc_id-ascending
-tie-break, cut to the output depth; and _rankings builds the fused
-Rankings. Identical inputs yield byte-identical output.
+_rank_cube turns the runs' doc codes into an int32 rank cube, its
+columns in doc-id order by the doc-id table's order key, with no doc id
+read (one query per call here, every query of an experiment in the
+harness); _systems counts the systems that ranked each column; the
+method's scorer (_SCORERS, or _weighted for LC) gives each column its
+fused score from the cube, those counts and each system's rank -> value
+lookup, Borda's from the ranks alone; _rank orders each row
+score-descending with doc_id-ascending tie-break, cut to the output
+depth; and _rankings gathers the fused Rankings' codes from the
+candidates' codes. Identical inputs yield byte-identical output.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Sequence
-from itertools import chain, count
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .trec import _NO_RANKING, Ranking, RunList, sort_query_ids
+from .trec import _NO_RANKING, Ranking, RunList, _doc_ids, _order_key, sort_query_ids
 
 if TYPE_CHECKING:  # import cycle: regression imports _rank_cube
     from .regression import WeightVector
@@ -30,8 +33,9 @@ if TYPE_CHECKING:  # import cycle: regression imports _rank_cube
 DEFAULT_RECIPROCAL_CONSTANT = 60.0
 DEFAULT_OUTPUT_DEPTH = 1000
 
-# (rank cube, each system's rank -> value lookup) -> one score per column
-_Score = Callable[[np.ndarray, Iterable[np.ndarray]], np.ndarray]
+# (rank cube, its _systems counts, each system's rank -> value lookup) -> one
+# score per column
+_Score = Callable[[np.ndarray, np.ndarray, Iterable[np.ndarray]], np.ndarray]
 
 
 def _by_reciprocal(constant: float, longest: int) -> np.ndarray:
@@ -64,8 +68,8 @@ def normalize_reciprocal(
 
     constant must be finite and exceed -1 so every rank >= 1 maps to a
     finite positive score, and small enough (below about 2**53) that the
-    scores strictly decrease over the run's ranks; so the ranking, and
-    each query's docs tuple, are kept as they are.
+    scores strictly decrease over the run's ranks; so the ranking is kept
+    as it is, and each normalized query holds its input's codes array.
     """
     lengths = set(map(len, run.by_query.values()))
     by_rank = _by_reciprocal(constant, max(lengths, default=0))[1:]
@@ -74,7 +78,7 @@ def normalize_reciprocal(
     # one buffer, and the queries of one length one scores array
     views = {n: by_rank[:n] for n in lengths}
     by_query = {
-        query_id: Ranking(ranking.docs, views[len(ranking)])
+        query_id: Ranking._of(ranking.codes, views[len(ranking)])
         for query_id, ranking in run.by_query.items()
     }
     return RunList(run.run_tag, by_query)
@@ -82,34 +86,63 @@ def normalize_reciprocal(
 
 def _rank_cube(
     runs: Sequence[RunList], query_ids: Sequence[str]
-) -> tuple[list[list[str]], np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """The candidate table of ``query_ids`` over ``runs``.
 
-    Returns each query's candidates, the doc-id-sorted union of the
-    runs' docs for it, and the int32 queries x runs x width rank cube:
-    ranks[i, j, c] is run j's rank 1..L of candidates[i][c], 0 where run
-    j did not rank it or c is past the query's candidates; the width is
-    the largest candidate count. Doc ids become table columns only here.
+    Returns each query's candidates, the doc-id-sorted union of the runs'
+    doc codes for it as an int32 array, and the int32 queries x runs x
+    width rank cube: ranks[i, j, c] is run j's rank 1..L of
+    candidates[i][c], 0 where run j did not rank it or c is past the
+    query's candidates; the width is the largest candidate count.
 
-    Per query and run, the doc ids are mapped to columns by builtins
-    (dict(zip(...)), np.fromiter over map), with no Python-level step
-    per entry, and the ranks are slices of one shared arange.
+    No doc id is read. A query's candidates are the distinct order keys
+    of its runs' codes; each run's ranks then go to their columns through
+    a key -> column lookup that spans those keys. Beside the cube, one
+    query's keys and a few arrays of one run's length are alive at once.
     """
+    rank_of, code_of = _order_key()
     rankings = [[run.by_query.get(q, _NO_RANKING) for run in runs] for q in query_ids]
-    candidates = [sorted(set().union(*(ranking.docs for ranking in row))) for row in rankings]
-    width = max(map(len, candidates), default=0)
+    keys = [_distinct_keys(row, rank_of) for row in rankings]
+    width = max(map(len, keys), default=0)
     ranks = np.zeros((len(query_ids), len(runs), width), dtype=np.int32)
     longest = max(map(len, chain.from_iterable(rankings)), default=0)
     by_position = np.arange(1, longest + 1, dtype=np.int32)
-    for row, (docs, per_run) in enumerate(zip(candidates, rankings)):
-        # CPython makes count()'s ints 28 B and range()'s 32 B: it shows in the peak memory
-        column = dict(zip(docs, count()))
+    for row, (distinct, per_run) in enumerate(zip(keys, rankings)):
+        if not distinct.size:
+            continue
+        low = distinct[0]
+        column = np.empty(distinct[-1] - low + 1, dtype=np.int32)
+        column[distinct - low] = np.arange(distinct.size, dtype=np.int32)
         for j, ranking in enumerate(per_run):
-            n = len(ranking)
-            ranks[row, j, np.fromiter(map(column.__getitem__, ranking.docs), np.intp, n)] = (
-                by_position[:n]
-            )
-    return candidates, ranks
+            at = rank_of.take(ranking.codes)
+            at -= low
+            ranks[row, j, column.take(at)] = by_position[: len(ranking)]
+    return [code_of[distinct] for distinct in keys], ranks
+
+
+def _distinct_keys(rankings: Sequence[Ranking], rank_of: np.ndarray) -> np.ndarray:
+    """The order keys of the docs ``rankings`` rank, each once, ascending:
+    one buffer of every key, sorted in place."""
+    keys = np.empty(sum(map(len, rankings)), dtype=np.int32)
+    start = 0
+    for ranking in rankings:
+        end = start + len(ranking)
+        keys[start:end] = rank_of.take(ranking.codes)
+        start = end
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def _systems(ranks: np.ndarray) -> np.ndarray:
+    """How many systems of a rank cube ranked each column, queries x width
+    int32, counted one system at a time so that no bool copy of the cube
+    is made. One count serves a query's scorer and _rank."""
+    systems = np.zeros((ranks.shape[0], ranks.shape[2]), dtype=np.int32)
+    for j in range(ranks.shape[1]):
+        systems += ranks[:, j] > 0
+    return systems
 
 
 def _by_score(ranking: Ranking) -> np.ndarray:
@@ -125,40 +158,43 @@ def _check_depth(depth: int) -> None:
         raise ValueError(f"output depth must be >= 1, got {depth}")
 
 
-def _rank(ranks: np.ndarray, scores: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+def _rank(
+    systems: np.ndarray, scores: np.ndarray, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
     """(order, lengths): order[i] holds the columns of row i of ``scores``
-    that some system of ``ranks`` ranked, by score descending, then the
-    rest, cut to ``depth``; lengths[i] counts the ranked ones in it.
+    that some system ranked (``systems``, _systems' counts, above 0), by
+    score descending, then the rest, cut to ``depth``; lengths[i] counts
+    the ranked ones in it.
 
     Columns are in doc-id order, so a stable argsort of -score is the
     canonical (score descending, doc_id ascending) order.
     """
     _check_depth(depth)
-    ranked = (ranks > 0).any(axis=1)
+    ranked = systems > 0
     order = np.argsort(np.where(ranked, -scores, np.inf), axis=1, kind="stable")[:, :depth]
     return order, np.minimum(np.count_nonzero(ranked, axis=1), depth)
 
 
 def _rankings(
     query_ids: Sequence[str],
-    candidates: Sequence[Sequence[str]],
+    candidates: Sequence[np.ndarray],
     scores: np.ndarray,
     order: np.ndarray,
     lengths: np.ndarray,
 ) -> dict[str, Ranking]:
-    """Each query's fused Ranking: its candidates at the first lengths[i]
-    columns of _rank's order[i], with their scores; one with none is left out.
-    Each query's scores are gathered into a new array made read-only, so
-    the Ranking keeps it rather than copying it."""
+    """Each query's fused Ranking: its candidates' codes at the first
+    lengths[i] columns of _rank's order[i], with their scores; one with
+    none is left out. Both are gathered into new arrays made read-only,
+    which the Ranking holds as they are."""
     fused: dict[str, Ranking] = {}
-    for query_id, docs, row, columns, length in zip(
+    for query_id, codes, row, columns, length in zip(
         query_ids, candidates, scores, order, lengths.tolist()
     ):
         if length:
             columns = columns[:length]
-            values = row[columns]
-            values.flags.writeable = False
-            fused[query_id] = Ranking(tuple(map(docs.__getitem__, columns.tolist())), values)
+            docs, values = codes[columns], row[columns]
+            docs.flags.writeable = values.flags.writeable = False
+            fused[query_id] = Ranking._of(docs, values)
     return fused
 
 
@@ -170,6 +206,7 @@ def _fuse(runs: Sequence[RunList], score: _Score, run_tag: str, depth: int) -> R
     fused on its own, so that changes no score). Each query is scored as
     a one-row cube by ``score``, with each run's scores as its lookup; the
     lookups are built as ``score`` reads them, and not at all by Borda's.
+    A query's _systems counts are made once, for its scorer and _rank.
     A query's candidates, cube and scores are let go before the next
     query's cube is built, so one query's table is alive at a time. A
     query with no candidates is left out. No runs, ``depth`` below 1, or
@@ -184,24 +221,27 @@ def _fuse(runs: Sequence[RunList], score: _Score, run_tag: str, depth: int) -> R
     fused: dict[str, Ranking] = {}
     for query_id in sort_query_ids({query_id for run in runs for query_id in run.by_query}):
         candidates, ranks = _rank_cube(runs, [query_id])
+        systems = _systems(ranks)
         lookups = (_by_score(run.by_query.get(query_id, _NO_RANKING)) for run in runs)
         with np.errstate(invalid="ignore", over="ignore"):
-            scores = score(ranks, lookups)
+            scores = score(ranks, systems, lookups)
         bad = np.flatnonzero(~np.isfinite(scores[0]))
         if bad.size:
+            (doc_id,) = _doc_ids(candidates[0][bad[:1]])
             raise ValueError(
-                f"query {query_id!r}, doc {candidates[0][bad[0]]!r}: "
+                f"query {query_id!r}, doc {doc_id!r}: "
                 f"fused score {scores[0, bad[0]]} is not finite"
             )
-        fused.update(_rankings([query_id], candidates, scores, *_rank(ranks, scores, depth)))
-        del candidates, ranks, scores  # not held while the next query's cube is built
+        fused.update(_rankings([query_id], candidates, scores, *_rank(systems, scores, depth)))
+        # not held while the next query's cube is built
+        del candidates, ranks, systems, scores
     return RunList(run_tag, fused)
 
 
 # The scorers take a queries x systems x width rank cube (one query's from the
-# public fusers, every query's from the harness) and each system's rank ->
-# value lookup, in system order, and give the fused score of every column.
-# Both paths share them, so a fused score has one rounding.
+# public fusers, every query's from the harness), its _systems counts and each
+# system's rank -> value lookup, in system order, and give the fused score of
+# every column. Both paths share them, so a fused score has one rounding.
 
 
 def _sums(
@@ -224,17 +264,17 @@ def _sums(
 
 def _weighted(w: WeightVector) -> _Score:
     """LC's scorer: intercept + sum_j w_j * value_j."""
-    return lambda ranks, lookups: w.intercept + _sums(ranks, lookups, w.weights)
+    return lambda ranks, systems, lookups: w.intercept + _sums(ranks, lookups, w.weights)
 
 
-def _borda(ranks: np.ndarray, lookups: Iterable[np.ndarray]) -> np.ndarray:
+def _borda(ranks: np.ndarray, systems: np.ndarray, lookups: Iterable[np.ndarray]) -> np.ndarray:
     """Borda points from the ranks alone: |C| + 1 - rank from each system
     that ranked the candidate, as floats; ``lookups`` is not read.
 
     Summed as (|C| + 1) * m - (sum of the m ranks), in integers, which is
-    exact; |C| counts the columns some system ranked.
+    exact; m is ``systems``' count and |C| counts the columns some system
+    ranked.
     """
-    systems = np.count_nonzero(ranks, axis=1)
     candidates = np.count_nonzero(systems, axis=-1, keepdims=True)
     return ((candidates + 1) * systems - ranks.sum(axis=1)).astype(float)
 
@@ -243,8 +283,8 @@ def _borda(ranks: np.ndarray, lookups: Iterable[np.ndarray]) -> np.ndarray:
 # harness: CombSum's sum of scores, CombMNZ's sum times the number of systems
 # that ranked the candidate, and Borda's points from the ranks.
 _SCORERS: dict[str, _Score] = {
-    "combsum": _sums,
-    "combmnz": lambda ranks, lookups: _sums(ranks, lookups) * np.count_nonzero(ranks, axis=1),
+    "combsum": lambda ranks, systems, lookups: _sums(ranks, lookups),
+    "combmnz": lambda ranks, systems, lookups: _sums(ranks, lookups) * systems,
     "borda": _borda,
 }
 

@@ -43,10 +43,11 @@ from .fusion import (
     _rank,
     _rank_cube,
     _rankings,
+    _systems,
     _weighted,
 )
 from .regression import WeightVector, _fit_warning, _solve, _training_rows
-from .trec import Qrels, Ranking, RunList, sort_query_ids
+from .trec import Qrels, Ranking, RunList, _encode, _order_key, sort_query_ids
 
 FUSION_METHODS = ("LC-mlr", "combsum", "combmnz", "borda")
 ALL_METHODS = FUSION_METHODS + ("best-component",)
@@ -95,14 +96,14 @@ class _RankCube(NamedTuple):
     """A call's queries and their candidates over all its runs.
 
     Row i describes ``query_ids[i]`` (natural order): ``candidates[i]``
-    and ``ranks[i]`` are fusion._rank_cube's, ``training[i]`` and
+    (doc codes) and ``ranks[i]`` are fusion._rank_cube's, ``training[i]`` and
     ``relevant[i]`` whether each candidate is relevant under the training
     and the official qrels (False past its candidates), and
     ``relevant_counts[i]`` is R(q) under the official qrels.
     """
 
     query_ids: list[str]
-    candidates: list[list[str]]
+    candidates: list[np.ndarray]
     ranks: np.ndarray
     training: np.ndarray
     relevant: np.ndarray
@@ -125,15 +126,21 @@ def _judged_cube(
 
 
 def _rank_prefix(
-    cube: _RankCube, size: int, scores: np.ndarray, depth: int, run_tag: str, qrels_name: str
+    cube: _RankCube,
+    systems: np.ndarray,
+    scores: np.ndarray,
+    depth: int,
+    run_tag: str,
+    qrels_name: str,
 ) -> tuple[np.ndarray, np.ndarray, EvalReport]:
-    """Rank every query of ``cube`` by the ``scores`` of its first ``size``
-    systems and evaluate the result.
+    """Rank every query of ``cube`` by the ``scores`` of a prefix of its
+    systems, whose fusion._systems counts are ``systems``, and evaluate
+    the result.
 
     Returns (order, lengths, report): fusion._rank's order and lengths,
     and what evaluate() gives for that fused run under the official qrels.
     """
-    order, lengths = _rank(cube.ranks[:, :size], scores, depth)
+    order, lengths = _rank(systems, scores, depth)
     ranked = np.arange(order.shape[1]) < lengths[:, None]
     relevant = np.take_along_axis(cube.relevant, order, axis=1) & ranked
     missing = int(np.count_nonzero(lengths == 0))
@@ -160,10 +167,14 @@ def _train_fold(
 
 
 def _cross_validate(
-    cube: _RankCube, system_order: tuple[str, ...], lookups: Sequence[np.ndarray]
+    cube: _RankCube,
+    systems: np.ndarray,
+    system_order: tuple[str, ...],
+    lookups: Sequence[np.ndarray],
 ) -> tuple[WeightVector, WeightVector, np.ndarray]:
     """LC's two-fold scorer for the first ``len(system_order)`` systems of
-    ``cube``, each system scoring its ranks by its ``lookups`` entry.
+    ``cube``, each system scoring its ranks by its ``lookups`` entry;
+    ``systems`` is their fusion._systems counts.
 
     Weights trained on fold A score fold B's queries and vice versa.
     Returns (weights_a, weights_b, scores), with ``scores`` in the cube's
@@ -175,8 +186,8 @@ def _cross_validate(
     weights_a = _train_fold(fold_a, system_order, lookups, "A")
     weights_b = _train_fold(fold_b, system_order, lookups, "B")
     scores = np.empty(cube.relevant.shape)
-    scores[1::2] = _weighted(weights_a)(fold_b.ranks[:, :size], lookups)
-    scores[0::2] = _weighted(weights_b)(fold_a.ranks[:, :size], lookups)
+    scores[1::2] = _weighted(weights_a)(fold_b.ranks[:, :size], systems[1::2], lookups)
+    scores[0::2] = _weighted(weights_b)(fold_a.ranks[:, :size], systems[0::2], lookups)
     return weights_a, weights_b, scores
 
 
@@ -202,9 +213,10 @@ def cross_validated_fusion(
     lookups = [_by_reciprocal(constant, int(cube.ranks.max(initial=0)))] * len(runs)
     split = split_odd_even(cube.query_ids)
     tags = tuple(run.run_tag for run in runs)
-    weights_a, weights_b, scores = _cross_validate(cube, tags, lookups)
+    systems = _systems(cube.ranks)
+    weights_a, weights_b, scores = _cross_validate(cube, systems, tags, lookups)
     order, lengths, report = _rank_prefix(
-        cube, len(runs), scores, depth, "LC-mlr", official_qrels.name
+        cube, systems, scores, depth, "LC-mlr", official_qrels.name
     )
     rankings = _rankings(cube.query_ids, cube.candidates, scores, order, lengths)
     in_fold_order = (*split.partition_a, *split.partition_b)
@@ -277,11 +289,12 @@ def compare_methods(
             continue
         for size in range(2, len(runs) + 1):
             lookups = [reciprocal] * size
+            systems = _systems(cube.ranks[:, :size])
             if method == "LC-mlr":
-                scores = _cross_validate(cube, tags[:size], lookups)[2]
+                scores = _cross_validate(cube, systems, tags[:size], lookups)[2]
             else:
-                scores = _SCORERS[method](cube.ranks[:, :size], lookups)
-            report = _rank_prefix(cube, size, scores, depth, method, official_qrels.name)[2]
+                scores = _SCORERS[method](cube.ranks[:, :size], systems, lookups)
+            report = _rank_prefix(cube, systems, scores, depth, method, official_qrels.name)[2]
             del scores  # not held while the next prefix trains: it sets the peak memory
             rows.append(FusionCurveRow(method, size, **report.mean_metrics()))
     return rows
@@ -440,6 +453,8 @@ def generate_synthetic(
         for query_id in query_ids
     }
     qrels = Qrels(grades, name="synthetic")
+    # each query's universe as doc codes: a ranking gathers its codes from them
+    universes = {query_id: _encode(doc_ids[query_id]) for query_id in query_ids}
 
     rng = np.random.default_rng(seed)
     relevant_slice = np.arange(docs_per_query) < relevant_per_query
@@ -465,7 +480,9 @@ def generate_synthetic(
                 )
                 keys = rng.exponential(size=docs_per_query) / weights
                 order = np.argsort(keys, kind="stable")
-            docs = doc_ids[query_id]
-            rankings[query_id] = Ranking(tuple(docs[doc_index] for doc_index in order), scores)
+            codes = universes[query_id][order]
+            codes.flags.writeable = False
+            rankings[query_id] = Ranking._of(codes, scores)
         runs.append(RunList(f"sys{index + 1:02d}", rankings))
+    _order_key()  # the ids added here join the order key now, not at the first fusion
     return runs, qrels

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trec import Qrels, RunList, sort_query_ids
+from .trec import (
+    _NO_RANKING,
+    Qrels,
+    RunList,
+    _among,
+    _doc_ids,
+    _known_codes,
+    sort_query_ids,
+)
 
 
 @dataclass(frozen=True)
@@ -46,17 +54,24 @@ def build_pool(runs: Sequence[RunList], depth: int) -> Pool:
 
     A run shorter than ``depth`` contributes all of its docs. Membership
     depends only on the union of prefixes, never on which run
-    contributed a document.
+    contributed a document. The prefixes are taken as doc codes, and
+    only each query's distinct codes are looked up as doc ids.
     """
     if depth < 1:
         raise ValueError("pool depth must be >= 1")
     if not runs:
         raise ValueError("need at least one run to build a pool")
-    docs: dict[str, set[str]] = {}
+    prefixes: dict[str, list[np.ndarray]] = {}
     for run in runs:
         for query_id, ranking in run.by_query.items():
-            docs.setdefault(query_id, set()).update(ranking.docs[:depth])
-    return Pool(depth, {q: frozenset(s) for q, s in docs.items()})
+            prefixes.setdefault(query_id, []).append(ranking.codes[:depth])
+    return Pool(
+        depth,
+        {
+            query_id: frozenset(_doc_ids(np.unique(np.concatenate(codes))))
+            for query_id, codes in prefixes.items()
+        },
+    )
 
 
 def make_partial_qrels(pool: Pool, full: Qrels) -> Qrels:
@@ -87,20 +102,26 @@ def make_partial_qrels(pool: Pool, full: Qrels) -> Qrels:
 def _coverage_counts(runs: Sequence[RunList], full: Qrels, max_depth: int) -> list[int]:
     """Relevant docs covered by the depth-d pool, for d = 1..max_depth.
 
-    Per query, one scan of each run's top ``max_depth`` entries records
-    the depth at which each relevant doc first enters the pool; the
-    counts are the running total of a histogram of those depths.
+    Per query, the runs' top ``max_depth`` codes are tested against the
+    relevant docs' codes at once, and the depth at which each relevant
+    doc first enters the pool is the least depth of its hits; the counts
+    are the running total of a histogram of those depths.
     """
-    entered: list[int] = []
+    entered = [np.zeros(0, dtype=np.intp)]
     for query_id in {query_id for run in runs for query_id in run.by_query}:
-        relevant = full.relevant(query_id)
-        first_depth: dict[str, int] = {}
-        for run in runs:
-            for depth, doc_id in enumerate(run.docs(query_id)[:max_depth], start=1):
-                if doc_id in relevant and depth < first_depth.get(doc_id, max_depth + 1):
-                    first_depth[doc_id] = depth
-        entered.extend(first_depth.values())
-    return np.bincount(entered, minlength=max_depth + 1)[1:].cumsum().tolist()
+        relevant = _known_codes(full.relevant(query_id))
+        if not relevant.size:
+            continue
+        prefixes = [run.by_query.get(query_id, _NO_RANKING).codes[:max_depth] for run in runs]
+        pooled = np.concatenate(prefixes)
+        starts = np.cumsum([0, *map(len, prefixes)])
+        hits = np.flatnonzero(_among(pooled, relevant))
+        # a hit's depth is its place in its own run's prefix, from 1
+        depths = hits - starts[np.searchsorted(starts, hits, side="right") - 1] + 1
+        first = np.full(relevant.size, max_depth + 1)
+        np.minimum.at(first, np.searchsorted(relevant, pooled[hits]), depths)
+        entered.append(first[first <= max_depth])
+    return np.bincount(np.concatenate(entered), minlength=max_depth + 1)[1:].cumsum().tolist()
 
 
 def pool_sweep(runs: Sequence[RunList], full: Qrels, depths: Iterable[int]) -> list[SweepRow]:

@@ -18,7 +18,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .evaluation import _relevance_table
 from .fusion import _by_score, _rank_cube
-from .trec import _NO_RANKING, Qrels, RunList, sort_query_ids
+from .trec import _NO_RANKING, Qrels, RunList, _doc_ids, sort_query_ids
 
 RIDGE_FALLBACK = 1e-8
 _COND_LIMIT = 1e12
@@ -91,7 +91,7 @@ def assemble_matrix(
         (candidates,), ranks = _rank_cube(scored, [query_id])
         lookups = [_by_score(run.by_query.get(query_id, _NO_RANKING)) for run in scored]
         relevant, _ = _relevance_table(qrels, [query_id], [candidates], ranks.shape[2])
-        keys.extend((query_id, doc_id) for doc_id in candidates)
+        keys.extend((query_id, doc_id) for doc_id in _doc_ids(candidates))
         design, targets = _training_rows(ranks, lookups, relevant)
         blocks.append((design[:, 1:], targets))
     if not blocks:
@@ -112,7 +112,7 @@ def _training_rows(
     rows are held once. C order, as ScoreMatrix.design() gives it:
     _solve's BLAS products round differently on an F-ordered matrix.
     """
-    keep = (ranks > 0).any(axis=1)
+    keep = ranks.any(axis=1)
     design = np.empty((np.count_nonzero(keep), len(lookups) + 1))
     design[:, 0] = 1.0
     for j, lookup in enumerate(lookups, start=1):

@@ -16,24 +16,31 @@ found in the file must be an integer but is otherwise ignored.
 Canonicalization is deterministic: the same entries produce the same
 RunList regardless of line order.
 
-A RunList stores one Ranking per query: a tuple of doc ids in rank
-order and a parallel read-only float64 array of their raw scores. A
-doc's rank is its position + 1, so no rank is stored and no per-entry
-object is kept; ``RunList.entries`` builds RunEntry views on demand.
-Every score is finite: a Ranking checks that where it is made, so no
-score keeps a RunList from being written and parsed back equal.
+A RunList stores one Ranking per query: a read-only int32 array of
+doc-id codes in rank order and a parallel read-only float64 array of
+their raw scores. A doc's rank is its position + 1, so no rank is stored
+and no per-entry object is kept; ``Ranking.docs`` and ``RunList.entries``
+build doc ids and RunEntry views on demand. Every score is finite: a
+Ranking checks that where it is made, so no score keeps a RunList from
+being written and parsed back equal.
 
-Each parse makes its own str for every doc id. Runs of one experiment
-rank largely the same docs, so a caller that holds many of them (each
-CLI command) passes every parsed run through _share_doc_ids with one
-dict, and the runs then hold one str per doc id between them.
+Doc ids become codes in one table per process: each distinct id is held
+once, as one str, with one int32 code, however many runs, parses and
+threads rank it. The table only grows; an id it holds is kept until the
+process ends. Beside the codes it keeps an int32 order key, each code's
+rank among all the ids it holds, so code arrays sort in doc-id order
+with no string compared. The key is refreshed only after ids were
+added, by merging the new ids into the sorted order.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable, Mapping
+import threading
+from bisect import bisect_left
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -84,41 +91,148 @@ class RunEntry:
     run_tag: str
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+# The doc-id table (see the module docstring). _IDS and _CODES are only added
+# to, under _TABLE_LOCK; reading needs no lock, since an id is in _IDS before
+# its code is in _CODES.
+_IDS: list[str] = []  # code -> doc id
+_CODES: dict[str, int] = {}  # doc id -> code
+_TABLE_LOCK = threading.Lock()
+# The order key of the first len(_ORDER[0]) codes, as read-only int32 arrays:
+# (code -> rank of its id among them, rank -> code); and those ids, sorted.
+_ORDER: tuple[np.ndarray, np.ndarray] = (np.empty(0, np.int32), np.empty(0, np.int32))
+_SORTED_IDS: list[str] = []
+_PARSES = threading.local()  # merge_later: _one_merge is open in this thread
+
+
+def _encode(docs: Collection[str]) -> np.ndarray:
+    """The codes of ``docs`` as a read-only int32 array; an id the table
+    lacks is added. A doc id that is not a str raises TypeError."""
+    try:
+        codes = np.fromiter(map(_CODES.__getitem__, docs), np.int32, len(docs))
+    except KeyError:
+        docs = list(docs)
+        codes = np.fromiter(map(_CODES.get, docs, repeat(-1)), np.int32, len(docs))
+        new = np.flatnonzero(codes < 0).tolist()
+        with _TABLE_LOCK:
+            for doc_id in map(docs.__getitem__, new):
+                if doc_id not in _CODES:
+                    if not isinstance(doc_id, str):
+                        raise TypeError(f"doc id {doc_id!r} is not a str") from None
+                    _IDS.append(doc_id)
+                    _CODES[doc_id] = len(_IDS) - 1
+        codes[new] = np.fromiter(map(_CODES.__getitem__, map(docs.__getitem__, new)), np.int32)
+    codes.flags.writeable = False
+    return codes
+
+
+def _doc_ids(codes: np.ndarray) -> tuple[str, ...]:
+    """The doc id of each of ``codes``, the table's own str."""
+    return tuple(map(_IDS.__getitem__, codes.tolist()))
+
+
+def _known_codes(doc_ids: Iterable[str]) -> np.ndarray:
+    """The codes of those of ``doc_ids`` the table holds, sorted, as int32:
+    no Ranking holds another."""
+    codes = map(_CODES.get, doc_ids)
+    return np.array(sorted(code for code in codes if code is not None), dtype=np.int32)
+
+
+def _among(codes: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Whether each of ``codes`` is one of ``known``, _known_codes' sorted
+    codes, as a bool array."""
+    if not known.size:
+        return np.zeros(codes.shape, dtype=bool)
+    return known.take(np.searchsorted(known, codes), mode="clip") == codes
+
+
+@contextmanager
+def _one_merge() -> Iterator[None]:
+    """Within this block, each parse in this thread leaves the ids it adds
+    out of the order key; they are merged in once, at the block's end, so
+    that a load of many files sorts its new ids once."""
+    _PARSES.merge_later = True
+    try:
+        yield
+    finally:
+        _PARSES.merge_later = False
+        _order_key()
+
+
+def _order_key() -> tuple[np.ndarray, np.ndarray]:
+    """(code -> rank, rank -> code) over every id the table holds, where an
+    id's rank is its place in sorted order: codes sorted by rank are in
+    doc-id order."""
+    order = _ORDER
+    if len(order[0]) < len(_IDS):
+        with _TABLE_LOCK:
+            order = _merge_added_ids()
+    return order
+
+
+def _merge_added_ids() -> tuple[np.ndarray, np.ndarray]:
+    """The order key with the ids added since it was made merged in; under
+    _TABLE_LOCK. The added ids are sorted, each is placed among the known
+    ones by bisection, and the two sorted lists are merged: its cost grows
+    with the ids added, plus one pass over the rest, and no list of the
+    ids' ranks is made."""
+    global _ORDER
+    code_of = _ORDER[1]
+    known, total = len(code_of), len(_IDS)
+    if known == total:
+        return _ORDER
+    added = sorted(_IDS[known:total])
+    # the known ids before each added one, which then has that many ranks
+    # more, plus one for each added id before it
+    before = np.fromiter(map(bisect_left, repeat(_SORTED_IDS), added), np.intp, len(added))
+    code = np.insert(code_of, before, np.fromiter(map(_CODES.__getitem__, added), np.int32))
+    rank = np.empty(total, np.int32)
+    rank[code] = np.arange(total, dtype=np.int32)
+    _SORTED_IDS.extend(added)
+    _SORTED_IDS.sort()  # two sorted runs: one merge
+    rank.flags.writeable = code.flags.writeable = False
+    _ORDER = (rank, code)
+    return _ORDER
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
 class Ranking:
     """One query's canonical ranking: doc ids in rank order and their raw scores.
 
-    The doc at position i has rank i + 1. ``len`` is the number of docs.
-    ``scores`` is a read-only float64 array of one finite score per doc.
-    Any other sequence, or a writable array, is copied into one here, so
-    changing what was passed changes no Ranking. Every form is checked:
-    a score that is not finite (NaN, ±inf, None), an int too large for a
-    float, or a str or bytes (even one that reads as a number) raises
-    ValueError naming its doc. Rankings compare by value and are not
-    hashable.
+    Made as ``Ranking(docs, scores)``. The doc at position i has rank
+    i + 1. ``len`` is the number of docs. ``codes`` is a read-only int32
+    array of the docs' codes in the doc-id table, and ``docs`` builds
+    their tuple of ids, the table's own strs, on each call. ``scores`` is
+    a read-only float64 array of one finite score per doc. Any other
+    sequence, or a writable array, is copied into one here, so changing
+    what was passed changes no Ranking. Every form is checked: a score
+    that is not finite (NaN, ±inf, None), an int too large for a float,
+    or a str or bytes (even one that reads as a number) raises
+    ValueError naming its doc, and a doc id that is not a str TypeError.
+    Rankings compare by value and are not hashable. A pickled Ranking
+    holds its doc ids, not its codes, so any process reads it back.
     """
 
-    docs: tuple[str, ...]
+    codes: np.ndarray
     scores: np.ndarray
 
-    def __post_init__(self) -> None:
-        scores = self.scores
+    def __init__(self, docs: Sequence[str], scores: Iterable[float] | np.ndarray) -> None:
         if not (
             type(scores) is np.ndarray
             and scores.dtype == np.float64
             and not scores.flags.writeable
         ):
-            values = np.asarray(scores)
+            given = scores
+            values = np.asarray(given)
             if values.dtype.kind in "USO" and values.ndim == 1:
                 # numpy would read a str or bytes score as a number
-                given = scores.tolist() if isinstance(scores, np.ndarray) else scores
-                for doc_id, score in zip(self.docs, given):
+                items = given.tolist() if isinstance(given, np.ndarray) else given
+                for doc_id, score in zip(docs, items):
                     if isinstance(score, (str, bytes)):
                         raise ValueError(f"doc {doc_id!r}: score {score!r} is not a number")
             try:
                 scores = values.astype(np.float64)
             except OverflowError:  # an int too large for a float
-                for doc_id, score in zip(self.docs, self.scores):
+                for doc_id, score in zip(docs, given):
                     try:
                         float(score)
                     except OverflowError:
@@ -127,71 +241,103 @@ class Ranking:
                         ) from None
                 raise
             scores.flags.writeable = False
-            object.__setattr__(self, "scores", scores)
-        if scores.shape != (len(self.docs),):
+        if scores.shape != (len(docs),):
             raise ValueError(
-                f"ranking has {len(self.docs)} docs but {scores.size} scores "
+                f"ranking has {len(docs)} docs but {scores.size} scores "
                 f"of shape {scores.shape}"
             )
         finite = np.isfinite(scores)
         if not finite.all():
             bad = finite.argmin()  # the first False
-            raise ValueError(f"doc {self.docs[bad]!r}: score {scores[bad]} is not finite")
+            raise ValueError(f"doc {docs[bad]!r}: score {scores[bad]} is not finite")
+        object.__setattr__(self, "codes", _encode(docs))
+        object.__setattr__(self, "scores", scores)
+
+    @classmethod
+    def _of(cls, codes: np.ndarray, scores: np.ndarray) -> Ranking:
+        """A Ranking that holds ``codes`` and ``scores`` themselves, neither
+        checked nor copied: read-only int32 codes from the table and
+        read-only finite float64 scores, one per code."""
+        ranking = object.__new__(cls)
+        object.__setattr__(ranking, "codes", codes)
+        object.__setattr__(ranking, "scores", scores)
+        return ranking
+
+    @property
+    def docs(self) -> tuple[str, ...]:
+        return _doc_ids(self.codes)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not Ranking:
             return NotImplemented
-        return self.docs == other.docs and np.array_equal(self.scores, other.scores)
+        return np.array_equal(self.codes, other.codes) and np.array_equal(
+            self.scores, other.scores
+        )
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.codes)
+
+    def __repr__(self) -> str:
+        return f"Ranking(docs={self.docs!r}, scores={self.scores!r})"
+
+    def __reduce__(self) -> tuple:
+        return Ranking, (self.docs, self.scores)
 
 
 _NO_RANKING = Ranking((), ())
 
 
-def _sort_ties_by_doc(ordered: list[str], values: np.ndarray) -> None:
-    """Sort each run of equal ``values`` in the parallel ``ordered`` by doc id, in place."""
+def _ties_by_doc(order: np.ndarray, values: np.ndarray, docs: list[str]) -> np.ndarray:
+    """``order`` with each run of equal ``values`` (the values in that order)
+    put in doc-id order by ``docs``, the doc ids it indexes."""
+    order = order.tolist()
     start = 0
     # A run ends where the next value is strictly smaller, or at the end.
     for end in (*(np.flatnonzero(values[:-1] > values[1:]) + 1).tolist(), len(values)):
         if end - start > 1:
-            ordered[start:end] = sorted(ordered[start:end])
+            order[start:end] = sorted(order[start:end], key=docs.__getitem__)
         start = end
+    return np.array(order, dtype=np.intp)
 
 
 def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
     """One Ranking per query: score descending, doc_id ascending on ties.
 
-    The docs are sorted once by score. When the sorted scores, as
-    floats, strictly decrease no two docs tie and that order is final.
-    Otherwise each run of equal floats (0.0 beside -0.0, and two ints
-    that round to one float, are equal too) is sorted by doc id. A score
-    Ranking refuses raises its ValueError with the query id in front.
+    A query's scores are read as floats and its doc ids as codes, both in
+    the given order, and one stable argsort of the negated scores orders
+    both. When the sorted scores strictly decrease no two docs tie and
+    that order is final. Otherwise each run of equal floats (0.0 beside
+    -0.0, and two ints that round to one float, are equal too) is put in
+    doc-id order. A score Ranking refuses raises its ValueError with the
+    query id in front.
     """
     by_query: dict[str, Ranking] = {}
     for query_id, per_doc in scores.items():
         try:
-            ordered = sorted(per_doc, key=per_doc.__getitem__, reverse=True)
-            if ordered and isinstance(per_doc[ordered[0]], (str, bytes)):
-                # then every score is one (a number beside one does not sort),
-                # and np.fromiter would read them as numbers
-                raise TypeError
-            values = np.fromiter(map(per_doc.__getitem__, ordered), np.float64, len(ordered))
+            if any(issubclass(kind, (str, bytes)) for kind in set(map(type, per_doc.values()))):
+                raise TypeError  # np.fromiter would read them as numbers
+            given = np.fromiter(per_doc.values(), np.float64, len(per_doc))
+            if not np.isfinite(given).all():
+                raise ValueError
+            order = np.argsort(-given, kind="stable")
+            values = given[order]
             if not (values[:-1] > values[1:]).all():
-                _sort_ties_by_doc(ordered, values)
-                values = np.fromiter(map(per_doc.__getitem__, ordered), np.float64, len(ordered))
-            values.flags.writeable = False  # so Ranking keeps it, not a copy
-            by_query[query_id] = Ranking(tuple(ordered), values)
+                order = _ties_by_doc(order, values, list(per_doc))
+                values = given[order]
+            codes = _encode(per_doc.keys())[order]
+            codes.flags.writeable = values.flags.writeable = False
+            by_query[query_id] = Ranking._of(codes, values)
         except (TypeError, OverflowError, ValueError):
-            # NaN or ±inf, None or a str beside a number (which do not sort),
-            # 10**400 (no float) or a str or bytes: Ranking names the first
-            # doc it refuses, in the given order
+            # NaN or ±inf, None, 10**400 (no float), a str or bytes, or a doc
+            # id that is not a str: Ranking names the first doc it refuses,
+            # in the given order
             try:
                 Ranking(tuple(per_doc), tuple(per_doc.values()))
             except ValueError as error:
                 raise ValueError(f"query {query_id!r}, {error}") from None
             raise
+    if not getattr(_PARSES, "merge_later", False):
+        _order_key()  # the ids added here join the order key now, not at the first fusion
     return by_query
 
 
@@ -328,10 +474,11 @@ def write_run(run: RunList) -> str:
         ranking = run.by_query[query_id]
         if not ranking:
             continue
+        docs = map(_IDS.__getitem__, ranking.codes.tolist())
         scores = map(str.removesuffix, map(str, ranking.scores.tolist()), repeat(".0"))
         out += (
             f"{query_id} Q0 ",
-            f" {tag}\n{query_id} Q0 ".join(map(" ".join, zip(ranking.docs, ranks, scores))),
+            f" {tag}\n{query_id} Q0 ".join(map(" ".join, zip(docs, ranks, scores))),
             f" {tag}\n",
         )
     return "".join(out)
@@ -421,25 +568,6 @@ def write_qrels(qrels: Qrels) -> str:
 def load_run(path: str | os.PathLike[str]) -> RunList:
     with open(path, encoding="utf-8") as f:
         return parse_run(f)
-
-
-def _share_doc_ids(run: RunList, docs: dict[str, str]) -> RunList:
-    """``run`` with each doc id replaced by the equal str kept in ``docs``.
-
-    A doc id ``docs`` lacks is added, so the runs passed with one
-    ``docs`` hold one str object per doc id, not one per run: each
-    parse makes its own. Each scores array is kept, not copied, and the
-    ids are looked up by builtins (tuple over map), with no Python-level
-    step per entry.
-    """
-    share = docs.setdefault
-    return RunList(
-        run.run_tag,
-        {
-            query_id: Ranking(tuple(map(share, ranking.docs, ranking.docs)), ranking.scores)
-            for query_id, ranking in run.by_query.items()
-        },
-    )
 
 
 def save_run(run: RunList, path: str | os.PathLike[str]) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rankfuse import cli
+from rankfuse import cli, trec
 from rankfuse.cli import console, main
 from rankfuse.fusion import _by_reciprocal, normalize_reciprocal
 from rankfuse.harness import generate_synthetic
@@ -479,8 +479,14 @@ def test_loaded_runs_equal_per_file_loads_and_share_doc_ids(tmp_path):
     assert a["1"].docs[1] is b["1"].docs[2]  # d2
     assert b["1"].docs[0] is c["1"].docs[0]  # d3
     assert a["2"].docs[0] is b["2"].docs[0] is c["2"].docs[1]  # d9
-    # each run file's own parse still makes its own strings
-    assert alone[1].by_query["1"].docs[1] is not alone[0].by_query["1"].docs[0]
+    _assert_doc_ids_are_the_tables(runs + alone)
+
+
+def _assert_doc_ids_are_the_tables(runs):
+    """Every doc id a Ranking of ``runs`` returns is the doc-id table's str."""
+    for run in runs:
+        for ranking in run.by_query.values():
+            assert all(doc_id is trec._IDS[trec._CODES[doc_id]] for doc_id in ranking.docs)
 
 
 def _retained_bytes(load):
@@ -506,13 +512,15 @@ def test_runs_that_rank_the_same_docs_hold_each_doc_id_once(tmp_path):
     shared, loaded = _retained_bytes(lambda: cli._load_runs(paths))
     assert loaded == per_file == runs
     assert all(isinstance(run, RunList) for run in loaded)
-    assert shared < 0.6 * alone
+    # the runs hold codes, not strs: the doc-id table holds each id once
+    _assert_doc_ids_are_the_tables(loaded + per_file)
+    assert shared <= 1.01 * alone
 
 
-def test_loaded_runs_keep_under_24_bytes_per_entry(tmp_path):
-    # 20 runs of 10 queries x 200 docs: each entry holds a doc-id slot (8 B),
-    # a float64 score (8 B) and a share of its query's and doc id's objects;
-    # a tuple of float objects would add 24 B more per entry
+def test_loaded_runs_keep_under_16_bytes_per_entry(tmp_path):
+    # 20 runs of 10 queries x 200 docs: each entry holds an int32 code (4 B),
+    # a float64 score (8 B) and a share of its query's objects; the doc ids
+    # are the doc-id table's, which generate_synthetic filled
     runs, _ = generate_synthetic(5, 10, 20, 200, 20)
     paths = []
     for run in runs:
@@ -520,7 +528,7 @@ def test_loaded_runs_keep_under_24_bytes_per_entry(tmp_path):
         save_run(run, paths[-1])
     retained, loaded = _retained_bytes(lambda: cli._load_runs(paths))
     assert loaded == runs
-    assert retained / sum(run.num_entries() for run in loaded) < 24
+    assert retained / sum(run.num_entries() for run in loaded) < 16
 
 
 def test_duplicate_qrels_lines_reported_on_stderr_only(dataset, tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankfuse import fusion
+from rankfuse import fusion, trec
 from rankfuse.fusion import (
     _rank_cube,
     borda,
@@ -22,7 +22,7 @@ from rankfuse.fusion import (
 )
 from rankfuse.harness import compare_methods, cross_validated_fusion, generate_synthetic
 from rankfuse.regression import WeightVector
-from rankfuse.trec import Qrels, Ranking, RunEntry, RunList, parse_run, write_run
+from rankfuse.trec import Qrels, Ranking, RunEntry, RunList, _doc_ids, parse_run, write_run
 
 
 def _run(tag, queries):
@@ -96,6 +96,16 @@ def test_normalized_queries_of_one_length_share_their_scores():
         tracemalloc.stop()
     assert scored.by_query["0"].scores is scored.by_query["49"].scores
     assert retained / run.num_entries() < 2.0  # an array per query alone is 8 B per entry
+
+
+def test_normalized_rankings_hold_their_inputs_codes():
+    rng = np.random.default_rng(6)
+    for run in _random_runs(rng, skip=0.3):
+        scored = normalize_reciprocal(run, 10.0)
+        assert scored.by_query.keys() == run.by_query.keys()
+        for query_id, ranking in run.by_query.items():
+            assert scored.by_query[query_id].codes is ranking.codes
+            assert scored.docs(query_id) == run.docs(query_id)
 
 
 def test_normalize_constant_configurable_and_validated():
@@ -454,15 +464,15 @@ def test_every_run_stores_one_ranking_of_docs_and_read_only_scores_per_query():
         "xval": cross_validated_fusion(runs, qrels, qrels).fused,
         "synthetic": generate_synthetic(8, 4, 2, 10, 3)[0][1],
     }
-    for run, normalized in zip(runs, scored):
-        for query_id in run.query_ids:
-            assert normalized.docs(query_id) is run.docs(query_id)
     for name, run in built.items():
         assert run.by_query, name
         for query_id, ranking in run.by_query.items():
             assert type(ranking) is Ranking, name
             assert type(ranking.docs) is tuple, name
             assert all(type(d) is str for d in ranking.docs), name
+            codes = ranking.codes
+            assert type(codes) is np.ndarray and codes.dtype == np.int32, name
+            assert codes.shape == (len(ranking),) and not codes.flags.writeable, name
             scores = ranking.scores
             assert type(scores) is np.ndarray and scores.dtype == np.float64, name
             assert scores.shape == (len(ranking.docs),) and not scores.flags.writeable, name
@@ -481,18 +491,21 @@ def test_every_run_stores_one_ranking_of_docs_and_read_only_scores_per_query():
     lambda runs, qrels: cross_validated_fusion(runs, qrels, qrels).fused,
 ], ids=["fuse", "xval"])
 def test_a_fused_ranking_keeps_its_scores_array_not_a_copy(fuse, monkeypatch):
-    made = []
-
-    def ranking(docs, scores):
-        made.append((scores, Ranking(docs, scores)))
-        return made[-1][1]
-
-    monkeypatch.setattr(fusion, "Ranking", ranking)
+    # and its codes array: both are gathered once and handed to the Ranking
     runs, qrels = generate_synthetic(3, 4, 3, 20, 4)
+    made = []
+    ranking_of = Ranking._of
+
+    def ranking(codes, scores):
+        made.append((codes, scores, ranking_of(codes, scores)))
+        return made[-1][2]
+
+    monkeypatch.setattr(Ranking, "_of", ranking)
     fused = fuse(runs, qrels)
     assert len(made) == len(fused.by_query) == 4
-    assert all(kept.scores is given for given, kept in made)
-    assert all(any(r is kept for _, kept in made) for r in fused.by_query.values())
+    assert all(kept.codes is codes and kept.scores is scores for codes, scores, kept in made)
+    assert all(any(r is kept for *_, kept in made) for r in fused.by_query.values())
+    assert not any(r.codes.flags.writeable or r.scores.flags.writeable for *_, r in made)
 
 
 def test_borda_holds_one_query_cube_at_a_time():
@@ -507,14 +520,30 @@ def test_borda_holds_one_query_cube_at_a_time():
     finally:
         tracemalloc.stop()
     assert {len(ranking) for ranking in fused.by_query.values()} == {cube.shape[2]}
-    # The fused run: each query's scores and its docs tuple's 8 B slots.
+    # The fused run: each query's scores (8 B a doc) and codes (4 B), and slack.
     fused_bytes = 2 * sum(ranking.scores.nbytes for ranking in fused.by_query.values())
-    # Slack: half a cube (np.count_nonzero and _rank each make a bool copy of
-    # it, a quarter cube; the rest covers the candidates, the column dict and
-    # the width-long arrays) and one ufunc buffer of intp. A second cube held
-    # while the next is built adds a whole cube.
+    # Slack: half a cube (the candidates' order keys and their first-of-a-kind
+    # mask, built before the cube, and the width-long arrays) and one ufunc
+    # buffer of intp. A second cube held while the next is built adds a whole
+    # cube.
     slack = cube.nbytes // 2 + np.getbufsize() * np.dtype(np.intp).itemsize
     assert peak < cube.nbytes + fused_bytes + slack
+    # _systems' one count per column serves Borda and _rank: no bool copy of
+    # the cube is made (Borda's count_nonzero and _rank's ranks > 0 each made
+    # one, and the peak was 520,700 B for this 320,000 B cube)
+    assert cube.nbytes == 320_000
+    assert peak < 520_700
+    # Scoring and ranking the cube: one ufunc buffer and a few width-long
+    # arrays; a bool copy of the cube, a quarter of it, would not fit
+    gc.collect()
+    tracemalloc.start()
+    try:
+        systems = fusion._systems(cube)
+        fusion._rank(systems, fusion._SCORERS["borda"](cube, systems, None), 1000)
+        scoring = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scoring < np.getbufsize() * np.dtype(np.intp).itemsize + cube.nbytes // 8
 
 
 @settings(deadline=None, max_examples=30)
@@ -601,7 +630,47 @@ def test_rank_cube_matches_a_per_doc_loop(seed, num_runs, num_queries):
     for query_ids in (every, every[::-1], ["1"], ["none"], []):
         candidates, ranks = _rank_cube(runs, query_ids)
         expected_candidates, expected = _reference_rank_cube(runs, query_ids)
-        assert candidates == expected_candidates
+        assert all(codes.dtype == np.int32 for codes in candidates)
+        assert [list(_doc_ids(codes)) for codes in candidates] == expected_candidates
         assert ranks.dtype == np.int32
         assert ranks.shape == (len(query_ids), num_runs, max(map(len, candidates), default=0))
         assert ranks.tolist() == expected
+
+
+def _prefixed_corpus(prefix):
+    """Three runs and qrels over 4 queries of ids ``prefix`` + d000..d059, the
+    same for every prefix but for the prefix."""
+    rng = np.random.default_rng(21)
+    runs = []
+    for r in range(3):
+        scores = {}
+        for q in range(1, 5):
+            picks = rng.permutation(60)[: rng.integers(20, 50)]
+            scores[str(q)] = {f"{prefix}d{i:03d}": float(rng.integers(1, 30)) for i in picks}
+        runs.append(RunList.from_scores(f"s{r}", scores))
+    grades = {str(q): {f"{prefix}d{i:03d}": int(i % 4 == q % 4) for i in range(60)} for q in range(1, 5)}
+    return runs, Qrels(grades, name="q")
+
+
+def test_outputs_do_not_depend_on_the_order_ids_entered_the_table():
+    # The table meets the x1- ids in doc-id order and the x2- ids in reverse,
+    # so their codes run in opposite orders; integer scores in 1..29 tie often.
+    names = [f"d{i:03d}" for i in range(60)]
+    trec._encode([f"x1-{name}" for name in names])
+    trec._encode([f"x2-{name}" for name in reversed(names)])
+    assert trec._CODES["x1-d000"] < trec._CODES["x1-d059"]
+    assert trec._CODES["x2-d000"] > trec._CODES["x2-d059"]
+    outputs = []
+    for prefix in ("x1-", "x2-"):
+        runs, qrels = _prefixed_corpus(prefix)
+        scored = [normalize_reciprocal(run) for run in runs]
+        xval = cross_validated_fusion(runs, qrels, qrels)
+        fused = [comb_sum(scored), comb_sum(runs), borda(runs), xval.fused]
+        docs = [
+            {q: [doc_id.removeprefix(prefix) for doc_id in run.docs(q)] for q in run.query_ids}
+            for run in fused
+        ]
+        scores = [[ranking.scores.tolist() for ranking in run.by_query.values()] for run in fused]
+        weights = [(w.intercept, w.weights.tolist()) for w in (xval.weights_a, xval.weights_b)]
+        outputs.append((docs, scores, xval.report, weights))
+    assert outputs[0] == outputs[1]

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import random
 import re
+import subprocess
 import sys
+import threading
 from itertools import count
 
 import numpy as np
@@ -12,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankfuse import trec
 from rankfuse.trec import (
     DuplicateDocError,
     GradeConflictError,
@@ -760,3 +766,65 @@ _WRITTEN_RANKING = st.lists(st.tuples(_TOKENS, _WRITTEN_SCORE), max_size=6).map(
 def test_write_run_matches_the_reference_writer(by_query, tag):
     run = RunList(tag, by_query)
     assert write_run(run) == _reference_write_run(run)
+
+
+def test_a_pickled_ranking_carries_its_doc_ids_not_its_codes():
+    # a fresh process has its own doc-id table, in which these ids have other
+    # codes or none at all
+    ranking = Ranking(("pickled-b", "pickled-a"), (2.0, -0.0))
+    data = pickle.dumps(ranking)
+    assert b"pickled-b" in data and b"pickled-a" in data
+    assert pickle.loads(data) == ranking
+    check = (
+        "import pickle, sys\n"
+        "from rankfuse.trec import Ranking\n"
+        "Ranking(('other',), (1.0,))\n"
+        "ranking = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert ranking == Ranking(('pickled-b', 'pickled-a'), (2.0, -0.0)), ranking\n"
+        "print(repr(ranking))\n"
+    )
+    import rankfuse
+
+    source = os.path.dirname(os.path.dirname(rankfuse.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", check], input=data, capture_output=True, env=env, check=False
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().strip() == repr(ranking)
+
+
+def test_threads_adding_the_same_new_ids_give_each_id_one_code():
+    # 8 threads encode the same 40 blocks of 50 ids the table has not met,
+    # block by block, each in its own order, and merge the order key, with
+    # the interpreter switching threads often
+    blocks = [[f"threaded-{b:02d}-{i:02d}" for i in range(50)] for b in range(40)]
+    made: dict[int, list[Ranking]] = {}
+    start = threading.Barrier(8)
+
+    def build(seed):
+        rng = random.Random(seed)
+        start.wait(timeout=60)
+        made[seed] = [Ranking(rng.sample(block, len(block)), range(50, 0, -1)) for block in blocks]
+        trec._order_key()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(made) == 8
+    assert len(trec._IDS) == len(trec._CODES)
+    for rankings in made.values():
+        for ranking in rankings:
+            assert all(trec._CODES[d] == code for d, code in zip(ranking.docs, ranking.codes))
+    ids = [doc_id for block in blocks for doc_id in block]
+    assert len({trec._CODES[doc_id] for doc_id in ids}) == len(ids)
+    rank_of, code_of = trec._order_key()
+    assert [trec._IDS[code] for code in code_of.tolist()] == sorted(trec._IDS)
+    assert (rank_of[code_of] == np.arange(len(code_of))).all()
