@@ -43,7 +43,6 @@ from .regression import (
 )
 from .trec import (
     Qrels,
-    _one_merge,
     load_qrels,
     load_run,
     save_qrels,
@@ -62,13 +61,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _load_runs(paths: Sequence[str]) -> list:
-    """load_run of each path, with one warning per file that has no run entries.
-
-    The ids the files add to the doc-id table join its order key once,
-    after the last file.
-    """
-    with _one_merge():
-        runs = [load_run(path) for path in paths]
+    """load_run of each path, with one warning per file that has no run entries."""
+    runs = [load_run(path) for path in paths]
     for path, run in zip(paths, runs):
         if not run.by_query:
             warnings.warn(f"{path}: no run entries", stacklevel=2)

@@ -96,9 +96,13 @@ def _rank_cube(
     query's candidates; the width is the largest candidate count.
 
     No doc id is read. A query's candidates are the distinct order keys
-    of its runs' codes; each run's ranks then go to their columns through
-    a key -> column lookup that spans those keys. Beside the cube, one
-    query's keys and a few arrays of one run's length are alive at once.
+    of its runs' codes. Each run's ranks then go to their columns through
+    a key -> column lookup that spans those keys, when that span is no
+    larger than the query's row of the cube. When the keys spread wider,
+    as when queries share one doc-id namespace, one argsort of the
+    query's keys gives each entry its column instead, so no array grows
+    with the table. Beside the cube, at most a few arrays of one query's
+    entries and one row's size of lookup are alive at once.
     """
     rank_of, code_of = _order_key()
     rankings = [[run.by_query.get(q, _NO_RANKING) for run in runs] for q in query_ids]
@@ -110,29 +114,56 @@ def _rank_cube(
     for row, (distinct, per_run) in enumerate(zip(keys, rankings)):
         if not distinct.size:
             continue
-        low = distinct[0]
-        column = np.empty(distinct[-1] - low + 1, dtype=np.int32)
-        column[distinct - low] = np.arange(distinct.size, dtype=np.int32)
-        for j, ranking in enumerate(per_run):
-            at = rank_of.take(ranking.codes)
-            at -= low
-            ranks[row, j, column.take(at)] = by_position[: len(ranking)]
+        low = int(distinct[0])
+        span = int(distinct[-1]) - low + 1
+        if span <= ranks[row].size:
+            column = np.empty(span, dtype=np.int32)
+            column[distinct - low] = np.arange(distinct.size, dtype=np.int32)
+            for j, ranking in enumerate(per_run):
+                at = rank_of.take(ranking.codes)
+                at -= low
+                ranks[row, j, column.take(at)] = by_position[: len(ranking)]
+        else:
+            # each entry's column, from one argsort of every entry's key
+            at = _keys(per_run, rank_of)
+            order = at.argsort()
+            at = at.take(order)
+            column = np.empty(at.size, dtype=np.int32)
+            column[order] = np.cumsum(_firsts(at), dtype=np.int32)
+            column -= 1
+            start = 0
+            for j, ranking in enumerate(per_run):
+                end = start + len(ranking)
+                ranks[row, j, column[start:end]] = by_position[: len(ranking)]
+                start = end
     return [code_of[distinct] for distinct in keys], ranks
 
 
 def _distinct_keys(rankings: Sequence[Ranking], rank_of: np.ndarray) -> np.ndarray:
     """The order keys of the docs ``rankings`` rank, each once, ascending:
     one buffer of every key, sorted in place."""
+    keys = _keys(rankings, rank_of)
+    keys.sort()
+    return keys[_firsts(keys)]
+
+
+def _keys(rankings: Sequence[Ranking], rank_of: np.ndarray) -> np.ndarray:
+    """The order key of each doc ``rankings`` rank, ranking by ranking, in
+    one int32 buffer."""
     keys = np.empty(sum(map(len, rankings)), dtype=np.int32)
     start = 0
     for ranking in rankings:
         end = start + len(ranking)
         keys[start:end] = rank_of.take(ranking.codes)
         start = end
-    keys.sort()
+    return keys
+
+
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """Whether each of sorted ``keys`` is the first of its value."""
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
+    return first
 
 
 def _systems(ranks: np.ndarray) -> np.ndarray:

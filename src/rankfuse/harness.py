@@ -47,7 +47,7 @@ from .fusion import (
     _weighted,
 )
 from .regression import WeightVector, _fit_warning, _solve, _training_rows
-from .trec import Qrels, Ranking, RunList, _encode, _order_key, sort_query_ids
+from .trec import Qrels, Ranking, RunList, _encode, sort_query_ids
 
 FUSION_METHODS = ("LC-mlr", "combsum", "combmnz", "borda")
 ALL_METHODS = FUSION_METHODS + ("best-component",)
@@ -484,5 +484,4 @@ def generate_synthetic(
             codes.flags.writeable = False
             rankings[query_id] = Ranking._of(codes, scores)
         runs.append(RunList(f"sys{index + 1:02d}", rankings))
-    _order_key()  # the ids added here join the order key now, not at the first fusion
     return runs, qrels

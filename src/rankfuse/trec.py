@@ -29,8 +29,9 @@ once, as one str, with one int32 code, however many runs, parses and
 threads rank it. The table only grows; an id it holds is kept until the
 process ends. Beside the codes it keeps an int32 order key, each code's
 rank among all the ids it holds, so code arrays sort in doc-id order
-with no string compared. The key is refreshed only after ids were
-added, by merging the new ids into the sorted order.
+with no string compared. Ids join the key at its first use after they
+were added (the first rank cube after a load), all at once, by merging
+them into the sorted order; its room is taken as they are added.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ import math
 import os
 import threading
 from bisect import bisect_left
-from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
-from contextlib import contextmanager
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import partial
+from itertools import count, islice, repeat
 
 import numpy as np
 
@@ -92,37 +93,58 @@ class RunEntry:
 
 
 # The doc-id table (see the module docstring). _IDS and _CODES are only added
-# to, under _TABLE_LOCK; reading needs no lock, since an id is in _IDS before
-# its code is in _CODES.
+# to, and _CODES only read, under _TABLE_LOCK: while _encode adds ids, _CODES
+# holds them before their codes. Every code a Ranking holds has its id in _IDS.
 _IDS: list[str] = []  # code -> doc id
-_CODES: dict[str, int] = {}  # doc id -> code
+_CODES: dict[str, int] = {}  # doc id -> code, in code order
 _TABLE_LOCK = threading.Lock()
 # The order key of the first len(_ORDER[0]) codes, as read-only int32 arrays:
-# (code -> rank of its id among them, rank -> code); and those ids, sorted.
+# (code -> rank of its id among them, rank -> code).
 _ORDER: tuple[np.ndarray, np.ndarray] = (np.empty(0, np.int32), np.empty(0, np.int32))
-_SORTED_IDS: list[str] = []
-_PARSES = threading.local()  # merge_later: _one_merge is open in this thread
+# While ids wait to join the order key: room for the next one, two rows of
+# len(_IDS) int32 that nothing reads, made as the ids are added. So the key's
+# memory is taken with the ids, and the first fusion after a load fills it.
+_NEXT_ORDER: np.ndarray | None = None
 
 
 def _encode(docs: Collection[str]) -> np.ndarray:
     """The codes of ``docs`` as a read-only int32 array; an id the table
-    lacks is added. A doc id that is not a str raises TypeError."""
-    try:
-        codes = np.fromiter(map(_CODES.__getitem__, docs), np.int32, len(docs))
-    except KeyError:
-        docs = list(docs)
-        codes = np.fromiter(map(_CODES.get, docs, repeat(-1)), np.int32, len(docs))
-        new = np.flatnonzero(codes < 0).tolist()
-        with _TABLE_LOCK:
-            for doc_id in map(docs.__getitem__, new):
-                if doc_id not in _CODES:
+    lacks gets the next code. A doc id that is not a str raises TypeError
+    and leaves the table as it was."""
+    global _NEXT_ORDER
+    with _TABLE_LOCK:
+        known = len(_CODES)
+        try:
+            # one lookup per doc: an id the table lacks goes in as -1 for now
+            codes = np.fromiter(map(_CODES.setdefault, docs, repeat(-1)), np.int32, len(docs))
+            new = _last_added(known)
+            if not set(map(type, new)) <= {str}:
+                for doc_id in new:
                     if not isinstance(doc_id, str):
-                        raise TypeError(f"doc id {doc_id!r} is not a str") from None
-                    _IDS.append(doc_id)
-                    _CODES[doc_id] = len(_IDS) - 1
-        codes[new] = np.fromiter(map(_CODES.__getitem__, map(docs.__getitem__, new)), np.int32)
+                        raise TypeError(f"doc id {doc_id!r} is not a str")
+        except BaseException:
+            for doc_id in _last_added(known):
+                del _CODES[doc_id]
+            raise
+        if new:
+            _CODES.update(zip(new, count(known)))
+            _IDS.extend(new)
+            _NEXT_ORDER = np.empty((2, len(_IDS)), np.int32)
+            fresh = np.flatnonzero(codes < 0)
+            if len(fresh) == len(new):  # each new id once, in code order
+                codes[fresh] = np.arange(known, len(_IDS), dtype=np.int32)
+            else:
+                docs = list(docs)
+                codes[fresh] = [_CODES[docs[i]] for i in fresh.tolist()]
     codes.flags.writeable = False
     return codes
+
+
+def _last_added(known: int) -> list[str]:
+    """The ids _CODES has gained beyond its first ``known``, in code order."""
+    new = list(islice(reversed(_CODES), len(_CODES) - known))
+    new.reverse()
+    return new
 
 
 def _doc_ids(codes: np.ndarray) -> tuple[str, ...]:
@@ -133,7 +155,8 @@ def _doc_ids(codes: np.ndarray) -> tuple[str, ...]:
 def _known_codes(doc_ids: Iterable[str]) -> np.ndarray:
     """The codes of those of ``doc_ids`` the table holds, sorted, as int32:
     no Ranking holds another."""
-    codes = map(_CODES.get, doc_ids)
+    with _TABLE_LOCK:
+        codes = list(map(_CODES.get, doc_ids))
     return np.array(sorted(code for code in codes if code is not None), dtype=np.int32)
 
 
@@ -143,19 +166,6 @@ def _among(codes: np.ndarray, known: np.ndarray) -> np.ndarray:
     if not known.size:
         return np.zeros(codes.shape, dtype=bool)
     return known.take(np.searchsorted(known, codes), mode="clip") == codes
-
-
-@contextmanager
-def _one_merge() -> Iterator[None]:
-    """Within this block, each parse in this thread leaves the ids it adds
-    out of the order key; they are merged in once, at the block's end, so
-    that a load of many files sorts its new ids once."""
-    _PARSES.merge_later = True
-    try:
-        yield
-    finally:
-        _PARSES.merge_later = False
-        _order_key()
 
 
 def _order_key() -> tuple[np.ndarray, np.ndarray]:
@@ -170,27 +180,31 @@ def _order_key() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _merge_added_ids() -> tuple[np.ndarray, np.ndarray]:
-    """The order key with the ids added since it was made merged in; under
-    _TABLE_LOCK. The added ids are sorted, each is placed among the known
-    ones by bisection, and the two sorted lists are merged: its cost grows
-    with the ids added, plus one pass over the rest, and no list of the
-    ids' ranks is made."""
-    global _ORDER
+    """The order key with the ids added since it was made merged in, in
+    _NEXT_ORDER; under _TABLE_LOCK. The added ids are sorted and each is
+    placed among the known ones by bisection of the rank -> code key: its
+    cost grows with the ids added, plus one pass over the rest, and
+    neither a list of every id nor one of their ranks is made."""
+    global _ORDER, _NEXT_ORDER
     code_of = _ORDER[1]
     known, total = len(code_of), len(_IDS)
     if known == total:
         return _ORDER
-    added = sorted(_IDS[known:total])
-    # the known ids before each added one, which then has that many ranks
-    # more, plus one for each added id before it
-    before = np.fromiter(map(bisect_left, repeat(_SORTED_IDS), added), np.intp, len(added))
-    code = np.insert(code_of, before, np.fromiter(map(_CODES.__getitem__, added), np.int32))
-    rank = np.empty(total, np.int32)
+    added = sorted(islice(_IDS, known, total))
+    # each added id's rank: the known ids before it, plus the added ones
+    place = partial(bisect_left, code_of, key=_IDS.__getitem__)
+    at = np.fromiter(map(place, added), np.int32, len(added))
+    at += np.arange(len(added), dtype=np.int32)
+    rank, code = _NEXT_ORDER
+    code[at] = np.fromiter(map(_CODES.__getitem__, added), np.int32, len(added))
+    del added
+    if known:
+        kept = np.ones(total, dtype=bool)
+        kept[at] = False
+        code[kept] = code_of
     rank[code] = np.arange(total, dtype=np.int32)
-    _SORTED_IDS.extend(added)
-    _SORTED_IDS.sort()  # two sorted runs: one merge
     rank.flags.writeable = code.flags.writeable = False
-    _ORDER = (rank, code)
+    _ORDER, _NEXT_ORDER = (rank, code), None
     return _ORDER
 
 
@@ -300,7 +314,9 @@ def _ties_by_doc(order: np.ndarray, values: np.ndarray, docs: list[str]) -> np.n
     return np.array(order, dtype=np.intp)
 
 
-def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
+def _canonical(
+    scores: Mapping[str, Mapping[str, float]], floats: bool = False
+) -> dict[str, Ranking]:
     """One Ranking per query: score descending, doc_id ascending on ties.
 
     A query's scores are read as floats and its doc ids as codes, both in
@@ -309,12 +325,15 @@ def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
     that order is final. Otherwise each run of equal floats (0.0 beside
     -0.0, and two ints that round to one float, are equal too) is put in
     doc-id order. A score Ranking refuses raises its ValueError with the
-    query id in front.
+    query id in front. ``floats`` says every score is a float (parse_run's
+    are), so their types are not checked again.
     """
     by_query: dict[str, Ranking] = {}
     for query_id, per_doc in scores.items():
         try:
-            if any(issubclass(kind, (str, bytes)) for kind in set(map(type, per_doc.values()))):
+            if not floats and any(
+                issubclass(kind, (str, bytes)) for kind in set(map(type, per_doc.values()))
+            ):
                 raise TypeError  # np.fromiter would read them as numbers
             given = np.fromiter(per_doc.values(), np.float64, len(per_doc))
             if not np.isfinite(given).all():
@@ -336,8 +355,6 @@ def _canonical(scores: Mapping[str, Mapping[str, float]]) -> dict[str, Ranking]:
             except ValueError as error:
                 raise ValueError(f"query {query_id!r}, {error}") from None
             raise
-    if not getattr(_PARSES, "merge_later", False):
-        _order_key()  # the ids added here join the order key now, not at the first fusion
     return by_query
 
 
@@ -401,7 +418,10 @@ def parse_run(lines: Iterable[str]) -> RunList:
     run_tag: str | None = None
     # Run files are grouped by query: look a query's docs up only when the id changes.
     last_query: str | None = None
-    per_doc: dict[str, float] = {}
+    # local names for what is called on every line: the current query's
+    # doc -> score setdefault, and isfinite
+    add_doc = {}.setdefault
+    isfinite = math.isfinite
     for line_no, raw in enumerate(lines, start=1):
         try:
             query_id, _iteration, doc_id, rank_str, score_str, tag = raw.split()
@@ -425,7 +445,7 @@ def parse_run(lines: Iterable[str]) -> RunList:
             score = float(score_str)
         except ValueError:
             raise ParseError(line_no, f"score field {score_str!r} is not a number") from None
-        if not math.isfinite(score):
+        if not isfinite(score):
             raise ParseError(line_no, f"score field {score_str!r} is not finite")
         if tag != run_tag:
             if run_tag is not None:
@@ -434,14 +454,14 @@ def parse_run(lines: Iterable[str]) -> RunList:
                 )
             run_tag = tag
         if query_id != last_query:
-            per_doc = rows.setdefault(query_id, {})
+            add_doc = rows.setdefault(query_id, {}).setdefault
             last_query = query_id
-        if doc_id in per_doc:
+        # one lookup: a doc already there keeps its own score, another object
+        if add_doc(doc_id, score) is not score:
             raise DuplicateDocError(
                 f"line {line_no}: duplicate entry for query {query_id}, doc {doc_id}"
             )
-        per_doc[doc_id] = score
-    return RunList(run_tag or "", _canonical(rows))
+    return RunList(run_tag or "", _canonical(rows, floats=True))
 
 
 def write_run(run: RunList) -> str:

@@ -637,6 +637,35 @@ def test_rank_cube_matches_a_per_doc_loop(seed, num_runs, num_queries):
         assert ranks.tolist() == expected
 
 
+def test_rank_cube_of_queries_that_share_one_namespace_holds_no_lookup_that_spans_it():
+    # Each query ranks a few of 8,000 ids that every query shares, as runs
+    # over one collection do, so its keys spread over the whole namespace: a
+    # key -> column lookup spanning them would take about 32,000 B
+    pool = [f"shared-{i:05d}" for i in range(8_000)]
+    trec._encode(pool)
+    rng = np.random.default_rng(5)
+    runs = []
+    for r in range(3):
+        scores = {}
+        for q in range(1, 4):
+            picks = rng.choice(len(pool), 12, replace=False)
+            scores[str(q)] = {pool[i]: float(rng.integers(1, 100)) for i in picks}
+        runs.append(RunList.from_scores(f"s{r}", scores))
+    query_ids = ["1", "2", "3"]
+    _rank_cube(runs, query_ids)  # the order key takes the pool in here
+    gc.collect()
+    tracemalloc.start()
+    try:
+        candidates, ranks = _rank_cube(runs, query_ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected_candidates, expected = _reference_rank_cube(runs, query_ids)
+    assert [list(_doc_ids(codes)) for codes in candidates] == expected_candidates
+    assert ranks.tolist() == expected
+    assert peak < 20_000
+
+
 def _prefixed_corpus(prefix):
     """Three runs and qrels over 4 queries of ids ``prefix`` + d000..d059, the
     same for every prefix but for the prefix."""

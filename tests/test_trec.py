@@ -768,6 +768,26 @@ def test_write_run_matches_the_reference_writer(by_query, tag):
     assert write_run(run) == _reference_write_run(run)
 
 
+def test_new_ids_get_one_code_each_and_a_refused_id_leaves_the_table_as_it_was():
+    # a new id twice in one Ranking, beside known and other new ids
+    known = Ranking(("twice-known",), (1.0,)).codes[0]
+    ranking = Ranking(
+        ("twice-a", "twice-known", "twice-b", "twice-a", "twice-c"), (5, 4, 3, 2, 1)
+    )
+    codes = ranking.codes.tolist()
+    assert codes[0] == codes[3] and codes[1] == known
+    assert len(set(codes)) == 4
+    assert ranking.docs == ("twice-a", "twice-known", "twice-b", "twice-a", "twice-c")
+    size = len(trec._IDS)
+    for docs in (("refused-a", 7, "refused-b"), ("refused-c", ["unhashable"])):
+        with pytest.raises(TypeError):
+            Ranking(docs, (2.0, 1.0, 0.0)[: len(docs)])
+        assert len(trec._IDS) == len(trec._CODES) == size
+        assert not any(doc_id in trec._CODES for doc_id in docs if isinstance(doc_id, str))
+    rank_of, code_of = trec._order_key()
+    assert [trec._IDS[code] for code in code_of.tolist()] == sorted(trec._IDS)
+
+
 def test_a_pickled_ranking_carries_its_doc_ids_not_its_codes():
     # a fresh process has its own doc-id table, in which these ids have other
     # codes or none at all
