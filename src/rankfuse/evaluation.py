@@ -264,13 +264,15 @@ def sensitivity_table(
     covers the same topics; the partials are expected (not enforced) to
     be pool-restricted versions of ``full``. A partial is named by its
     ``name``, else ``partial<i>`` (1-based); a name that repeats an
-    earlier one raises ValueError, since sensitivity_csv keys its rows
-    by name.
+    earlier one, or ``full``, the label of sensitivity_csv's full-qrels
+    row, raises ValueError, since sensitivity_csv keys its rows by name.
     """
     names = [partial.name or f"partial{index}" for index, partial in enumerate(partials, start=1)]
     for index, name in enumerate(names):
         if name in names[:index]:
             raise ValueError(f"partial qrels name {name!r} repeats; each partial needs its own")
+        if name == "full":
+            raise ValueError("partial qrels name 'full' labels the full qrels row; rename it")
     queries = full.query_ids
     base = evaluate(run, full, queries).mean_metrics()
     rows: list[SensitivityRow] = []

@@ -20,9 +20,12 @@ A RunList stores one Ranking per query: a read-only int32 array of
 doc-id codes in rank order and a parallel read-only float64 array of
 their raw scores. A doc's rank is its position + 1, so no rank is stored
 and no per-entry object is kept; ``Ranking.docs`` and ``RunList.entries``
-build doc ids and RunEntry views on demand. Every score is finite: a
-Ranking checks that where it is made, so no score keeps a RunList from
-being written and parsed back equal.
+build doc ids and RunEntry views on demand. Every score is a finite
+real number: a Ranking checks that where it is made, so no score keeps
+a RunList from being written and parsed back equal. Ranking is the one
+check of score objects: RunList.from_scores makes each query's Ranking
+before ordering it, and parse_run checks each line's score text as it
+reads it, so that its error names the line.
 
 Doc ids become codes in one table per process: each distinct id is held
 once, as one str, with one int32 code, however many runs, parses and
@@ -40,10 +43,12 @@ import math
 import os
 import threading
 from bisect import bisect_left
-from collections.abc import Collection, Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count, islice, repeat
+from typing import TextIO
 
 import numpy as np
 
@@ -218,9 +223,11 @@ class Ranking:
     their tuple of ids, the table's own strs, on each call. ``scores`` is
     a read-only float64 array of one finite score per doc. Any other
     sequence, or a writable array, is copied into one here, so changing
-    what was passed changes no Ranking. Every form is checked: a score
-    that is not finite (NaN, ±inf, None), an int too large for a float,
-    or a str or bytes (even one that reads as a number) raises
+    what was passed changes no Ranking. Every form is checked here, the
+    one check of score objects (RunList.from_scores goes through it): a
+    score that is not finite (NaN, ±inf, None), an int too large for a
+    float, a complex number (a Python complex, or any numpy complex
+    dtype), or a str or bytes (even one that reads as a number) raises
     ValueError naming its doc, and a doc id that is not a str TypeError.
     Rankings compare by value and are not hashable. A pickled Ranking
     holds its doc ids, not its codes, so any process reads it back.
@@ -237,12 +244,15 @@ class Ranking:
         ):
             given = scores
             values = np.asarray(given)
-            if values.dtype.kind in "USO" and values.ndim == 1:
-                # numpy would read a str or bytes score as a number
+            if values.dtype.kind in "USOc" and values.ndim == 1:
+                # numpy would read a str or bytes score as a number, and keep
+                # only the real part of a complex one
                 items = given.tolist() if isinstance(given, np.ndarray) else given
                 for doc_id, score in zip(docs, items):
                     if isinstance(score, (str, bytes)):
                         raise ValueError(f"doc {doc_id!r}: score {score!r} is not a number")
+                    if np.iscomplexobj(score):
+                        raise ValueError(f"doc {doc_id!r}: score {score} is not a real number")
             try:
                 scores = values.astype(np.float64)
             except OverflowError:  # an int too large for a float
@@ -314,48 +324,25 @@ def _ties_by_doc(order: np.ndarray, values: np.ndarray, docs: list[str]) -> np.n
     return np.array(order, dtype=np.intp)
 
 
-def _canonical(
-    scores: Mapping[str, Mapping[str, float]], floats: bool = False
-) -> dict[str, Ranking]:
-    """One Ranking per query: score descending, doc_id ascending on ties.
+def _canonical(codes: np.ndarray, scores: np.ndarray, docs: Iterable[str]) -> Ranking:
+    """One query's Ranking: score descending, doc_id ascending on ties.
 
-    A query's scores are read as floats and its doc ids as codes, both in
-    the given order, and one stable argsort of the negated scores orders
-    both. When the sorted scores strictly decrease no two docs tie and
-    that order is final. Otherwise each run of equal floats (0.0 beside
-    -0.0, and two ints that round to one float, are equal too) is put in
-    doc-id order. A score Ranking refuses raises its ValueError with the
-    query id in front. ``floats`` says every score is a float (parse_run's
-    are), so their types are not checked again.
+    ``codes`` and ``scores`` are one query's checked codes and float64
+    scores, both in the given order, and ``docs`` their doc ids, listed
+    only when a tie needs them. It checks no score: Ranking is the one
+    check. One stable argsort of the negated scores orders both. When the
+    sorted scores strictly decrease no two docs tie and that order is
+    final. Otherwise each run of equal scores (0.0 beside -0.0, and two
+    ints that round to one float, are equal too) is put in doc-id order.
     """
-    by_query: dict[str, Ranking] = {}
-    for query_id, per_doc in scores.items():
-        try:
-            if not floats and any(
-                issubclass(kind, (str, bytes)) for kind in set(map(type, per_doc.values()))
-            ):
-                raise TypeError  # np.fromiter would read them as numbers
-            given = np.fromiter(per_doc.values(), np.float64, len(per_doc))
-            if not np.isfinite(given).all():
-                raise ValueError
-            order = np.argsort(-given, kind="stable")
-            values = given[order]
-            if not (values[:-1] > values[1:]).all():
-                order = _ties_by_doc(order, values, list(per_doc))
-                values = given[order]
-            codes = _encode(per_doc.keys())[order]
-            codes.flags.writeable = values.flags.writeable = False
-            by_query[query_id] = Ranking._of(codes, values)
-        except (TypeError, OverflowError, ValueError):
-            # NaN or ±inf, None, 10**400 (no float), a str or bytes, or a doc
-            # id that is not a str: Ranking names the first doc it refuses,
-            # in the given order
-            try:
-                Ranking(tuple(per_doc), tuple(per_doc.values()))
-            except ValueError as error:
-                raise ValueError(f"query {query_id!r}, {error}") from None
-            raise
-    return by_query
+    order = np.argsort(-scores, kind="stable")
+    values = scores[order]
+    if not (values[:-1] > values[1:]).all():
+        order = _ties_by_doc(order, values, list(docs))
+        values = scores[order]
+    codes = codes[order]
+    codes.flags.writeable = values.flags.writeable = False
+    return Ranking._of(codes, values)
 
 
 @dataclass(frozen=True)
@@ -374,11 +361,18 @@ class RunList:
     def from_scores(cls, run_tag: str, scores: Mapping[str, Mapping[str, float]]) -> RunList:
         """Build a canonical RunList from per-query doc -> score maps.
 
-        A score that is not finite (NaN, ±inf, None), an int too large for
-        a float, or a str or bytes raises ValueError naming its query and
-        doc.
+        Each query's scores are checked by Ranking, the one check: a score
+        it refuses raises its ValueError, which names the doc, with the
+        query id in front.
         """
-        return cls(run_tag, _canonical(scores))
+        by_query: dict[str, Ranking] = {}
+        for query_id, per_doc in scores.items():
+            try:
+                checked = Ranking(tuple(per_doc), tuple(per_doc.values()))
+            except ValueError as error:
+                raise ValueError(f"query {query_id!r}, {error}") from None
+            by_query[query_id] = _canonical(checked.codes, checked.scores, per_doc)
+        return cls(run_tag, by_query)
 
     @property
     def query_ids(self) -> list[str]:
@@ -461,7 +455,15 @@ def parse_run(lines: Iterable[str]) -> RunList:
             raise DuplicateDocError(
                 f"line {line_no}: duplicate entry for query {query_id}, doc {doc_id}"
             )
-    return RunList(run_tag or "", _canonical(rows, floats=True))
+    # each score passed the per-line checks above, so no Ranking checks it again
+    return RunList(run_tag or "", {
+        query_id: _canonical(
+            _encode(per_doc.keys()),
+            np.fromiter(per_doc.values(), np.float64, len(per_doc)),
+            per_doc,
+        )
+        for query_id, per_doc in rows.items()
+    })
 
 
 def write_run(run: RunList) -> str:
@@ -585,8 +587,27 @@ def write_qrels(qrels: Qrels) -> str:
     return "".join(out)
 
 
+@contextmanager
+def _open_text(path: str | os.PathLike[str]) -> Iterator[TextIO]:
+    """The file at ``path`` open as UTF-8 text. A byte sequence that is not
+    UTF-8 raises ParseError naming its line: only then is the file read
+    again, as bytes, to find that line."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield f
+    except UnicodeDecodeError:
+        with open(path, "rb") as f:
+            lines = f.read().splitlines()  # the lines text mode reads: \n, \r\n, \r
+        for line_no, raw in enumerate(lines, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(line_no, "line is not valid UTF-8") from None
+        raise
+
+
 def load_run(path: str | os.PathLike[str]) -> RunList:
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         return parse_run(f)
 
 
@@ -602,7 +623,7 @@ def save_run(run: RunList, path: str | os.PathLike[str]) -> None:
 
 
 def load_qrels(path: str | os.PathLike[str]) -> Qrels:
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         return parse_qrels(f, name=os.path.basename(path))
 
 

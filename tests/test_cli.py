@@ -407,6 +407,13 @@ def test_cli_reports_parse_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_cli_names_the_line_that_is_not_utf8(dataset, tmp_path, capsys):
+    bad = tmp_path / "bad.run"
+    bad.write_bytes(b"1 Q0 a 1 2 t\n1 Q0 b\xff 2 1 t\n")
+    assert main(["eval", "--run", str(bad), "--qrels", dataset["qrels"]]) == 1
+    assert capsys.readouterr() == ("", "error: line 2: line is not valid UTF-8\n")
+
+
 def test_compare_refuses_an_empty_qrels(dataset, tmp_path, capsys):
     empty = tmp_path / "empty.qrels"
     empty.write_text("")

@@ -314,6 +314,17 @@ def test_sensitivity_table_refuses_a_repeated_partial_name():
     assert len(sensitivity_table(run, full, [Qrels(first.grades), Qrels(first.grades)])) == 8
 
 
+def test_sensitivity_table_refuses_a_partial_named_full():
+    # sensitivity_csv labels its full-qrels row "full", so two rows would read alike
+    docs = _list_of(20)
+    run = _run_from_docs("t", {"q": docs})
+    full = Qrels({"q": {docs[0]: 1, docs[19]: 1}}, name="full")
+    with pytest.raises(ValueError, match="^partial qrels name 'full' labels the full qrels row"):
+        sensitivity_table(run, full, [Qrels({"q": {docs[0]: 1}}, name="full")])
+    # the full qrels' own name is not a row label
+    assert len(sensitivity_table(run, full, [Qrels({"q": {docs[0]: 1}}, name="Full")])) == 4
+
+
 def test_sensitivity_csv_layout():
     docs = _list_of(20)
     run = _run_from_docs("t", {"q": docs})

@@ -346,11 +346,13 @@ _STR_MAKERS = {
 }
 
 
-@pytest.mark.parametrize("bad", ["1.5", b"1.5", "abc"], ids=repr)
+@pytest.mark.parametrize("bad", ["1.5", b"1.5", "abc", 1 + 2j, np.complex128(1 + 1j)], ids=repr)
 @pytest.mark.parametrize("maker", sorted(_STR_MAKERS))
 def test_every_way_a_ranking_is_made_refuses_a_str_or_bytes_score(maker, bad):
     query = "query 'q2', " if maker == "from_scores" else ""
     message = rf"^{query}doc 'b': score {re.escape(repr(bad))} is not a number$"
+    if isinstance(bad, complex):  # numpy would keep only its real part
+        message = rf"^{query}doc 'b': score {re.escape(str(bad))} is not a real number$"
     with pytest.raises(ValueError, match=message):
         _STR_MAKERS[maker]([1.0, bad, 0.5])
 
@@ -363,6 +365,13 @@ def test_scores_that_are_all_text_are_refused_by_name():
         RunList.from_scores("t", {"1": {"a": b"1"}})
     with pytest.raises(ValueError, match=r"^doc 'a': score '1.5' is not a number$"):
         Ranking(("a",), np.array(["1.5"]))
+    # so are complex ones, a whole array of them included
+    with pytest.raises(ValueError, match=r"^query '1', doc 'a': score \(1\+2j\) is not a real number$"):
+        RunList.from_scores("t", {"1": {"a": 1 + 2j, "b": np.complex128(2)}})
+    with pytest.raises(ValueError, match=r"^doc 'a': score \(3\+4j\) is not a real number$"):
+        Ranking(("a",), np.array([3 + 4j]))
+    with pytest.raises(ValueError, match=r"^doc 'x': score \(1\+0j\) is not a real number$"):
+        Ranking(("x", "y"), np.array([1, 2j], dtype=np.complex64))
     # numbers of every other kind still convert
     assert Ranking(("a", "b", "c"), (True, 2, np.float32(0.5))).scores.tolist() == [1.0, 2.0, 0.5]
 
@@ -551,6 +560,26 @@ def test_path_helpers(tmp_path):
     loaded = load_qrels(qrels_path)
     assert loaded == qrels
     assert loaded.name == "x.qrels"  # basename only, paths stay out of outputs
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=repr)
+def test_the_loaders_name_the_first_line_that_is_not_utf8(tmp_path, newline):
+    # the decoder's own message gives an offset in the chunk it read, not a line;
+    # 1000 good lines put the bad one past the first chunk
+    good_run = [b"1 Q0 d%d %d 1 t" % (i, i) for i in range(1, 1001)]
+    good_qrels = [b"1 0 d%d 1" % i for i in range(1, 1001)]
+    for load, good, bad in (
+        (load_run, good_run, b"1 Q0 caf\xe9 1001 1 t"),
+        (load_qrels, good_qrels, b"1 0 caf\xe9 1"),
+    ):
+        path = tmp_path / "bad"
+        path.write_bytes(newline.join([*good, b"", bad, b"\xff"]) + newline)
+        with pytest.raises(ParseError, match="^line 1002: line is not valid UTF-8$") as raised:
+            load(path)
+        assert raised.value.line_no == 1002
+        # valid UTF-8 beyond ASCII loads as before
+        path.write_bytes(newline.join([*good, bad.replace(b"\xe9", "é".encode())]))
+        assert len(load(path).query_ids) == 1
 
 
 # The parsers and canonical order as they were when parse_run looked a query's docs
