@@ -155,7 +155,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         if args.weights is None:
             raise ValueError("--weights is required for method 'lc'")
         with open(args.weights, encoding="utf-8") as handle:
-            weights = weights_from_csv(handle.read())
+            # without the byte-order mark a spreadsheet's "CSV UTF-8" puts first
+            weights = weights_from_csv(handle.read().removeprefix("\ufeff"))
         fused = linear_combine(scored, weights, args.depth, args.tag or "LC-mlr")
     else:
         fuser = {"combsum": comb_sum, "combmnz": comb_mnz, "borda": borda}[args.method]

@@ -266,6 +266,9 @@ def sensitivity_table(
     ``name``, else ``partial<i>`` (1-based); a name that repeats an
     earlier one, or ``full``, the label of sensitivity_csv's full-qrels
     row, raises ValueError, since sensitivity_csv keys its rows by name.
+    So does a name holding a comma, a double quote, CR or LF, which
+    sensitivity_csv, writing names as they are, would split into cells
+    or rows.
     """
     names = [partial.name or f"partial{index}" for index, partial in enumerate(partials, start=1)]
     for index, name in enumerate(names):
@@ -273,6 +276,11 @@ def sensitivity_table(
             raise ValueError(f"partial qrels name {name!r} repeats; each partial needs its own")
         if name == "full":
             raise ValueError("partial qrels name 'full' labels the full qrels row; rename it")
+        if any(c in name for c in ',"\r\n'):
+            raise ValueError(
+                f"partial qrels name {name!r} holds a comma, quote or line break, "
+                "which the sensitivity CSV cannot hold; rename it"
+            )
     queries = full.query_ids
     base = evaluate(run, full, queries).mean_metrics()
     rows: list[SensitivityRow] = []

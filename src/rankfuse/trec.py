@@ -47,8 +47,7 @@ from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count, islice, repeat
-from typing import TextIO
+from itertools import chain, count, islice, repeat
 
 import numpy as np
 
@@ -474,7 +473,11 @@ def write_run(run: RunList) -> str:
     score as the shortest text that parses back to the same float, with
     no ".0" on an integer-valued one (so below 10**6 it prints as
     ``.6g`` would). A run with no empty query re-parses to an equal
-    RunList, a fused run included.
+    RunList, a fused run included. The scores of a query of 100 or more
+    whole numbers below 1e16 in magnitude, none of them -0.0, are
+    written as the reprs of their int64s, not of their floats: the same
+    bytes, since below 1e16 a float's shortest repr is positional and
+    such a float's is its int's digits plus ".0" (see _score_texts).
 
     Each entry is formatted by builtins (map, zip, str.join) with no
     Python-level step: the rank strings are made once per call, and a
@@ -485,25 +488,63 @@ def write_run(run: RunList) -> str:
     ValueError, since parse_run could not read it back. Every score is
     finite, as Ranking checks, so no score can stop the round trip.
     """
+    return "".join(_query_texts(run))
+
+
+def _query_texts(run: RunList) -> Iterator[str]:
+    """write_run's text in pieces, a few per query, made as they are
+    taken; a run write_run refuses raises ValueError here, before any
+    piece is made."""
     tag = run.run_tag
     if tag.split() != [tag] and any(run.by_query.values()):
         raise ValueError(f"run tag {tag!r} is empty or contains whitespace")
+
     longest = max(map(len, run.by_query.values()), default=0)
     ranks = list(map(str, range(1, longest + 1)))
-    # a few strings per query: a list of every line would raise the peak memory
-    out: list[str] = []
-    for query_id in run.query_ids:
-        ranking = run.by_query[query_id]
-        if not ranking:
-            continue
-        docs = map(_IDS.__getitem__, ranking.codes.tolist())
-        scores = map(str.removesuffix, map(str, ranking.scores.tolist()), repeat(".0"))
-        out += (
-            f"{query_id} Q0 ",
-            f" {tag}\n{query_id} Q0 ".join(map(" ".join, zip(docs, ranks, scores))),
-            f" {tag}\n",
-        )
-    return "".join(out)
+
+    def pieces() -> Iterator[str]:
+        for query_id in run.query_ids:
+            ranking = run.by_query[query_id]
+            if not ranking:
+                continue
+            docs = map(_IDS.__getitem__, ranking.codes.tolist())
+            scores = _score_texts(ranking.scores)
+            yield f"{query_id} Q0 "
+            yield f" {tag}\n{query_id} Q0 ".join(map(" ".join, zip(docs, ranks, scores)))
+            yield f" {tag}\n"
+
+    return pieces()
+
+
+def _score_texts(scores: np.ndarray) -> Iterator[str]:
+    """The text of each of one query's ``scores``: its shortest repr, with
+    no ".0" on a whole number (repr, which str would only call).
+
+    When every score is a whole number below 1e16 in magnitude and none
+    is -0.0, each is written as the repr of its int64, which is faster
+    and gives the same bytes: below 1e16 a float's shortest repr is
+    positional, every such whole float is an int that int64 holds
+    exactly, and its shortest digits are that int's digits plus ".0".
+    That is tested before the cast, which would warn on a float beyond
+    int64. The test costs a few numpy calls, more than the ints save on
+    a query of under 100 scores or on one whose first score is
+    fractional, so those go straight to repr.
+    """
+    if (
+        len(scores) >= 100
+        and scores[0].is_integer()
+        and (
+            (abs(scores) < 1e16)
+            & (np.trunc(scores) == scores)
+            & (scores.view(np.int64) != _NEGATIVE_ZERO)
+        ).all()
+    ):
+        return map(repr, scores.astype(np.int64).tolist())
+    return map(str.removesuffix, map(repr, scores.tolist()), repeat(".0"))
+
+
+# -0.0's bits as an int64: they tell -0.0 from 0.0, which == does not
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -588,13 +629,16 @@ def write_qrels(qrels: Qrels) -> str:
 
 
 @contextmanager
-def _open_text(path: str | os.PathLike[str]) -> Iterator[TextIO]:
-    """The file at ``path`` open as UTF-8 text. A byte sequence that is not
+def _open_text(path: str | os.PathLike[str]) -> Iterator[Iterable[str]]:
+    """The lines of the file at ``path``, read as UTF-8 text, without the
+    byte-order mark some editors put first. A byte sequence that is not
     UTF-8 raises ParseError naming its line: only then is the file read
     again, as bytes, to find that line."""
     try:
         with open(path, encoding="utf-8") as f:
-            yield f
+            # not the utf-8-sig codec: its decoder, written in Python, raised
+            # the peak memory of a CLI command that loads runs
+            yield chain((next(f, "").removeprefix("\ufeff"),), f)
     except UnicodeDecodeError:
         with open(path, "rb") as f:
             lines = f.read().splitlines()  # the lines text mode reads: \n, \r\n, \r
@@ -607,24 +651,26 @@ def _open_text(path: str | os.PathLike[str]) -> Iterator[TextIO]:
 
 
 def load_run(path: str | os.PathLike[str]) -> RunList:
-    with _open_text(path) as f:
-        return parse_run(f)
+    with _open_text(path) as lines:
+        return parse_run(lines)
 
 
 def save_run(run: RunList, path: str | os.PathLike[str]) -> None:
     """Write ``write_run(run)`` to ``path``: every entry, none cut.
 
-    The text is built before the file is opened, so a run write_run
-    refuses leaves whatever is at ``path`` as it was.
+    Each query's text is written as it is made, so no more than one
+    query's text is held at once. A run write_run refuses is refused
+    before the file is opened, so whatever is at ``path`` is left as it
+    was.
     """
-    text = write_run(run)
+    texts = _query_texts(run)
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
+        f.writelines(texts)
 
 
 def load_qrels(path: str | os.PathLike[str]) -> Qrels:
-    with _open_text(path) as f:
-        return parse_qrels(f, name=os.path.basename(path))
+    with _open_text(path) as lines:
+        return parse_qrels(lines, name=os.path.basename(path))
 
 
 def save_qrels(qrels: Qrels, path: str | os.PathLike[str]) -> None:

@@ -135,6 +135,26 @@ def test_train_then_fuse_lc(dataset, tmp_path, capsys):
     assert run.query_ids == load_qrels(dataset["qrels"]).query_ids
 
 
+def test_fuse_reads_weights_saved_with_a_byte_order_mark(dataset, tmp_path):
+    # a spreadsheet's "CSV UTF-8" puts one before the header
+    weights = tmp_path / "w.csv"
+    assert main(
+        ["train", "--runs", *dataset["runs"], "--qrels", dataset["qrels"],
+         "--out-weights", str(weights)]
+    ) == 0
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + weights.read_bytes())
+    outputs = []
+    for path in (weights, marked):
+        fused = tmp_path / f"{path.stem}.run"
+        assert main(
+            ["fuse", "--runs", *dataset["runs"], "--method", "lc",
+             "--weights", str(path), "--out", str(fused)]
+        ) == 0
+        outputs.append(fused.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_train_with_query_subset(dataset, capsys):
     assert main(
         ["train", "--runs", *dataset["runs"], "--qrels", dataset["qrels"],
@@ -392,6 +412,25 @@ def test_sensitivity_refuses_two_partials_of_one_file_name(dataset, tmp_path, ca
     assert captured.out == ""
     assert captured.err == (
         "error: partial qrels name 'p.qrels' repeats; each partial needs its own\n"
+    )
+
+
+def test_sensitivity_refuses_a_partial_file_name_holding_a_comma(dataset, tmp_path, capsys):
+    # the CSV writes names as they are: "a,b.qrels" would add a cell to its row
+    partial = tmp_path / "a,b.qrels"
+    assert main(
+        ["pool", "--runs", *dataset["runs"], "--qrels", dataset["qrels"],
+         "--depth", "2", "--out", str(partial)]
+    ) == 0
+    assert main(
+        ["sensitivity", "--run", dataset["runs"][0], "--qrels", dataset["qrels"],
+         "--partials", str(partial)]
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: partial qrels name 'a,b.qrels' holds a comma, quote or line break, "
+        "which the sensitivity CSV cannot hold; rename it\n"
     )
 
 

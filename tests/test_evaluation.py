@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -323,6 +324,18 @@ def test_sensitivity_table_refuses_a_partial_named_full():
         sensitivity_table(run, full, [Qrels({"q": {docs[0]: 1}}, name="full")])
     # the full qrels' own name is not a row label
     assert len(sensitivity_table(run, full, [Qrels({"q": {docs[0]: 1}}, name="Full")])) == 4
+
+
+@pytest.mark.parametrize("name", ["a,b.qrels", 'a"b', "a\rb", "a\nb", ","])
+def test_sensitivity_table_refuses_a_partial_name_the_csv_cannot_hold(name):
+    # sensitivity_csv writes names as they are, so the row would split
+    docs = _list_of(20)
+    run = _run_from_docs("t", {"q": docs})
+    full = Qrels({"q": {docs[0]: 1, docs[19]: 1}}, name="full")
+    with pytest.raises(ValueError, match=f"^partial qrels name {re.escape(repr(name))} holds"):
+        sensitivity_table(run, full, [Qrels({"q": {docs[0]: 1}}, name=name)])
+    # the full qrels' own name is not a row label
+    assert len(sensitivity_table(run, Qrels(full.grades, name=name), [Qrels(full.grades)])) == 4
 
 
 def test_sensitivity_csv_layout():

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from itertools import count
 
 import numpy as np
@@ -580,6 +581,19 @@ def test_the_loaders_name_the_first_line_that_is_not_utf8(tmp_path, newline):
         # valid UTF-8 beyond ASCII loads as before
         path.write_bytes(newline.join([*good, bad.replace(b"\xe9", "é".encode())]))
         assert len(load(path).query_ids) == 1
+        # a byte-order mark first changes no line's number
+        path.write_bytes(b"\xef\xbb\xbf" + newline.join([*good, b"", bad]))
+        with pytest.raises(ParseError, match="^line 1002: line is not valid UTF-8$"):
+            load(path)
+
+
+def test_the_loaders_drop_a_byte_order_mark(tmp_path):
+    # as an editor saving "UTF-8 with BOM" puts it first
+    path = tmp_path / "bom"
+    path.write_bytes(b"\xef\xbb\xbf1 Q0 a 1 2 t\n1 Q0 b 2 1 t\n")
+    assert load_run(path) == RunList.from_scores("t", {"1": {"a": 2.0, "b": 1.0}})
+    path.write_bytes(b"\xef\xbb\xbf1 0 a 1\n1 0 b 0\n")
+    assert load_qrels(path) == Qrels({"1": {"a": 1, "b": 0}})
 
 
 # The parsers and canonical order as they were when parse_run looked a query's docs
@@ -770,13 +784,22 @@ def _reference_write_run(run):
     return "".join(out)
 
 
+# Whole numbers at the edges of write_run's int64 texts: beyond 2**53 (where not
+# every int is a float), just below 1e16 (the last positional reprs), and beyond
+# int64; 2**52 + 0.5 rounds to a whole float, 2**51 + 0.5 does not.
+_WHOLE_EDGES = [
+    2.0**53, 2.0**53 + 2, 1e16 - 2, -(1e16 - 2), 2**52 + 0.5, 2**51 + 0.5,
+    1e16, -1e16, 1e19, 1e300, -1e300,
+]
 # Scores as they reach write_run: Python ints and floats, numpy float64 scalars,
 # signed zeros, and values whose shortest text has an exponent.
 _WRITTEN_SCORE = st.one_of(
     st.integers(-(10**20), 10**20),
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
-    st.sampled_from([0.0, -0.0, 1e16, -1e16, 5e-324, 1.0, 10.0, 1e22, np.float64(-0.0)]),
+    st.sampled_from(
+        [0.0, -0.0, 1e16, -1e16, 5e-324, 1.0, 10.0, 1e22, np.float64(-0.0), *_WHOLE_EDGES]
+    ),
 )
 # Docs per query, some empty; query ids decimal or not (natural or text order).
 _WRITTEN_RANKING = st.lists(st.tuples(_TOKENS, _WRITTEN_SCORE), max_size=6).map(
@@ -795,6 +818,57 @@ _WRITTEN_RANKING = st.lists(st.tuples(_TOKENS, _WRITTEN_SCORE), max_size=6).map(
 def test_write_run_matches_the_reference_writer(by_query, tag):
     run = RunList(tag, by_query)
     assert write_run(run) == _reference_write_run(run)
+
+
+# Queries long enough for write_run to test for whole scores, every score a whole
+# number (with the edges above, and -0.0, which keeps a query on float texts).
+_WHOLE_SCORES = st.one_of(
+    st.integers(-(2**53), 2**53).map(float), st.sampled_from([*_WHOLE_EDGES, -0.0, 0.0])
+)
+# A few drawn scores repeated past 100, which is quicker to draw than 100 scores.
+_WHOLE_RANKING = st.lists(_WHOLE_SCORES, min_size=1, max_size=12).map(
+    lambda drawn: drawn * (100 // len(drawn) + 1)
+).map(lambda scores: Ranking(tuple(f"w{i}" for i in range(len(scores))), tuple(scores)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.dictionaries(st.integers(0, 99).map(str), _WHOLE_RANKING, min_size=1, max_size=3))
+def test_write_run_writes_whole_scores_as_the_reference_writer_does(by_query):
+    run = RunList("t", by_query)
+    assert write_run(run) == _reference_write_run(run)
+
+
+def test_a_query_of_whole_and_fractional_scores_is_written_as_floats():
+    whole = [float(n) for n in range(200, 0, -1)]
+    for scores in (
+        [*whole[:150], 2.5, *whole[151:]],  # whole first, one fractional later
+        [200.5, *whole[1:]],  # fractional first, whole after
+        [*whole[:150], -0.0, *whole[151:]],
+        [*whole[:150], 1e16, *whole[151:]],
+    ):
+        run = RunList("t", {"1": Ranking(tuple(f"m{i}" for i in range(200)), scores)})
+        text = write_run(run)
+        assert text == _reference_write_run(run)
+        assert parse_run(text.splitlines()) == RunList.from_scores(
+            "t", {"1": dict(zip(run.docs("1"), scores))}
+        )
+
+
+def test_save_run_holds_one_query_text_at_a_time(tmp_path):
+    run = RunList("t", {
+        str(q): Ranking(tuple(f"held-{q}-{i}" for i in range(1000)), np.linspace(1.5, 0.1, 1000))
+        for q in range(50)
+    })
+    size = len(write_run(run))
+    path = tmp_path / "held.run"
+    tracemalloc.start()
+    try:
+        save_run(run, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == write_run(run)
+    assert peak < size / 2
 
 
 def test_new_ids_get_one_code_each_and_a_refused_id_leaves_the_table_as_it_was():
