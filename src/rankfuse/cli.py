@@ -124,7 +124,10 @@ def _cmd_pool(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     partial = pooling.make_partial_qrels(pooling.build_pool(runs, depth), full)
-    _emit(write_qrels(partial), args.out)
+    if args.out is None:
+        sys.stdout.write(write_qrels(partial))
+    else:
+        save_qrels(partial, args.out)
     return 0
 
 

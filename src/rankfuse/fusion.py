@@ -197,13 +197,29 @@ def _rank(
     score descending, then the rest, cut to ``depth``; lengths[i] counts
     the ranked ones in it.
 
-    Columns are in doc-id order, so a stable argsort of -score is the
-    canonical (score descending, doc_id ascending) order.
+    Columns are in doc-id order, so a stable argsort of the key -score
+    (+inf where no system ranked the column) is the canonical (score
+    descending, doc_id ascending) order. When ``depth`` is below the row
+    width, only what that order keeps is sorted: np.partition finds each
+    row's depth-th smallest key, the cut, and the row's columns whose key
+    is not above it (~(key > cut), so a NaN cut keeps every column),
+    still in column order, are stable-argsorted and cut to ``depth``.
+    Each of the full order's first ``depth`` is at or below the cut, so
+    that is the same order. At ``depth`` >= the width the whole row is
+    sorted.
     """
     _check_depth(depth)
     ranked = systems > 0
-    order = np.argsort(np.where(ranked, -scores, np.inf), axis=1, kind="stable")[:, :depth]
-    return order, np.minimum(np.count_nonzero(ranked, axis=1), depth)
+    keys = np.where(ranked, -scores, np.inf)
+    lengths = np.minimum(np.count_nonzero(ranked, axis=1), depth)
+    if depth >= keys.shape[1]:
+        return np.argsort(keys, axis=1, kind="stable"), lengths
+    kept = ~(keys > np.partition(keys, depth - 1, axis=1)[:, depth - 1 : depth])
+    order = np.empty((keys.shape[0], depth), dtype=np.intp)
+    for row, key, keep in zip(order, keys, kept):
+        columns = np.flatnonzero(keep)
+        row[:] = columns.take(np.argsort(key.take(columns), kind="stable")[:depth])
+    return order, lengths
 
 
 def _rankings(
@@ -278,8 +294,9 @@ def _fuse(runs: Sequence[RunList], score: _Score, run_tag: str, depth: int) -> R
 def _sums(
     ranks: np.ndarray, lookups: Iterable[np.ndarray], weights: np.ndarray | None = None
 ) -> np.ndarray:
-    """Per column, each system's lookups[j][ranks[:, j]], times weights[j]
-    if given, added one system at a time from 0 in system order.
+    """Per column, each system's lookups[j][ranks[:, j]] (gathered by
+    take), times weights[j] if given, added one system at a time from 0
+    in system order.
 
     numpy's sum(axis=0) adds a one-column table pairwise, and a BLAS
     product could reorder the sum; either could change the last bit of a
@@ -287,7 +304,7 @@ def _sums(
     """
     total = 0
     for j, lookup in enumerate(lookups):
-        values = lookup[ranks[:, j]]
+        values = lookup.take(ranks[:, j])
         # the first system rebinds total to a new array, the rest add in place
         total += values if weights is None else weights[j] * values
     return total

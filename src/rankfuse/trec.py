@@ -479,10 +479,8 @@ def write_run(run: RunList) -> str:
     bytes, since below 1e16 a float's shortest repr is positional and
     such a float's is its int's digits plus ".0" (see _score_texts).
 
-    Each entry is formatted by builtins (map, zip, str.join) with no
-    Python-level step: the rank strings are made once per call, and a
-    query's lines are joined by one separator that ends a line and
-    starts the next.
+    No str is made per line: each query is laid out as one list of four
+    strs per line, joined once (see _query_texts).
 
     A run with entries whose tag is empty or contains whitespace raises
     ValueError, since parse_run could not read it back. Every score is
@@ -492,26 +490,37 @@ def write_run(run: RunList) -> str:
 
 
 def _query_texts(run: RunList) -> Iterator[str]:
-    """write_run's text in pieces, a few per query, made as they are
-    taken; a run write_run refuses raises ValueError here, before any
-    piece is made."""
+    """write_run's text in pieces, two per query, made as they are taken;
+    a run write_run refuses raises ValueError here, before any piece is
+    made.
+
+    A query of n lines is "{query_id} Q0 " and then one list of 4n strs
+    joined once: per line the doc id (the table's own str), " {rank} "
+    (made once per call), the score text, and the separator
+    " {tag}\n{query_id} Q0 " that ends the line and starts the next, or
+    " {tag}\n" after the last. The list is filled by extended-slice
+    assignment, so no per-line str or tuple is made.
+    """
     tag = run.run_tag
     if tag.split() != [tag] and any(run.by_query.values()):
         raise ValueError(f"run tag {tag!r} is empty or contains whitespace")
 
     longest = max(map(len, run.by_query.values()), default=0)
-    ranks = list(map(str, range(1, longest + 1)))
+    ranks = [f" {rank} " for rank in range(1, longest + 1)]
 
     def pieces() -> Iterator[str]:
         for query_id in run.query_ids:
             ranking = run.by_query[query_id]
-            if not ranking:
+            n = len(ranking)
+            if not n:
                 continue
-            docs = map(_IDS.__getitem__, ranking.codes.tolist())
-            scores = _score_texts(ranking.scores)
+            parts = [f" {tag}\n{query_id} Q0 "] * (4 * n)
+            parts[0::4] = map(_IDS.__getitem__, ranking.codes.tolist())
+            parts[1::4] = ranks[:n]
+            parts[2::4] = _score_texts(ranking.scores)
+            parts[-1] = f" {tag}\n"
             yield f"{query_id} Q0 "
-            yield f" {tag}\n{query_id} Q0 ".join(map(" ".join, zip(docs, ranks, scores)))
-            yield f" {tag}\n"
+            yield "".join(parts)
 
     return pieces()
 
@@ -620,12 +629,16 @@ def parse_qrels(lines: Iterable[str], name: str = "") -> Qrels:
 
 def write_qrels(qrels: Qrels) -> str:
     """Serialize qrels to 4-column text sorted by (query_id, doc_id)."""
-    out: list[str] = []
+    return "".join(_qrels_texts(qrels))
+
+
+def _qrels_texts(qrels: Qrels) -> Iterator[str]:
+    """write_qrels' text in pieces, one per query, made as they are taken."""
     for query_id in qrels.query_ids:
         per_query = qrels.grades_for(query_id)
-        for doc_id in sorted(per_query):
-            out.append(f"{query_id} 0 {doc_id} {per_query[doc_id]}\n")
-    return "".join(out)
+        yield "".join(
+            [f"{query_id} 0 {doc_id} {per_query[doc_id]}\n" for doc_id in sorted(per_query)]
+        )
 
 
 @contextmanager
@@ -674,6 +687,7 @@ def load_qrels(path: str | os.PathLike[str]) -> Qrels:
 
 
 def save_qrels(qrels: Qrels, path: str | os.PathLike[str]) -> None:
-    text = write_qrels(qrels)
+    """Write ``write_qrels(qrels)`` to ``path``, each query's text as it is
+    made, so no more than one query's text is held at once."""
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
+        f.writelines(_qrels_texts(qrels))

@@ -546,6 +546,24 @@ def test_borda_holds_one_query_cube_at_a_time():
     assert scoring < np.getbufsize() * np.dtype(np.intp).itemsize + cube.nbytes // 8
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 40))
+def test_rank_is_the_full_stable_argsort_cut_to_depth(seed, rows, width):
+    # Few distinct scores, so ties fall at the cut; unranked columns, NaN and
+    # -inf scores; every depth from 1 to past the width, where no cut is made.
+    rng = np.random.default_rng(seed)
+    values = np.array([np.nan, -np.inf, -1.5, -0.0, 0.0, 0.5, 2.0])
+    scores = rng.choice(values, size=(rows, width))
+    systems = rng.integers(0, 3, size=(rows, width)).astype(np.int32)
+    keys = np.where(systems > 0, -scores, np.inf)
+    full = np.argsort(keys, axis=1, kind="stable")
+    ranked = np.count_nonzero(systems > 0, axis=1)
+    for depth in range(1, width + 3):
+        order, lengths = fusion._rank(systems, scores, depth)
+        assert np.array_equal(order, full[:, :depth])
+        assert np.array_equal(lengths, np.minimum(ranked, depth))
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 15), st.floats(-0.99, 100.0))
 def test_every_fused_run_re_parses_equal(seed, depth, constant):

@@ -871,6 +871,22 @@ def test_save_run_holds_one_query_text_at_a_time(tmp_path):
     assert peak < size / 2
 
 
+def test_save_qrels_holds_one_query_text_at_a_time(tmp_path):
+    qrels = Qrels({
+        str(q): {f"held-{q}-{i}": i % 3 for i in range(1000)} for q in range(50)
+    })
+    size = len(write_qrels(qrels))
+    path = tmp_path / "held.qrels"
+    tracemalloc.start()
+    try:
+        save_qrels(qrels, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == write_qrels(qrels)
+    assert peak < size / 2
+
+
 def test_new_ids_get_one_code_each_and_a_refused_id_leaves_the_table_as_it_was():
     # a new id twice in one Ranking, beside known and other new ids
     known = Ranking(("twice-known",), (1.0,)).codes[0]
