@@ -24,6 +24,7 @@ import warnings
 from collections.abc import Sequence
 
 from . import harness, pooling
+from ._warn import warn
 from .evaluation import evaluate, report_csv, sensitivity_csv, sensitivity_table
 from .fusion import (
     DEFAULT_OUTPUT_DEPTH,
@@ -65,7 +66,7 @@ def _load_runs(paths: Sequence[str]) -> list:
     runs = [load_run(path) for path in paths]
     for path, run in zip(paths, runs):
         if not run.by_query:
-            warnings.warn(f"{path}: no run entries", stacklevel=2)
+            warn(f"{path}: no run entries")
     tags = [run.run_tag for run in runs]
     duplicates = sorted({tag for tag in tags if tags.count(tag) > 1})
     if duplicates:
@@ -77,20 +78,24 @@ def _load_qrels(path: str) -> Qrels:
     """load_qrels, with one warning when the file repeats a judgment."""
     qrels = load_qrels(path)
     if qrels.duplicate_warnings:
-        warnings.warn(
+        warn(
             f"{path}: {qrels.duplicate_warnings} duplicate (query, doc) "
-            "lines with the same grade; each pair counted once",
-            stacklevel=2,
+            "lines with the same grade; each pair counted once"
         )
     return qrels
 
 
 def _parse_depths(text: str) -> list[int]:
     """Either an inclusive range 'LO:HI' or a comma list '1,5,10'."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(token) for token in text.split(",") if token]
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(token) for token in text.split(",") if token]
+    except ValueError:
+        raise ValueError(
+            f"--depths {text!r} is not a range LO:HI or a comma list of integers"
+        ) from None
 
 
 def _parse_queries(text: str | None) -> list[str] | None:
@@ -106,8 +111,13 @@ def _parse_mode(text: str) -> tuple[str, int]:
     if text == "tertiles":
         return "tertiles", 0
     if text.startswith("threshold:"):
-        return "threshold", int(text.split(":", 1)[1])
-    raise ValueError(f"bad mode {text!r}; expected 'tertiles' or 'threshold:<t>'")
+        try:
+            return "threshold", int(text.split(":", 1)[1])
+        except ValueError:
+            pass
+    raise ValueError(
+        f"bad mode {text!r} for --mode; expected 'tertiles' or 'threshold:<t>', t an integer"
+    )
 
 
 def _cmd_pool(args: argparse.Namespace) -> int:
@@ -145,9 +155,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     scored = [normalize_reciprocal(run, args.constant) for run in runs]
     queries = _parse_queries(args.queries) or qrels.query_ids
     weights = solve_ols(assemble_matrix(scored, qrels, queries))
-    warning = _fit_warning("train", weights)
-    if warning:
-        warnings.warn(warning, stacklevel=2)
+    _fit_warning("train", weights)
     _emit(weights_to_csv(weights), args.out_weights)
     return 0
 
@@ -164,7 +172,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     else:
         fuser = {"combsum": comb_sum, "combmnz": comb_mnz, "borda": borda}[args.method]
         fused = fuser(scored, args.depth, args.tag or args.method)
-    _emit(write_run(fused), args.out)
+    if args.out is None:
+        sys.stdout.write(write_run(fused))
+    else:
+        save_run(fused, args.out)
     return 0
 
 
@@ -234,7 +245,12 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     profile = None
     if args.qualities is not None:
-        profile = [float(token) for token in args.qualities.split(",") if token]
+        try:
+            profile = [float(token) for token in args.qualities.split(",") if token]
+        except ValueError:
+            raise ValueError(
+                f"--qualities {args.qualities!r} is not a comma list of numbers"
+            ) from None
     runs, qrels = harness.generate_synthetic(
         args.seed,
         args.num_queries,

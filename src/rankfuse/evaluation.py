@@ -17,12 +17,12 @@ can only lower P@k.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._warn import warn
 from .trec import _NO_RANKING, Qrels, RunList, _among, _known_codes, sort_query_ids
 
 METRICS = ("map", "rp", "p10", "p20")
@@ -190,11 +190,7 @@ def _report(
     if not query_ids:
         raise ValueError("query set must be non-empty")
     if missing:
-        warnings.warn(
-            f"{missing} of {len(query_ids)} queries missing from run "
-            f"{run_tag!r}; they score 0",
-            stacklevel=3,
-        )
+        warn(f"{missing} of {len(query_ids)} queries missing from run {run_tag!r}; they score 0")
     values = _metrics(relevant, relevant_counts)
     return EvalReport(run_tag, qrels_name, tuple(map(QueryEval, query_ids, *values)))
 

@@ -27,13 +27,13 @@ Protocol notes that apply throughout:
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._warn import warn
 from .evaluation import METRICS, EvalReport, _relevance_table, _report, evaluate
 from .fusion import (
     _SCORERS,
@@ -160,9 +160,7 @@ def _train_fold(
         weights = _solve(system_order, *rows)
     except Exception as exc:
         raise RuntimeError(f"weight training failed on fold {label}: {exc}") from exc
-    warning = _fit_warning(f"fold {label}", weights)
-    if warning:
-        warnings.warn(warning, stacklevel=4)
+    _fit_warning(f"fold {label}", weights)
     return weights
 
 
@@ -377,7 +375,7 @@ def grouped_eval(
     for group in groups:
         union.update(group.query_ids)
         if not group.query_ids:
-            warnings.warn(f"group {group.label!r} is empty; skipped", stacklevel=2)
+            warn(f"group {group.label!r} is empty; skipped")
             continue
         counts = [qrels.relevant_count(q) for q in group.query_ids]
         out.append(

@@ -8,12 +8,12 @@ everything outside the pool is simply absent, i.e. non-relevant.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._warn import warn
 from .trec import (
     _NO_RANKING,
     Qrels,
@@ -91,10 +91,9 @@ def make_partial_qrels(pool: Pool, full: Qrels) -> Qrels:
             doc_id: full.grade(query_id, doc_id) for doc_id in sorted(pool.for_query(query_id))
         }
     if unjudged_queries:
-        warnings.warn(
+        warn(
             f"{len(unjudged_queries)} pooled queries have no judgments "
-            f"(e.g. {unjudged_queries[0]}); their pooled docs get grade 0",
-            stacklevel=2,
+            f"(e.g. {unjudged_queries[0]}); their pooled docs get grade 0"
         )
     return Qrels(grades, name=f"depth{pool.depth}")
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from ._warn import warn
 from .evaluation import _relevance_table
 from .fusion import _by_score, _rank_cube
 from .trec import _NO_RANKING, Qrels, RunList, _doc_ids, sort_query_ids
@@ -210,9 +211,9 @@ def objective_g(matrix: ScoreMatrix, candidate: WeightVector) -> float:
     return float(residuals @ residuals)
 
 
-def _fit_warning(subject: str, weights: WeightVector) -> str | None:
-    """``subject (n systems): problem`` for degenerate or ridge-regularized
-    weights, else None."""
+def _fit_warning(subject: str, weights: WeightVector) -> None:
+    """Warn ``subject (n systems): problem`` for degenerate or
+    ridge-regularized weights."""
     if weights.degenerate:
         problem = (
             "no training label is relevant; the weights are all zero and fuse in doc-id order"
@@ -220,8 +221,8 @@ def _fit_warning(subject: str, weights: WeightVector) -> str | None:
     elif weights.regularized:
         problem = f"the design is rank-deficient; solved with a ridge of {RIDGE_FALLBACK}"
     else:
-        return None
-    return f"{subject} ({len(weights.system_order)} systems): {problem}"
+        return
+    warn(f"{subject} ({len(weights.system_order)} systems): {problem}")
 
 
 def weights_to_csv(weights: WeightVector) -> str:

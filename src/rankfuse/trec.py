@@ -8,24 +8,28 @@ Qrels files are 4-column:
 
     <query_id> <iter> <doc_id> <grade>
 
-Parsed runs are canonicalized: entries are re-sorted per query by raw
-score descending (doc_id ascending on ties) and ranks are rewritten
-densely 1..L. Run files in the wild disagree between their rank and
-score columns, so one of them has to be the authority; the rank column
-found in the file must be an integer but is otherwise ignored.
-Canonicalization is deterministic: the same entries produce the same
-RunList regardless of line order.
+Every Ranking is canonical, however it is made: its docs are distinct,
+sorted by raw score descending (doc_id ascending on ties), and ranked
+densely 1..L. Ranking(docs, scores) is the one way a checked ranking
+becomes canonical (RunList.from_scores goes through it); parse_run,
+which checks its lines itself, shares its ordering, _canonical. Run
+files in the wild disagree between their rank and score columns, so
+one of them has to be the authority; the rank column found in the file
+must be an integer but is otherwise ignored. Canonicalization is
+deterministic: the same entries produce the same RunList regardless of
+line or argument order.
 
 A RunList stores one Ranking per query: a read-only int32 array of
 doc-id codes in rank order and a parallel read-only float64 array of
 their raw scores. A doc's rank is its position + 1, so no rank is stored
 and no per-entry object is kept; ``Ranking.docs`` and ``RunList.entries``
 build doc ids and RunEntry views on demand. Every score is a finite
-real number: a Ranking checks that where it is made, so no score keeps
-a RunList from being written and parsed back equal. Ranking is the one
-check of score objects: RunList.from_scores makes each query's Ranking
-before ordering it, and parse_run checks each line's score text as it
-reads it, so that its error names the line.
+real number and every doc id a whitespace-free token: a Ranking checks
+that where it is made, and the writers check the run tag and query ids,
+so a RunList written is parsed back equal. Ranking is the one check of
+score objects: RunList.from_scores makes one Ranking per query, and
+parse_run checks each line's score text as it reads it, so that its
+error names the line.
 
 Doc ids become codes in one table per process: each distinct id is held
 once, as one str, with one int32 code, however many runs, parses and
@@ -43,6 +47,7 @@ import math
 import os
 import threading
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -111,10 +116,24 @@ _ORDER: tuple[np.ndarray, np.ndarray] = (np.empty(0, np.int32), np.empty(0, np.i
 _NEXT_ORDER: np.ndarray | None = None
 
 
+def _check_fields(name: str, texts: Collection[str]) -> None:
+    """Refuse the first of ``texts`` that is empty or holds whitespace with
+    a ValueError naming it as ``name``: the parsers split each line on
+    whitespace, so they could not read it back as one field. When none
+    is, the check is one split of the texts joined."""
+    joined = "".join(texts)
+    if not texts or (all(texts) and joined.split() == [joined]):
+        return
+    bad = next(text for text in texts if text.split() != [text])
+    raise ValueError(f"{name} {bad!r} is empty or contains whitespace")
+
+
 def _encode(docs: Collection[str]) -> np.ndarray:
-    """The codes of ``docs`` as a read-only int32 array; an id the table
-    lacks gets the next code. A doc id that is not a str raises TypeError
-    and leaves the table as it was."""
+    """The codes of ``docs``, distinct doc ids, as a read-only int32 array;
+    an id the table lacks gets the next code. A new doc id that is not a
+    str raises TypeError, and one that is empty or holds whitespace
+    ValueError; either leaves the table as it was. Only the ids the table
+    lacks are checked."""
     global _NEXT_ORDER
     with _TABLE_LOCK:
         known = len(_CODES)
@@ -126,6 +145,8 @@ def _encode(docs: Collection[str]) -> np.ndarray:
                 for doc_id in new:
                     if not isinstance(doc_id, str):
                         raise TypeError(f"doc id {doc_id!r} is not a str")
+            if new:
+                _check_fields("doc id", new)
         except BaseException:
             for doc_id in _last_added(known):
                 del _CODES[doc_id]
@@ -134,12 +155,8 @@ def _encode(docs: Collection[str]) -> np.ndarray:
             _CODES.update(zip(new, count(known)))
             _IDS.extend(new)
             _NEXT_ORDER = np.empty((2, len(_IDS)), np.int32)
-            fresh = np.flatnonzero(codes < 0)
-            if len(fresh) == len(new):  # each new id once, in code order
-                codes[fresh] = np.arange(known, len(_IDS), dtype=np.int32)
-            else:
-                docs = list(docs)
-                codes[fresh] = [_CODES[docs[i]] for i in fresh.tolist()]
+            # the docs are distinct, so the new ones come in code order
+            codes[codes < 0] = np.arange(known, len(_IDS), dtype=np.int32)
     codes.flags.writeable = False
     return codes
 
@@ -212,22 +229,65 @@ def _merge_added_ids() -> tuple[np.ndarray, np.ndarray]:
     return _ORDER
 
 
+def _ties_by_doc(order: np.ndarray, values: np.ndarray, docs: list[str]) -> np.ndarray:
+    """``order`` with each run of equal ``values`` (the values in that order)
+    put in doc-id order by ``docs``, the doc ids it indexes."""
+    order = order.tolist()
+    start = 0
+    # A run ends where the next value is strictly smaller, or at the end.
+    for end in (*(np.flatnonzero(values[:-1] > values[1:]) + 1).tolist(), len(values)):
+        if end - start > 1:
+            order[start:end] = sorted(order[start:end], key=docs.__getitem__)
+        start = end
+    return np.array(order, dtype=np.intp)
+
+
+def _canonical(
+    codes: np.ndarray, scores: np.ndarray, docs: Iterable[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One query's codes and scores in canonical order, score descending,
+    doc_id ascending on ties, as new read-only arrays.
+
+    ``codes`` and ``scores`` are one query's codes of distinct docs and
+    its checked float64 scores, both in the given order, and ``docs``
+    their doc ids, listed only when a tie needs them. It checks nothing:
+    Ranking and parse_run check first. One stable argsort of the negated
+    scores orders both. When the sorted scores strictly decrease no two
+    docs tie and that order is final. Otherwise each run of equal scores
+    (0.0 beside -0.0, and two ints that round to one float, are equal
+    too) is put in doc-id order.
+    """
+    order = np.argsort(-scores, kind="stable")
+    values = scores[order]
+    if not (values[:-1] > values[1:]).all():
+        order = _ties_by_doc(order, values, list(docs))
+        values = scores[order]
+    codes = codes[order]
+    codes.flags.writeable = values.flags.writeable = False
+    return codes, values
+
+
 @dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)
 class Ranking:
     """One query's canonical ranking: doc ids in rank order and their raw scores.
 
-    Made as ``Ranking(docs, scores)``. The doc at position i has rank
-    i + 1. ``len`` is the number of docs. ``codes`` is a read-only int32
-    array of the docs' codes in the doc-id table, and ``docs`` builds
-    their tuple of ids, the table's own strs, on each call. ``scores`` is
-    a read-only float64 array of one finite score per doc. Any other
-    sequence, or a writable array, is copied into one here, so changing
-    what was passed changes no Ranking. Every form is checked here, the
-    one check of score objects (RunList.from_scores goes through it): a
-    score that is not finite (NaN, ±inf, None), an int too large for a
-    float, a complex number (a Python complex, or any numpy complex
-    dtype), or a str or bytes (even one that reads as a number) raises
-    ValueError naming its doc, and a doc id that is not a str TypeError.
+    Made as ``Ranking(docs, scores)``, docs in any order: it puts them in
+    canonical order, score descending and doc id ascending on ties, so
+    it equals RunList.from_scores of the same pairs. The doc at position
+    i has rank i + 1. ``len`` is the number of docs. ``codes`` is a
+    read-only int32 array of the docs' codes in the doc-id table, and
+    ``docs`` builds their tuple of ids, the table's own strs, on each
+    call. ``scores`` is a read-only float64 array of one finite score per
+    doc, always a new one, so changing what was passed changes no
+    Ranking and a Ranking changes nothing that was passed. Every form is
+    checked here, the one check of score objects (RunList.from_scores
+    goes through it): a score that is not finite (NaN, ±inf, None), an
+    int too large for a float, a complex number (a Python complex, or any
+    numpy complex dtype), or a str or bytes (even one that reads as a
+    number) raises ValueError naming its doc. Then a repeated doc, and a
+    new doc id that is empty or holds whitespace, which parse_run could
+    not read back, raise ValueError naming it, and a new doc id that is
+    not a str TypeError, each before any id joins the doc-id table.
     Rankings compare by value and are not hashable. A pickled Ranking
     holds its doc ids, not its codes, so any process reads it back.
     """
@@ -236,34 +296,26 @@ class Ranking:
     scores: np.ndarray
 
     def __init__(self, docs: Sequence[str], scores: Iterable[float] | np.ndarray) -> None:
-        if not (
-            type(scores) is np.ndarray
-            and scores.dtype == np.float64
-            and not scores.flags.writeable
-        ):
-            given = scores
-            values = np.asarray(given)
-            if values.dtype.kind in "USOc" and values.ndim == 1:
-                # numpy would read a str or bytes score as a number, and keep
-                # only the real part of a complex one
-                items = given.tolist() if isinstance(given, np.ndarray) else given
-                for doc_id, score in zip(docs, items):
-                    if isinstance(score, (str, bytes)):
-                        raise ValueError(f"doc {doc_id!r}: score {score!r} is not a number")
-                    if np.iscomplexobj(score):
-                        raise ValueError(f"doc {doc_id!r}: score {score} is not a real number")
-            try:
-                scores = values.astype(np.float64)
-            except OverflowError:  # an int too large for a float
-                for doc_id, score in zip(docs, given):
-                    try:
-                        float(score)
-                    except OverflowError:
-                        raise ValueError(
-                            f"doc {doc_id!r}: score is too large for a float"
-                        ) from None
-                raise
-            scores.flags.writeable = False
+        given = scores
+        values = np.asarray(given)
+        if values.dtype.kind in "USOc" and values.ndim == 1:
+            # numpy would read a str or bytes score as a number, and keep
+            # only the real part of a complex one
+            items = given.tolist() if isinstance(given, np.ndarray) else given
+            for doc_id, score in zip(docs, items):
+                if isinstance(score, (str, bytes)):
+                    raise ValueError(f"doc {doc_id!r}: score {score!r} is not a number")
+                if np.iscomplexobj(score):
+                    raise ValueError(f"doc {doc_id!r}: score {score} is not a real number")
+        try:
+            scores = values.astype(np.float64, copy=False)
+        except OverflowError:  # an int too large for a float
+            for doc_id, score in zip(docs, given):
+                try:
+                    float(score)
+                except OverflowError:
+                    raise ValueError(f"doc {doc_id!r}: score is too large for a float") from None
+            raise
         if scores.shape != (len(docs),):
             raise ValueError(
                 f"ranking has {len(docs)} docs but {scores.size} scores "
@@ -273,7 +325,12 @@ class Ranking:
         if not finite.all():
             bad = finite.argmin()  # the first False
             raise ValueError(f"doc {docs[bad]!r}: score {scores[bad]} is not finite")
-        object.__setattr__(self, "codes", _encode(docs))
+        if len(set(docs)) != len(docs):
+            repeated = next(doc_id for doc_id, n in Counter(docs).items() if n > 1)
+            raise ValueError(f"doc {repeated!r} is repeated")
+        # _canonical's arrays are new, so the caller's scores are neither held nor changed
+        codes, scores = _canonical(_encode(docs), scores, docs)
+        object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "scores", scores)
 
     @classmethod
@@ -310,40 +367,6 @@ class Ranking:
 _NO_RANKING = Ranking((), ())
 
 
-def _ties_by_doc(order: np.ndarray, values: np.ndarray, docs: list[str]) -> np.ndarray:
-    """``order`` with each run of equal ``values`` (the values in that order)
-    put in doc-id order by ``docs``, the doc ids it indexes."""
-    order = order.tolist()
-    start = 0
-    # A run ends where the next value is strictly smaller, or at the end.
-    for end in (*(np.flatnonzero(values[:-1] > values[1:]) + 1).tolist(), len(values)):
-        if end - start > 1:
-            order[start:end] = sorted(order[start:end], key=docs.__getitem__)
-        start = end
-    return np.array(order, dtype=np.intp)
-
-
-def _canonical(codes: np.ndarray, scores: np.ndarray, docs: Iterable[str]) -> Ranking:
-    """One query's Ranking: score descending, doc_id ascending on ties.
-
-    ``codes`` and ``scores`` are one query's checked codes and float64
-    scores, both in the given order, and ``docs`` their doc ids, listed
-    only when a tie needs them. It checks no score: Ranking is the one
-    check. One stable argsort of the negated scores orders both. When the
-    sorted scores strictly decrease no two docs tie and that order is
-    final. Otherwise each run of equal scores (0.0 beside -0.0, and two
-    ints that round to one float, are equal too) is put in doc-id order.
-    """
-    order = np.argsort(-scores, kind="stable")
-    values = scores[order]
-    if not (values[:-1] > values[1:]).all():
-        order = _ties_by_doc(order, values, list(docs))
-        values = scores[order]
-    codes = codes[order]
-    codes.flags.writeable = values.flags.writeable = False
-    return Ranking._of(codes, values)
-
-
 @dataclass(frozen=True)
 class RunList:
     """One retrieval system's ranked output in canonical form.
@@ -360,17 +383,16 @@ class RunList:
     def from_scores(cls, run_tag: str, scores: Mapping[str, Mapping[str, float]]) -> RunList:
         """Build a canonical RunList from per-query doc -> score maps.
 
-        Each query's scores are checked by Ranking, the one check: a score
-        it refuses raises its ValueError, which names the doc, with the
-        query id in front.
+        Each query is one ``Ranking(docs, scores)``, which checks it and
+        puts it in canonical order: a score or doc id it refuses raises
+        its ValueError, which names the doc, with the query id in front.
         """
         by_query: dict[str, Ranking] = {}
         for query_id, per_doc in scores.items():
             try:
-                checked = Ranking(tuple(per_doc), tuple(per_doc.values()))
+                by_query[query_id] = Ranking(tuple(per_doc), tuple(per_doc.values()))
             except ValueError as error:
                 raise ValueError(f"query {query_id!r}, {error}") from None
-            by_query[query_id] = _canonical(checked.codes, checked.scores, per_doc)
         return cls(run_tag, by_query)
 
     @property
@@ -456,11 +478,11 @@ def parse_run(lines: Iterable[str]) -> RunList:
             )
     # each score passed the per-line checks above, so no Ranking checks it again
     return RunList(run_tag or "", {
-        query_id: _canonical(
+        query_id: Ranking._of(*_canonical(
             _encode(per_doc.keys()),
             np.fromiter(per_doc.values(), np.float64, len(per_doc)),
             per_doc,
-        )
+        ))
         for query_id, per_doc in rows.items()
     })
 
@@ -482,9 +504,11 @@ def write_run(run: RunList) -> str:
     No str is made per line: each query is laid out as one list of four
     strs per line, joined once (see _query_texts).
 
-    A run with entries whose tag is empty or contains whitespace raises
-    ValueError, since parse_run could not read it back. Every score is
-    finite, as Ranking checks, so no score can stop the round trip.
+    A run with entries whose tag is empty or contains whitespace, or a
+    query with entries whose id is, raises ValueError, since parse_run
+    could not read it back. Every Ranking is canonical, its scores finite
+    and its doc ids whitespace-free tokens, as Ranking checks, so no
+    entry can stop the round trip.
     """
     return "".join(_query_texts(run))
 
@@ -502,8 +526,10 @@ def _query_texts(run: RunList) -> Iterator[str]:
     assignment, so no per-line str or tuple is made.
     """
     tag = run.run_tag
-    if tag.split() != [tag] and any(run.by_query.values()):
-        raise ValueError(f"run tag {tag!r} is empty or contains whitespace")
+    written = [query_id for query_id, ranking in run.by_query.items() if len(ranking)]
+    if written:
+        _check_fields("run tag", [tag])
+    _check_fields("query id", written)
 
     longest = max(map(len, run.by_query.values()), default=0)
     ranks = [f" {rank} " for rank in range(1, longest + 1)]
@@ -628,17 +654,32 @@ def parse_qrels(lines: Iterable[str], name: str = "") -> Qrels:
 
 
 def write_qrels(qrels: Qrels) -> str:
-    """Serialize qrels to 4-column text sorted by (query_id, doc_id)."""
+    """Serialize qrels to 4-column text sorted by (query_id, doc_id).
+
+    A judged query whose id, or a doc whose id, is empty or contains
+    whitespace raises ValueError, since parse_qrels could not read it
+    back.
+    """
     return "".join(_qrels_texts(qrels))
 
 
 def _qrels_texts(qrels: Qrels) -> Iterator[str]:
-    """write_qrels' text in pieces, one per query, made as they are taken."""
-    for query_id in qrels.query_ids:
-        per_query = qrels.grades_for(query_id)
-        yield "".join(
-            [f"{query_id} 0 {doc_id} {per_query[doc_id]}\n" for doc_id in sorted(per_query)]
-        )
+    """write_qrels' text in pieces, one per query, made as they are taken;
+    qrels write_qrels refuses raise ValueError here, before any piece is
+    made."""
+    for query_id, per_query in qrels.grades.items():
+        if per_query:
+            _check_fields("query id", [query_id])
+            _check_fields("doc id", per_query)
+
+    def pieces() -> Iterator[str]:
+        for query_id in qrels.query_ids:
+            per_query = qrels.grades_for(query_id)
+            yield "".join(
+                [f"{query_id} 0 {doc_id} {per_query[doc_id]}\n" for doc_id in sorted(per_query)]
+            )
+
+    return pieces()
 
 
 @contextmanager
@@ -688,6 +729,9 @@ def load_qrels(path: str | os.PathLike[str]) -> Qrels:
 
 def save_qrels(qrels: Qrels, path: str | os.PathLike[str]) -> None:
     """Write ``write_qrels(qrels)`` to ``path``, each query's text as it is
-    made, so no more than one query's text is held at once."""
+    made, so no more than one query's text is held at once. Qrels
+    write_qrels refuses are refused before the file is opened, so
+    whatever is at ``path`` is left as it was."""
+    texts = _qrels_texts(qrels)
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.writelines(_qrels_texts(qrels))
+        f.writelines(texts)

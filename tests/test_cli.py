@@ -379,6 +379,49 @@ def test_group_eval_bad_mode(dataset, capsys):
     assert "error: bad mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depths", ["1:x", "x:5", "1,x", "1:2:3"])
+def test_sweep_names_the_option_of_depths_it_cannot_read(dataset, capsys, depths):
+    assert main(
+        ["sweep", "--runs", *dataset["runs"], "--qrels", dataset["qrels"], "--depths", depths]
+    ) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --depths {depths!r} is not a range LO:HI or a comma list of integers\n"
+    )
+
+
+@pytest.mark.parametrize("mode", ["threshold:x", "threshold:", "threshold", "quartiles"])
+def test_group_eval_names_the_option_of_a_mode_it_cannot_read(dataset, capsys, mode):
+    assert main(
+        ["group-eval", "--run", dataset["runs"][0], "--qrels", dataset["qrels"], "--mode", mode]
+    ) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: bad mode {mode!r} for --mode; expected 'tertiles' or 'threshold:<t>', "
+        "t an integer\n"
+    ))
+
+
+def test_synth_names_the_option_of_qualities_it_cannot_read(tmp_path, capsys):
+    out = tmp_path / "bad"
+    assert main(
+        ["synth", "--seed", "1", "--num-systems", "2", "--qualities", "0.5,x",
+         "--out-dir", str(out)]
+    ) == 1
+    assert capsys.readouterr() == (
+        "", "error: --qualities '0.5,x' is not a comma list of numbers\n"
+    )
+    assert not out.exists()
+
+
+def test_fuse_writes_the_same_bytes_to_a_file_and_to_stdout(dataset, tmp_path, capsys):
+    for method in ("combsum", "borda"):
+        out = tmp_path / f"{method}.run"
+        fuse = ["fuse", "--runs", *dataset["runs"], "--method", method, "--depth", "7"]
+        assert main([*fuse, "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert main(fuse) == 0
+        assert capsys.readouterr() == (out.read_bytes().decode("utf-8"), "")
+
+
 def test_sensitivity_table(dataset, tmp_path, capsys):
     partial = tmp_path / "d2.qrels"
     assert main(

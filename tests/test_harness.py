@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankfuse import harness
-from rankfuse.evaluation import evaluate
+from rankfuse.evaluation import evaluate, sensitivity_table
 from rankfuse.fusion import (
     _by_reciprocal,
     borda,
@@ -34,6 +34,7 @@ from rankfuse.harness import (
     grouped_eval,
     split_odd_even,
 )
+from rankfuse.pooling import build_pool, make_partial_qrels
 from rankfuse.regression import _training_rows, assemble_matrix, solve_ols
 from rankfuse.trec import Qrels, RunList, write_qrels, write_run
 
@@ -558,3 +559,31 @@ def test_generate_synthetic_refuses_a_nan_quality_and_reads_infinite_ones():
     assert generate_synthetic(1, 4, 2, 20, 4, [np.inf, -np.inf]) == generate_synthetic(
         1, 4, 2, 20, 4, [1.0, 0.0]
     )
+
+
+def _warning_calls():
+    """Calls into rankfuse that warn from inside the package, by name."""
+    runs, qrels = generate_synthetic(44, 6, 3, 20, 5)
+    # no run ranks query 301, and nothing is relevant in the training qrels
+    runs = [RunList(run.run_tag, {q: r for q, r in run.by_query.items() if q != "301"})
+            for run in runs]
+    unjudged = Qrels({q: {d: 0 for d in docs} for q, docs in qrels.grades.items()})
+    groups = group_by_relcount(qrels, "threshold", 10)
+    partial = Qrels({q: docs for q, docs in qrels.grades.items() if q != "302"})
+    return {
+        "evaluate": lambda: evaluate(runs[0], qrels),
+        "cross_validated_fusion": lambda: cross_validated_fusion(runs, unjudged, qrels),
+        "compare_methods": lambda: compare_methods(runs, qrels, qrels, ["combsum"]),
+        "grouped_eval": lambda: grouped_eval(runs[0], qrels, groups),
+        "sensitivity_table": lambda: sensitivity_table(runs[0], qrels, [qrels]),
+        "make_partial_qrels": lambda: make_partial_qrels(build_pool(runs, 3), partial),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_warning_calls()))
+def test_every_warning_names_the_line_that_called_into_rankfuse(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _warning_calls()[call]()
+    assert caught
+    assert all(w.filename == __file__ for w in caught), [(w.filename, w.lineno) for w in caught]

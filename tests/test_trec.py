@@ -39,6 +39,7 @@ from rankfuse.trec import (
     write_qrels,
     write_run,
 )
+from rankfuse.evaluation import evaluate
 from rankfuse.fusion import borda
 from rankfuse.regression import weights_from_csv
 
@@ -210,6 +211,67 @@ def test_write_run_refuses_a_tag_parse_run_cannot_read_back(tag):
     assert write_run(RunList.from_scores(tag, {"1": {}})) == ""  # no line to write
 
 
+# Ids the parsers, which split each line on whitespace, could not read back as one field.
+_UNREADABLE_IDS = ["", "a b", "a\tb", " a", "a\n", "a\x85b", "a\u2028", "a\u00a0b", "a\x1cb"]
+
+
+@pytest.mark.parametrize("doc_id", _UNREADABLE_IDS, ids=repr)
+def test_a_doc_id_parse_run_cannot_read_back_is_refused_where_it_joins_the_table(doc_id):
+    table = (list(trec._IDS), dict(trec._CODES))
+    message = f"doc id {re.escape(repr(doc_id))} is empty or contains whitespace$"
+    with pytest.raises(ValueError, match=f"^query '1', {message}"):
+        RunList.from_scores("t", {"1": {"unreadable-new": 2.0, doc_id: 1.0}})
+    with pytest.raises(ValueError, match=f"^{message}"):
+        Ranking(("unreadable-new", doc_id), (2.0, 1.0))
+    assert (trec._IDS, trec._CODES) == table
+
+
+@pytest.mark.parametrize("query_id", _UNREADABLE_IDS, ids=repr)
+def test_write_run_refuses_a_query_id_parse_run_cannot_read_back(query_id, tmp_path):
+    run = RunList.from_scores("t", {"1": {"d": 1.0}, query_id: {"d": 1.0}})
+    message = f"^query id {re.escape(repr(query_id))} is empty or contains whitespace$"
+    with pytest.raises(ValueError, match=message):
+        write_run(run)
+    path = tmp_path / "kept.run"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match=message):
+        save_run(run, path)
+    assert path.read_text() == "kept\n"
+    # a query with no entries writes no line
+    assert write_run(RunList.from_scores("t", {query_id: {}})) == ""
+
+
+@pytest.mark.parametrize("bad", _UNREADABLE_IDS, ids=repr)
+@pytest.mark.parametrize("field", ["query id", "doc id"])
+def test_write_qrels_refuses_an_id_parse_qrels_cannot_read_back(field, bad, tmp_path):
+    grades = {"1": {"d": 1}}
+    grades.update({bad: {"d": 1}} if field == "query id" else {"2": {"d": 0, bad: 1}})
+    message = f"^{field} {re.escape(repr(bad))} is empty or contains whitespace$"
+    with pytest.raises(ValueError, match=message):
+        write_qrels(Qrels(grades))
+    path = tmp_path / "kept.qrels"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match=message):
+        save_qrels(Qrels(grades), path)
+    assert path.read_text() == "kept\n"
+
+
+def test_a_repeated_doc_is_refused_by_name_and_leaves_the_table_as_it_was():
+    Ranking(("repeated-known",), (1.0,))
+    table = (list(trec._IDS), dict(trec._CODES))
+    for docs, repeated in (
+        (("repeated-a", "repeated-b", "repeated-a"), "repeated-a"),
+        (("repeated-c", "repeated-known", "repeated-known"), "repeated-known"),
+        (("repeated-d", "repeated-e", "repeated-e", "repeated-d"), "repeated-d"),
+    ):
+        with pytest.raises(ValueError, match=f"^doc '{repeated}' is repeated$"):
+            Ranking(docs, range(len(docs)))
+        assert (trec._IDS, trec._CODES) == table
+    # a score is checked first
+    with pytest.raises(ValueError, match="^doc 'repeated-b': score nan is not finite$"):
+        Ranking(("repeated-a", "repeated-b", "repeated-a"), (1.0, math.nan, 0.0))
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_write_run_refuses_a_score_parse_run_cannot_read_back(bad, tmp_path):
     # a Ranking refuses a score that is not finite, so write_run never meets one
@@ -298,8 +360,13 @@ def test_a_ranking_copies_its_scores_into_a_read_only_float64_array():
     assert built[2].scores.tolist() == [3.0, -0.0, -1.5]
     for ranking in built:
         assert ranking.scores.dtype == np.float64 and not ranking.scores.flags.writeable
-    # a read-only float64 array is kept as it is, not copied
-    assert Ranking(docs, built[0].scores).scores is built[0].scores
+    # a read-only float64 array is not held either, and a float64 array put
+    # in canonical order is not changed
+    again = Ranking(docs, built[0].scores)
+    assert again == built[0] and again.scores is not built[0].scores
+    unordered = np.array([1.0, 3.0])
+    assert Ranking(("x", "y"), unordered).scores.tolist() == [3.0, 1.0]
+    assert unordered.tolist() == [1.0, 3.0]
     with pytest.raises(TypeError, match="unhashable"):
         hash(built[0])
 
@@ -315,7 +382,7 @@ _MAKERS = {
     "tuple": lambda values: Ranking(_DOCS, tuple(values)),
     "list": lambda values: Ranking(_DOCS, list(values)),
     "array": lambda values: Ranking(_DOCS, np.array(values)),
-    "read-only": lambda values: Ranking(_DOCS, _read_only(values)),  # kept, not copied
+    "read-only": lambda values: Ranking(_DOCS, _read_only(values)),
     "from_scores": lambda values: RunList.from_scores(
         "t", {"1": {"a": 1.0}, "q2": dict(zip(_DOCS, values))}
     ),
@@ -373,8 +440,9 @@ def test_scores_that_are_all_text_are_refused_by_name():
         Ranking(("a",), np.array([3 + 4j]))
     with pytest.raises(ValueError, match=r"^doc 'x': score \(1\+0j\) is not a real number$"):
         Ranking(("x", "y"), np.array([1, 2j], dtype=np.complex64))
-    # numbers of every other kind still convert
-    assert Ranking(("a", "b", "c"), (True, 2, np.float32(0.5))).scores.tolist() == [1.0, 2.0, 0.5]
+    # numbers of every other kind still convert, and are put in canonical order
+    converted = Ranking(("a", "b", "c"), (True, 2, np.float32(0.5)))
+    assert converted.docs == ("b", "a", "c") and converted.scores.tolist() == [2.0, 1.0, 0.5]
 
 
 def test_entries_rank_one_to_length():
@@ -801,10 +869,43 @@ _WRITTEN_SCORE = st.one_of(
         [0.0, -0.0, 1e16, -1e16, 5e-324, 1.0, 10.0, 1e22, np.float64(-0.0), *_WHOLE_EDGES]
     ),
 )
-# Docs per query, some empty; query ids decimal or not (natural or text order).
-_WRITTEN_RANKING = st.lists(st.tuples(_TOKENS, _WRITTEN_SCORE), max_size=6).map(
+# Distinct docs per query, some empty; query ids decimal or not (natural or text order).
+_WRITTEN_RANKING = st.lists(
+    st.tuples(_TOKENS, _WRITTEN_SCORE), max_size=6, unique_by=lambda entry: entry[0]
+).map(
     lambda entries: Ranking(*map(tuple, zip(*entries))) if entries else Ranking((), ())
 )
+
+
+# Queries of distinct docs with scores as they reach write_run, ties common, in
+# any order; every other doc, in the order drawn, is relevant.
+_DRAWN_QUERIES = st.dictionaries(
+    st.one_of(st.integers(0, 999).map(str), _TOKENS),
+    st.lists(
+        st.tuples(_TOKENS, st.one_of(_WRITTEN_SCORE, st.sampled_from([1, 1.0, -0.0, 0.0, 2.5]))),
+        min_size=1,
+        max_size=8,
+        unique_by=lambda entry: entry[0],
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_DRAWN_QUERIES, st.sampled_from(["t", "LC-mlr"]))
+def test_a_ranking_in_any_order_is_evaluated_as_it_is_written_and_parsed_back(drawn, tag):
+    run = RunList(tag, {
+        query_id: Ranking(*map(tuple, zip(*entries))) for query_id, entries in drawn.items()
+    })
+    assert run == RunList.from_scores(tag, {q: dict(entries) for q, entries in drawn.items()})
+    again = parse_run(write_run(run).splitlines())
+    assert again == run
+    qrels = Qrels({
+        query_id: {doc_id: 1 - i % 2 for i, (doc_id, _) in enumerate(entries)}
+        for query_id, entries in drawn.items()
+    })
+    assert evaluate(again, qrels) == evaluate(run, qrels)
 
 
 @settings(deadline=None, max_examples=300)
@@ -846,11 +947,12 @@ def test_a_query_of_whole_and_fractional_scores_is_written_as_floats():
         [*whole[:150], -0.0, *whole[151:]],
         [*whole[:150], 1e16, *whole[151:]],
     ):
-        run = RunList("t", {"1": Ranking(tuple(f"m{i}" for i in range(200)), scores)})
+        docs = tuple(f"m{i}" for i in range(200))
+        run = RunList("t", {"1": Ranking(docs, scores)})
         text = write_run(run)
         assert text == _reference_write_run(run)
         assert parse_run(text.splitlines()) == RunList.from_scores(
-            "t", {"1": dict(zip(run.docs("1"), scores))}
+            "t", {"1": dict(zip(docs, scores))}
         )
 
 
@@ -888,15 +990,13 @@ def test_save_qrels_holds_one_query_text_at_a_time(tmp_path):
 
 
 def test_new_ids_get_one_code_each_and_a_refused_id_leaves_the_table_as_it_was():
-    # a new id twice in one Ranking, beside known and other new ids
-    known = Ranking(("twice-known",), (1.0,)).codes[0]
-    ranking = Ranking(
-        ("twice-a", "twice-known", "twice-b", "twice-a", "twice-c"), (5, 4, 3, 2, 1)
-    )
+    # new ids beside a known one, each new id once
+    known = Ranking(("once-known",), (1.0,)).codes[0]
+    ranking = Ranking(("once-a", "once-known", "once-b", "once-c"), (5, 4, 3, 2))
     codes = ranking.codes.tolist()
-    assert codes[0] == codes[3] and codes[1] == known
-    assert len(set(codes)) == 4
-    assert ranking.docs == ("twice-a", "twice-known", "twice-b", "twice-a", "twice-c")
+    assert codes[1] == known and len(set(codes)) == 4
+    assert ranking.docs == ("once-a", "once-known", "once-b", "once-c")
+    assert [trec._CODES[doc_id] for doc_id in ranking.docs] == codes
     size = len(trec._IDS)
     for docs in (("refused-a", 7, "refused-b"), ("refused-c", ["unhashable"])):
         with pytest.raises(TypeError):
