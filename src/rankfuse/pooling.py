@@ -4,18 +4,26 @@ A depth-k pool is, per query, the union of the top-k documents from
 every run. Restricting a full qrels to the pool yields a partial qrels:
 pooled documents keep their official grade (0 when unjudged), and
 everything outside the pool is simply absent, i.e. non-relevant.
+
+One table defines the pool (_entry_depths): per query, each pooled doc's
+entry depth, the least rank at which any run ranks it, which is the
+least pool depth that holds it. build_pool reads the table's docs, and
+the coverage counts of pool_sweep and pick_depth_for_fraction are a
+running total of the relevant docs' entry depths, which stops where the
+pool stops growing.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._warn import warn
+from .fusion import _firsts
 from .trec import (
-    _NO_RANKING,
     Qrels,
     RunList,
     _among,
@@ -49,27 +57,50 @@ class SweepRow:
     percent: float
 
 
-def build_pool(runs: Sequence[RunList], depth: int) -> Pool:
-    """Union of each run's top-``depth`` docs, per query.
+def _entry_depths(runs: Sequence[RunList], depth: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The depth-``depth`` pool as one table: per query any run ranks, in
+    order of first appearance over the runs, the distinct codes of the
+    docs in the runs' top ``depth``, ascending, and each one's entry
+    depth, the least rank at which any run ranks it, which is the least
+    pool depth that holds it.
 
-    A run shorter than ``depth`` contributes all of its docs. Membership
-    depends only on the union of prefixes, never on which run
-    contributed a document. The prefixes are taken as doc codes, and
-    only each query's distinct codes are looked up as doc ids.
+    Per query, the key ``code << 32 | rank`` of every entry of the
+    prefixes is sorted in place in one buffer, and the first key of each
+    code holds its least rank.
     """
-    if depth < 1:
-        raise ValueError("pool depth must be >= 1")
     if not runs:
         raise ValueError("need at least one run to build a pool")
     prefixes: dict[str, list[np.ndarray]] = {}
     for run in runs:
         for query_id, ranking in run.by_query.items():
             prefixes.setdefault(query_id, []).append(ranking.codes[:depth])
+    longest = max((len(codes) for per in prefixes.values() for codes in per), default=0)
+    ranks = np.arange(1, longest + 1, dtype=np.int64)
+    table = {}
+    for query_id, per_query in prefixes.items():
+        keys = np.concatenate(per_query, dtype=np.int64) << 32
+        keys |= np.concatenate([ranks[: len(codes)] for codes in per_query])
+        keys.sort()
+        keys = keys[_firsts(keys >> 32)]
+        table[query_id] = keys >> 32, keys & 0xFFFFFFFF
+    return table
+
+
+def build_pool(runs: Sequence[RunList], depth: int) -> Pool:
+    """Union of each run's top-``depth`` docs, per query.
+
+    A run shorter than ``depth`` contributes all of its docs. Membership
+    depends only on the union of prefixes, never on which run
+    contributed a document: the pool is the codes of _entry_depths'
+    table, and only each query's distinct codes are looked up as doc ids.
+    """
+    if depth < 1:
+        raise ValueError("pool depth must be >= 1")
     return Pool(
         depth,
         {
-            query_id: frozenset(_doc_ids(np.unique(np.concatenate(codes))))
-            for query_id, codes in prefixes.items()
+            query_id: frozenset(_doc_ids(codes))
+            for query_id, (codes, _) in _entry_depths(runs, depth).items()
         },
     )
 
@@ -98,29 +129,19 @@ def make_partial_qrels(pool: Pool, full: Qrels) -> Qrels:
     return Qrels(grades, name=f"depth{pool.depth}")
 
 
-def _coverage_counts(runs: Sequence[RunList], full: Qrels, max_depth: int) -> list[int]:
-    """Relevant docs covered by the depth-d pool, for d = 1..max_depth.
+def _coverage_counts(runs: Sequence[RunList], full: Qrels, max_depth: int) -> np.ndarray:
+    """Relevant docs covered by the depth-d pool, for d = 0..D: D, at
+    least 1, is the deepest entry depth, up to ``max_depth``, of a
+    relevant doc, and a deeper pool covers as many.
 
-    Per query, the runs' top ``max_depth`` codes are tested against the
-    relevant docs' codes at once, and the depth at which each relevant
-    doc first enters the pool is the least depth of its hits; the counts
-    are the running total of a histogram of those depths.
+    The counts are the running total of a histogram of the relevant
+    docs' entry depths in _entry_depths' table, so they stop where the
+    pool stops growing, however deep ``max_depth`` is.
     """
-    entered = [np.zeros(0, dtype=np.intp)]
-    for query_id in {query_id for run in runs for query_id in run.by_query}:
-        relevant = _known_codes(full.relevant(query_id))
-        if not relevant.size:
-            continue
-        prefixes = [run.by_query.get(query_id, _NO_RANKING).codes[:max_depth] for run in runs]
-        pooled = np.concatenate(prefixes)
-        starts = np.cumsum([0, *map(len, prefixes)])
-        hits = np.flatnonzero(_among(pooled, relevant))
-        # a hit's depth is its place in its own run's prefix, from 1
-        depths = hits - starts[np.searchsorted(starts, hits, side="right") - 1] + 1
-        first = np.full(relevant.size, max_depth + 1)
-        np.minimum.at(first, np.searchsorted(relevant, pooled[hits]), depths)
-        entered.append(first[first <= max_depth])
-    return np.bincount(np.concatenate(entered), minlength=max_depth + 1)[1:].cumsum().tolist()
+    entered = [np.zeros(0, dtype=np.int64)]
+    for query_id, (codes, depths) in _entry_depths(runs, max_depth).items():
+        entered.append(depths[_among(codes, _known_codes(full.relevant(query_id)))])
+    return np.bincount(np.concatenate(entered), minlength=2).cumsum()
 
 
 def pool_sweep(runs: Sequence[RunList], full: Qrels, depths: Iterable[int]) -> list[SweepRow]:
@@ -128,18 +149,19 @@ def pool_sweep(runs: Sequence[RunList], full: Qrels, depths: Iterable[int]) -> l
     relevant docs the depth-d partial qrels retains, and the percentage.
 
     Both columns are non-decreasing in depth and saturate once the pool
-    holds every retrieved relevant document.
+    holds every retrieved relevant document; a depth beyond the runs'
+    longest ranking reads the saturated count.
     """
     wanted = sorted(set(depths))
     if not wanted:
         raise ValueError("depths must be non-empty")
     if wanted[0] < 1:
         raise ValueError("pool depths must be >= 1")
-    counts = _coverage_counts(runs, full, wanted[-1])
+    counts = _coverage_counts(runs, full, wanted[-1]).tolist()
     total = full.total_relevant()
     rows = []
     for depth in wanted:
-        count = counts[depth - 1]
+        count = counts[min(depth, len(counts) - 1)]
         percent = 100.0 * count / total if total else 0.0
         rows.append(SweepRow(depth, count, percent))
     return rows
@@ -150,22 +172,21 @@ def pick_depth_for_fraction(
 ) -> tuple[int, float]:
     """Smallest pool depth whose relevant-doc fraction is closest to target.
 
-    Scans depths 1..max list length; ties go to the smaller depth.
-    Returns (depth, achieved_fraction).
+    Scans depths 1..D from the coverage counts pool_sweep reads, where D
+    is the deepest entry depth of a relevant doc (no deeper pool covers
+    more); ties go to the smaller depth. Returns (depth, achieved_fraction).
     """
     if not 0.0 < target_fraction <= 1.0:
         raise ValueError("target_fraction must be in (0, 1]")
-    max_depth = max(
-        (len(ranking) for run in runs for ranking in run.by_query.values()), default=0
-    )
-    if max_depth == 0:
+    if not any(len(ranking) for run in runs for ranking in run.by_query.values()):
         raise ValueError("runs contain no ranked documents")
-    counts = _coverage_counts(runs, full, max_depth)
-    total = full.total_relevant()
-    fractions = [count / total if total else 0.0 for count in counts]
-    # min keeps the first of equal gaps, the smaller depth
-    depth = min(range(len(fractions)), key=lambda d: abs(fractions[d] - target_fraction))
-    return depth + 1, fractions[depth]
+    # a depth no ranking reaches: the pool of every ranked doc
+    counts = _coverage_counts(runs, full, sys.maxsize)
+    # with no relevant doc every count is 0
+    fractions = counts[1:] / (full.total_relevant() or 1)
+    # argmin keeps the first of equal gaps, the smaller depth
+    depth = int(np.argmin(np.abs(fractions - target_fraction)))
+    return depth + 1, float(fractions[depth])
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:

@@ -25,11 +25,12 @@ their raw scores. A doc's rank is its position + 1, so no rank is stored
 and no per-entry object is kept; ``Ranking.docs`` and ``RunList.entries``
 build doc ids and RunEntry views on demand. Every score is a finite
 real number and every doc id a whitespace-free token: a Ranking checks
-that where it is made, and the writers check the run tag and query ids,
-so a RunList written is parsed back equal. Ranking is the one check of
-score objects: RunList.from_scores makes one Ranking per query, and
-parse_run checks each line's score text as it reads it, so that its
-error names the line.
+that where it is made, a RunList and a Qrels refuse a query id that is
+not a str where they are made, and the writers check the run tag and
+query ids, so a RunList written is parsed back equal. Ranking is the
+one check of score objects: RunList.from_scores makes one Ranking per
+query, and parse_run checks each line's score text as it reads it, so
+that its error names the line.
 
 Doc ids become codes in one table per process: each distinct id is held
 once, as one str, with one int32 code, however many runs, parses and
@@ -126,6 +127,14 @@ def _check_fields(name: str, texts: Collection[str]) -> None:
         return
     bad = next(text for text in texts if text.split() != [text])
     raise ValueError(f"{name} {bad!r} is empty or contains whitespace")
+
+
+def _check_query_ids(query_ids: Iterable[object]) -> None:
+    """Refuse the first of ``query_ids`` that is not a str with a ValueError
+    naming it: the writers and sort_query_ids read each id as a str."""
+    for query_id in query_ids:
+        if not isinstance(query_id, str):
+            raise ValueError(f"query id {query_id!r} is not a str")
 
 
 def _encode(docs: Collection[str]) -> np.ndarray:
@@ -372,12 +381,16 @@ class RunList:
     """One retrieval system's ranked output in canonical form.
 
     Per query, docs are sorted by raw score descending with doc_id
-    ascending as tie-break, and ranks are exactly 1..L. Instances are
-    treated as immutable and are safe to share across threads.
+    ascending as tie-break, and ranks are exactly 1..L. A query id that
+    is not a str raises ValueError naming it. Instances are treated as
+    immutable and are safe to share across threads.
     """
 
     run_tag: str
     by_query: dict[str, Ranking]
+
+    def __post_init__(self) -> None:
+        _check_query_ids(self.by_query)
 
     @classmethod
     def from_scores(cls, run_tag: str, scores: Mapping[str, Mapping[str, float]]) -> RunList:
@@ -588,12 +601,16 @@ class Qrels:
 
     A document is relevant iff its grade is > 0 (the binarized view).
     Grade-0 entries are kept explicitly so that pool-derived judgment
-    sets preserve which documents were actually looked at.
+    sets preserve which documents were actually looked at. A query id
+    that is not a str raises ValueError naming it.
     """
 
     grades: dict[str, dict[str, int]]
     name: str = field(default="", compare=False)
     duplicate_warnings: int = field(default=0, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_query_ids(self.grades)
 
     @property
     def query_ids(self) -> list[str]:

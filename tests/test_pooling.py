@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankfuse.pooling import (
+    _entry_depths,
     build_pool,
     make_partial_qrels,
     pick_depth_for_fraction,
     pool_sweep,
     sweep_csv,
 )
-from rankfuse.trec import Qrels, RunList
+from rankfuse.trec import Qrels, RunList, _doc_ids
 
 
 def _run(tag, queries):
@@ -235,3 +241,106 @@ def test_partial_never_exceeds_full_per_query():
 def test_sweep_csv_layout():
     rows = pool_sweep([_run("r", {"q": ["a", "b"]})], Qrels({"q": {"a": 1, "b": 1}}), [1, 2])
     assert sweep_csv(rows) == "depth,relevant_count,percent\n1,1,50.00\n2,2,100.00\n"
+
+
+def test_pool_sweep_refuses_no_runs_as_build_pool_does():
+    message = "^need at least one run to build a pool$"
+    with pytest.raises(ValueError, match=message):
+        build_pool([], 1)
+    with pytest.raises(ValueError, match=message):
+        pool_sweep([], Qrels({"q": {"a": 1}}), [1, 2])
+    # runs with no entries are runs: every row covers nothing
+    rows = pool_sweep([RunList("t", {})], Qrels({"q": {"a": 1}}), [1, 5])
+    assert [(r.depth, r.relevant_count, r.percent) for r in rows] == [(1, 0, 0.0), (5, 0, 0.0)]
+
+
+def test_pool_sweep_memory_grows_with_the_pool_not_the_deepest_depth():
+    runs = [_run("r", {"q": ["a", "b"]})]
+    full = Qrels({"q": {"a": 1, "c": 1}})
+    pool_sweep(runs, full, [1, 2])
+    tracemalloc.start()
+    try:
+        rows = pool_sweep(runs, full, [1, 10**6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r.relevant_count, r.percent) for r in rows] == [(1, 50.0), (1, 50.0)]
+    assert peak < 2**20
+
+
+_QUERIES = ("1", "2", "3", "4")
+_UNIVERSE = [f"D{i:02d}" for i in range(12)]
+
+
+@st.composite
+def _ragged_pooling(draw):
+    """Ragged runs over queries 1-4 and a full qrels over the same doc ids.
+
+    Every query draws its docs from one universe, so doc ids are shared
+    across queries. The first run lacks query 4 and ranks nothing for
+    query 3. Query 1 or 2 has R(q) = 0, and D99, which no run ranks, is
+    relevant for query 4 and query 5, which no run ranks either.
+    """
+    runs = []
+    for r in range(draw(st.integers(1, 4), label="runs")):
+        per_query = {}
+        for query_id in _QUERIES[:3] if r == 0 else _QUERIES:
+            docs = draw(st.lists(st.sampled_from(_UNIVERSE), unique=True, max_size=12))
+            if r == 0 and query_id == "3":
+                docs = []
+            per_query[query_id] = {doc: float(len(docs) - i) for i, doc in enumerate(docs)}
+        runs.append(RunList.from_scores(f"s{r}", per_query))
+    unjudged = draw(st.sampled_from(_QUERIES[:2]), label="R(q) = 0")
+    grades = {
+        query_id: {
+            doc: draw(st.integers(0, 2)) * (query_id != unjudged)
+            for doc in draw(st.lists(st.sampled_from(_UNIVERSE), unique=True))
+        }
+        for query_id in _QUERIES
+    }
+    grades["4"]["D99"] = 1
+    grades["5"] = {"D99": 1, "D00": 1}
+    return runs, Qrels(grades), draw(st.floats(0.0, 1.0, exclude_min=True), label="target")
+
+
+@settings(deadline=None, max_examples=200)
+@given(_ragged_pooling())
+def test_pooling_equals_per_doc_loops_over_ragged_runs(case):
+    runs, full, target = case
+    assert "4" not in runs[0].by_query and not len(runs[0].by_query["3"])
+    least: dict[str, dict[str, int]] = {}
+    for run in runs:
+        for query_id in run.by_query:
+            per_query = least.setdefault(query_id, {})
+            for rank, doc in enumerate(run.docs(query_id), start=1):
+                per_query[doc] = min(rank, per_query.get(doc, rank))
+    longest = max(len(ranking) for run in runs for ranking in run.by_query.values())
+    counts = {}
+    for depth in range(1, longest + 3):
+        table = _entry_depths(runs, depth)
+        assert list(table) == list(least)
+        for query_id, (codes, depths) in table.items():
+            assert np.all(codes[1:] > codes[:-1])
+            expected = {doc: d for doc, d in least[query_id].items() if d <= depth}
+            got = dict(zip(_doc_ids(codes), depths.tolist()))
+            assert got == expected
+        pool = build_pool(runs, depth)
+        assert pool.docs == {
+            query_id: frozenset(doc for run in runs for doc in run.docs(query_id)[:depth])
+            for query_id in least
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            counts[depth] = make_partial_qrels(pool, full).total_relevant()
+        (row,) = pool_sweep(runs, full, [depth])
+        assert (row.depth, row.relevant_count) == (depth, counts[depth])
+    rows = pool_sweep(runs, full, counts)
+    assert [(row.depth, row.relevant_count) for row in rows] == list(counts.items())
+    total = full.total_relevant()
+    fractions = {depth: count / total if total else 0.0 for depth, count in counts.items()}
+    if not longest:
+        with pytest.raises(ValueError, match="no ranked documents"):
+            pick_depth_for_fraction(runs, full, target)
+        return
+    best = min(range(1, longest + 1), key=lambda d: (abs(fractions[d] - target), d))
+    assert pick_depth_for_fraction(runs, full, target) == (best, fractions[best])

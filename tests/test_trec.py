@@ -241,6 +241,32 @@ def test_write_run_refuses_a_query_id_parse_run_cannot_read_back(query_id, tmp_p
     assert write_run(RunList.from_scores("t", {query_id: {}})) == ""
 
 
+_NOT_STR_QUERY_IDS = [1, None, b"1", ("1",)]
+
+
+def _not_a_str(query_id):
+    return f"^query id {re.escape(repr(query_id))} is not a str$"
+
+
+@pytest.mark.parametrize("query_id", _NOT_STR_QUERY_IDS, ids=repr)
+def test_a_run_list_refuses_a_query_id_that_is_not_a_str(query_id):
+    ranking = Ranking(("a",), (1.0,))
+    with pytest.raises(ValueError, match=_not_a_str(query_id)):
+        RunList("t", {"1": ranking, query_id: ranking})
+
+
+@pytest.mark.parametrize("query_id", _NOT_STR_QUERY_IDS, ids=repr)
+def test_from_scores_refuses_a_query_id_that_is_not_a_str(query_id):
+    with pytest.raises(ValueError, match=_not_a_str(query_id)):
+        RunList.from_scores("t", {"1": {"a": 1.0}, query_id: {"a": 1.0}})
+
+
+@pytest.mark.parametrize("query_id", _NOT_STR_QUERY_IDS, ids=repr)
+def test_qrels_refuses_a_query_id_that_is_not_a_str(query_id):
+    with pytest.raises(ValueError, match=_not_a_str(query_id)):
+        Qrels({"1": {"a": 1}, query_id: {"a": 1}})
+
+
 @pytest.mark.parametrize("bad", _UNREADABLE_IDS, ids=repr)
 @pytest.mark.parametrize("field", ["query id", "doc id"])
 def test_write_qrels_refuses_an_id_parse_qrels_cannot_read_back(field, bad, tmp_path):
