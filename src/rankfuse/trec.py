@@ -26,8 +26,9 @@ and no per-entry object is kept; ``Ranking.docs`` and ``RunList.entries``
 build doc ids and RunEntry views on demand. Every score is a finite
 real number and every doc id a whitespace-free token: a Ranking checks
 that where it is made, a RunList and a Qrels refuse a query id that is
-not a str where they are made, and the writers check the run tag and
-query ids, so a RunList written is parsed back equal. Ranking is the
+not a str where they are made, a Qrels also a doc id that is not a str
+and a grade that is not an integer, and the writers check the run tag
+and query ids, so a RunList written is parsed back equal. Ranking is the
 one check of score objects: RunList.from_scores makes one Ranking per
 query, and parse_run checks each line's score text as it reads it, so
 that its error names the line.
@@ -40,6 +41,12 @@ rank among all the ids it holds, so code arrays sort in doc-id order
 with no string compared. Ids join the key at its first use after they
 were added (the first rank cube after a load), all at once, by merging
 them into the sorted order; its room is taken as they are added.
+
+Qrels hold doc ids as strs, not codes, but parse_qrels keys each judged
+doc whose id the table holds by the table's own str. Under depth pooling
+every judged doc is one some run ranked, so qrels loaded after the runs
+(as every CLI command loads them) hold no doc id of their own. An id the
+table lacks keeps its parsed str and does not join the table.
 """
 
 from __future__ import annotations
@@ -105,6 +112,13 @@ class RunEntry:
 # The doc-id table (see the module docstring). _IDS and _CODES are only added
 # to, and _CODES only read, under _TABLE_LOCK: while _encode adds ids, _CODES
 # holds them before their codes. Every code a Ranking holds has its id in _IDS.
+# One read takes no lock: parse_qrels' _CODES.get(doc_id, -1), which takes
+# _IDS[code] only when 0 <= code < len(_IDS) as it was when the parse began.
+# A dict read is atomic, an id _encode is adding or taking back reads -1, a
+# code is set before _IDS holds its id, and _IDS only grows: at worst the
+# parsed str is kept. A lock per line would cost more than the read, and one
+# held over the whole parse would stall _encode in other threads while the
+# file is read.
 _IDS: list[str] = []  # code -> doc id
 _CODES: dict[str, int] = {}  # doc id -> code, in code order
 _TABLE_LOCK = threading.Lock()
@@ -135,6 +149,25 @@ def _check_query_ids(query_ids: Iterable[object]) -> None:
     for query_id in query_ids:
         if not isinstance(query_id, str):
             raise ValueError(f"query id {query_id!r} is not a str")
+
+
+def _check_judgments(grades: Mapping[str, Mapping[str, int]]) -> None:
+    """Refuse the first doc id of ``grades`` that is not a str, or grade
+    that is not an integer (a bool is not), with a ValueError naming it
+    and its query. When every doc id is a str and every grade an int, it
+    only collects their types."""
+    doc_types = set(map(type, chain.from_iterable(grades.values())))
+    grade_types = set(map(type, chain.from_iterable(g.values() for g in grades.values())))
+    if doc_types <= {str} and grade_types <= {int}:
+        return
+    for query_id, per_query in grades.items():
+        for doc_id, grade in per_query.items():
+            if not isinstance(doc_id, str):
+                raise ValueError(f"query {query_id!r}, doc id {doc_id!r} is not a str")
+            if isinstance(grade, bool) or not isinstance(grade, (int, np.integer)):
+                raise ValueError(
+                    f"query {query_id!r}, doc {doc_id!r}: grade {grade!r} is not an integer"
+                )
 
 
 def _encode(docs: Collection[str]) -> np.ndarray:
@@ -602,7 +635,10 @@ class Qrels:
     A document is relevant iff its grade is > 0 (the binarized view).
     Grade-0 entries are kept explicitly so that pool-derived judgment
     sets preserve which documents were actually looked at. A query id
-    that is not a str raises ValueError naming it.
+    or a doc id that is not a str, and a grade that is not an integer (a
+    Python int or a numpy integer; a bool, a float or a str is not),
+    raise ValueError naming it: relevance compares each grade with 0, and
+    the writers write what parse_qrels reads back.
     """
 
     grades: dict[str, dict[str, int]]
@@ -611,6 +647,7 @@ class Qrels:
 
     def __post_init__(self) -> None:
         _check_query_ids(self.grades)
+        _check_judgments(self.grades)
 
     @property
     def query_ids(self) -> list[str]:
@@ -627,10 +664,11 @@ class Qrels:
         return frozenset(d for d, g in self.grades.get(query_id, {}).items() if g > 0)
 
     def relevant_count(self, query_id: str) -> int:
-        return len(self.relevant(query_id))
+        """len(relevant(query_id)), counted without building the set."""
+        return len([g for g in self.grades.get(query_id, {}).values() if g > 0])
 
     def total_relevant(self) -> int:
-        return sum(self.relevant_count(q) for q in self.grades)
+        return sum(map(self.relevant_count, self.grades))
 
 
 def parse_qrels(lines: Iterable[str], name: str = "") -> Qrels:
@@ -639,22 +677,37 @@ def parse_qrels(lines: Iterable[str], name: str = "") -> Qrels:
     Grades are stored as given. A repeated (query, doc) line with the
     identical grade is accepted and counted in ``duplicate_warnings``;
     a conflicting grade raises GradeConflictError.
+
+    A doc whose id the doc-id table holds when the parse begins is keyed
+    by the table's own str, so qrels parsed after the runs that rank
+    their docs share those runs' strs; any other id keeps its parsed str
+    and does not join the table.
     """
     grades: dict[str, dict[str, int]] = {}
     duplicates = 0
     last_query: str | None = None
     per_query: dict[str, int] = {}
+    # local names for what is read on every line: the doc-id table, whose
+    # first ``known`` ids are there to stay (see _IDS), and each grade text's
+    # int, since a file holds few grade texts and int() costs more than a lookup
+    code_of = _CODES.get
+    ids = _IDS
+    known = len(ids)
+    grade_of: dict[str, int] = {}
     for line_no, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        if len(parts) != 4:
-            raise ParseError(line_no, f"expected 4 fields, got {len(parts)}")
-        query_id, _iteration, doc_id, grade_str = parts
         try:
-            grade = int(grade_str)
-        except ValueError:
-            raise ParseError(line_no, f"grade field {grade_str!r} is not an integer") from None
+            query_id, _iteration, doc_id, grade_str = raw.split()
+        except ValueError:  # not 4 fields
+            fields = len(raw.split())
+            if not fields:
+                continue
+            raise ParseError(line_no, f"expected 4 fields, got {fields}") from None
+        grade = grade_of.get(grade_str)
+        if grade is None:
+            try:
+                grade = grade_of[grade_str] = int(grade_str)
+            except ValueError:
+                raise ParseError(line_no, f"grade field {grade_str!r} is not an integer") from None
         if query_id != last_query:
             per_query = grades.setdefault(query_id, {})
             last_query = query_id
@@ -666,6 +719,10 @@ def parse_qrels(lines: Iterable[str], name: str = "") -> Qrels:
                 )
             duplicates += 1
             continue
+        # an id the table holds is keyed by the table's str
+        code = code_of(doc_id, -1)
+        if 0 <= code < known:
+            doc_id = ids[code]
         per_query[doc_id] = grade
     return Qrels(grades, name=name, duplicate_warnings=duplicates)
 

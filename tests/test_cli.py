@@ -15,8 +15,9 @@ from rankfuse import cli, trec
 from rankfuse.cli import console, main
 from rankfuse.fusion import _by_reciprocal, normalize_reciprocal
 from rankfuse.harness import generate_synthetic
+from rankfuse.pooling import build_pool, make_partial_qrels
 from rankfuse.regression import assemble_matrix, solve_ols, weights_to_csv
-from rankfuse.trec import RunList, load_qrels, load_run, save_run
+from rankfuse.trec import RunList, load_qrels, load_run, save_qrels, save_run
 
 
 @pytest.fixture()
@@ -571,11 +572,18 @@ def test_loaded_runs_equal_per_file_loads_and_share_doc_ids(tmp_path):
     _assert_doc_ids_are_the_tables(runs + alone)
 
 
-def _assert_doc_ids_are_the_tables(runs):
-    """Every doc id a Ranking of ``runs`` returns is the doc-id table's str."""
+def _assert_doc_ids_are_the_tables(runs, qrels=()):
+    """Every doc id a Ranking of ``runs`` returns, and every doc id of
+    ``qrels`` that one of those Rankings holds, is the doc-id table's str."""
+    ranked = set()
     for run in runs:
         for ranking in run.by_query.values():
             assert all(doc_id is trec._IDS[trec._CODES[doc_id]] for doc_id in ranking.docs)
+            ranked.update(ranking.docs)
+    for judged in qrels:
+        for per_query in judged.grades.values():
+            shared = [doc_id for doc_id in per_query if doc_id in ranked]
+            assert all(doc_id is trec._IDS[trec._CODES[doc_id]] for doc_id in shared)
 
 
 def _retained_bytes(load):
@@ -618,6 +626,45 @@ def test_loaded_runs_keep_under_16_bytes_per_entry(tmp_path):
     retained, loaded = _retained_bytes(lambda: cli._load_runs(paths))
     assert loaded == runs
     assert retained / sum(run.num_entries() for run in loaded) < 16
+
+
+def test_judged_doc_ids_are_the_doc_id_tables_strs(tmp_path):
+    paths = _overlapping_run_files(tmp_path)
+    # the runs rank d1, d2, d3, d8 and d9; no run ranks the last id
+    unranked = "judged-by-qrels-only-7f3a"
+    official = tmp_path / "official.qrels"
+    official.write_text(f"1 0 d1 1\n1 0 d3 0\n1 0 {unranked} 1\n2 0 d9 1\n")
+    training = tmp_path / "training.qrels"
+    training.write_text("1 0 d1 1\n2 0 d8 0\n")
+    args = cli.build_parser().parse_args(
+        ["xval", "--runs", *paths, "--qrels", str(official), "--training-qrels", str(training)]
+    )
+    cli._load_runs(paths)  # the runs' ids join the table
+    size = len(trec._IDS)
+    runs, official_qrels, training_qrels = cli._load_experiment(args)
+    # the qrels add no id to the table: an id no run ranks keeps its parsed str
+    assert len(trec._IDS) == size
+    assert unranked not in trec._CODES
+    assert [doc_id in trec._CODES for doc_id in official_qrels.grades["1"]] == [True, True, False]
+    _assert_doc_ids_are_the_tables(runs, [official_qrels, training_qrels])
+
+
+def test_loaded_pooled_qrels_keep_under_50_bytes_per_judgment(tmp_path):
+    # a depth-20 pool of 10 runs of 200 docs: each judgment holds a dict entry
+    # and a share of its query's dict; its doc id is the doc-id table's str,
+    # which the runs filled
+    runs, full = generate_synthetic(6, 10, 10, 200, 20)
+    paths = []
+    for run in runs:
+        paths.append(str(tmp_path / f"{run.run_tag}.run"))
+        save_run(run, paths[-1])
+    path = tmp_path / "pooled.qrels"
+    save_qrels(make_partial_qrels(build_pool(runs, 20), full), path)
+    runs = cli._load_runs(paths)
+    retained, pooled = _retained_bytes(lambda: cli._load_qrels(str(path)))
+    judgments = [len(per_query) for per_query in pooled.grades.values()]
+    assert min(judgments) >= 50
+    assert retained / sum(judgments) < 50
 
 
 def test_duplicate_qrels_lines_reported_on_stderr_only(dataset, tmp_path, capsys):

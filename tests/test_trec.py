@@ -267,6 +267,37 @@ def test_qrels_refuses_a_query_id_that_is_not_a_str(query_id):
         Qrels({"1": {"a": 1}, query_id: {"a": 1}})
 
 
+@pytest.mark.parametrize("doc_id", [2, None, b"d", ("d",)], ids=repr)
+def test_qrels_refuses_a_doc_id_that_is_not_a_str(doc_id):
+    # write_qrels could not write it, and evaluate would score it as never retrieved
+    message = f"^query '2', doc id {re.escape(repr(doc_id))} is not a str$"
+    with pytest.raises(ValueError, match=message):
+        Qrels({"1": {"a": 1}, "2": {"b": 0, doc_id: 1}})
+
+
+# relevance compares each grade with 0, which a str or None cannot be, and
+# write_qrels would write a float or a bool as "1.5" or "True", which
+# parse_qrels refuses
+@pytest.mark.parametrize(
+    "grade", ["1", b"1", None, 1.5, 1.0, np.float64(2.0), True, False, np.True_], ids=repr
+)
+def test_qrels_refuses_a_grade_that_is_not_an_integer(grade):
+    message = f"^query '1', doc 'b': grade {re.escape(repr(grade))} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        Qrels({"1": {"a": 1, "b": grade}})
+
+
+@pytest.mark.parametrize("grade", [2, -1, np.int64(2), np.int8(-1), np.uint16(0)], ids=repr)
+def test_qrels_takes_an_int_or_numpy_integer_grade_and_counts_its_relevant_docs(grade):
+    qrels = Qrels({"1": {"a": 1, "b": grade, "c": 0}, "2": {}})
+    relevant = {"a", "b"} if grade > 0 else {"a"}
+    assert qrels.relevant("1") == relevant
+    assert qrels.relevant_count("1") == len(relevant)
+    assert qrels.total_relevant() == len(relevant)
+    assert [type(qrels.relevant_count(q)) for q in ("1", "2", "absent")] == [int, int, int]
+    assert parse_qrels(write_qrels(qrels).splitlines()).grades == {"1": qrels.grades["1"]}
+
+
 @pytest.mark.parametrize("bad", _UNREADABLE_IDS, ids=repr)
 @pytest.mark.parametrize("field", ["query id", "doc id"])
 def test_write_qrels_refuses_an_id_parse_qrels_cannot_read_back(field, bad, tmp_path):
@@ -1093,3 +1124,53 @@ def test_threads_adding_the_same_new_ids_give_each_id_one_code():
     rank_of, code_of = trec._order_key()
     assert [trec._IDS[code] for code in code_of.tolist()] == sorted(trec._IDS)
     assert (rank_of[code_of] == np.arange(len(code_of))).all()
+
+
+def test_parse_qrels_keeps_its_own_str_for_an_id_the_table_is_adding(monkeypatch):
+    # the two states an id is in while _encode adds it: in _CODES as -1, and
+    # with its code set before _IDS holds it
+    monkeypatch.setitem(trec._CODES, "being-added-a", -1)
+    monkeypatch.setitem(trec._CODES, "being-added-b", len(trec._IDS))
+    qrels = parse_qrels(["1 0 being-added-a 1\n", "1 0 being-added-b 0\n"])
+    assert qrels.grades == {"1": {"being-added-a": 1, "being-added-b": 0}}
+
+
+def test_qrels_parsed_while_threads_add_their_ids_keep_each_id():
+    # 4 threads encode 40 blocks of 50 ids the table has not met while 4
+    # threads parse qrels that judge them, with the interpreter switching
+    # threads often: parse_qrels reads the table without its lock, so an id
+    # being added keeps its parsed str, never another id's
+    blocks = [[f"judged-threaded-{b:02d}-{i:02d}" for i in range(50)] for b in range(40)]
+    lines = [f"{b} 0 {doc_id} 1\n" for b, block in enumerate(blocks) for doc_id in block]
+    parsed: dict[int, list[Qrels]] = {}
+    start = threading.Barrier(8)
+
+    def encode(seed):
+        rng = random.Random(seed)
+        start.wait(timeout=60)
+        for block in blocks:
+            Ranking(rng.sample(block, len(block)), range(50, 0, -1))
+
+    def parse(seed):
+        start.wait(timeout=60)
+        parsed[seed] = [parse_qrels(lines) for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=encode, args=(seed,)) for seed in range(4)]
+        threads += [threading.Thread(target=parse, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(parsed) == 4
+    for qrels in (q for per_thread in parsed.values() for q in per_thread):
+        assert [list(qrels.grades_for(str(b))) for b in range(40)] == blocks
+    # every id is in the table now, and a parse shares its str
+    again = parse_qrels(lines)
+    assert all(
+        doc_id is trec._IDS[trec._CODES[doc_id]] for per in again.grades.values() for doc_id in per
+    )
