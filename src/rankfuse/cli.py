@@ -13,6 +13,11 @@ The commands make no fusion decision: the fusers cut to ``--depth``,
 the writers write every entry, and ``linear_combine`` matches weights
 to runs by tag. ``fuse`` normalizes once for every method; Borda reads
 only each query's order, which normalization keeps.
+
+No command reads a raw score: the loader keeps each run as its doc
+codes and one reciprocal-rank lookup at the default constant (about
+6 B an entry), and ``train`` and ``fuse`` normalize again at
+``--constant``, which reads only ranks.
 """
 
 from __future__ import annotations
@@ -62,8 +67,16 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _load_runs(paths: Sequence[str]) -> list:
-    """load_run of each path, with one warning per file that has no run entries."""
-    runs = [load_run(path) for path in paths]
+    """normalize_reciprocal(load_run(path)) of each path, at the default
+    constant, with one warning per file that has no run entries.
+
+    Every command reads only each run's order: its codes and ranks. So a
+    loaded run keeps its int32 codes and one shared reciprocal lookup,
+    which its rankings' scores are views of, and each file's raw scores
+    are freed as soon as it is parsed. A command that comes to read raw
+    scores (min-max or z-score LC, say) must load its runs with load_run.
+    """
+    runs = [normalize_reciprocal(load_run(path)) for path in paths]
     for path, run in zip(paths, runs):
         if not run.by_query:
             warn(f"{path}: no run entries")

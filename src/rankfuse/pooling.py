@@ -111,11 +111,14 @@ def make_partial_qrels(pool: Pool, full: Qrels) -> Qrels:
     The result contains exactly the pooled (query, doc) pairs; pairs
     missing from ``full`` get grade 0. Queries pooled but entirely
     absent from ``full`` are kept (all grade 0) and reported once via a
-    warning.
+    warning. A query whose pool holds no doc (every run's ranking of it
+    is empty) gets no entry, as a qrels file cannot hold one.
     """
     grades: dict[str, dict[str, int]] = {}
     unjudged_queries: list[str] = []
     for query_id in pool.query_ids:
+        if not pool.docs[query_id]:
+            continue
         if query_id not in full.grades:
             unjudged_queries.append(query_id)
         grades[query_id] = {

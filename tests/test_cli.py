@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rankfuse import cli, trec
@@ -17,7 +18,7 @@ from rankfuse.fusion import _by_reciprocal, normalize_reciprocal
 from rankfuse.harness import generate_synthetic
 from rankfuse.pooling import build_pool, make_partial_qrels
 from rankfuse.regression import assemble_matrix, solve_ols, weights_to_csv
-from rankfuse.trec import RunList, load_qrels, load_run, save_qrels, save_run
+from rankfuse.trec import Ranking, RunList, load_qrels, load_run, save_qrels, save_run
 
 
 @pytest.fixture()
@@ -558,9 +559,9 @@ def _overlapping_run_files(tmp_path):
 def test_loaded_runs_equal_per_file_loads_and_share_doc_ids(tmp_path):
     paths = _overlapping_run_files(tmp_path)
     runs = cli._load_runs(paths)
-    alone = [load_run(path) for path in paths]
+    alone = [normalize_reciprocal(load_run(path)) for path in paths]
     assert runs == alone
-    assert repr(runs) == repr(alone)  # each score keeps its sign and type
+    assert repr(runs) == repr(alone)
     a, b, c = (run.by_query for run in runs)
     assert [a["1"].docs, b["1"].docs, c["1"].docs] == [
         ("d1", "d2"), ("d3", "d1", "d2"), ("d3", "d1")
@@ -605,27 +606,135 @@ def test_runs_that_rank_the_same_docs_hold_each_doc_id_once(tmp_path):
     for run in runs:
         paths.append(str(tmp_path / f"{run.run_tag}.run"))
         save_run(run, paths[-1])
-    alone, per_file = _retained_bytes(lambda: [load_run(path) for path in paths])
+    alone, per_file = _retained_bytes(
+        lambda: [normalize_reciprocal(load_run(path)) for path in paths]
+    )
     shared, loaded = _retained_bytes(lambda: cli._load_runs(paths))
-    assert loaded == per_file == runs
+    assert loaded == per_file == [normalize_reciprocal(run) for run in runs]
     assert all(isinstance(run, RunList) for run in loaded)
     # the runs hold codes, not strs: the doc-id table holds each id once
     _assert_doc_ids_are_the_tables(loaded + per_file)
     assert shared <= 1.01 * alone
 
 
-def test_loaded_runs_keep_under_16_bytes_per_entry(tmp_path):
-    # 20 runs of 10 queries x 200 docs: each entry holds an int32 code (4 B),
-    # a float64 score (8 B) and a share of its query's objects; the doc ids
-    # are the doc-id table's, which generate_synthetic filled
+def test_loaded_runs_keep_under_8_bytes_per_entry(tmp_path):
+    # 20 runs of 10 queries x 200 docs: each entry holds an int32 code (4 B)
+    # and a share of its query's objects and of its run's one reciprocal
+    # lookup, which every ranking's scores are views of; the doc ids are the
+    # doc-id table's, which generate_synthetic filled
     runs, _ = generate_synthetic(5, 10, 20, 200, 20)
     paths = []
     for run in runs:
         paths.append(str(tmp_path / f"{run.run_tag}.run"))
         save_run(run, paths[-1])
     retained, loaded = _retained_bytes(lambda: cli._load_runs(paths))
-    assert loaded == runs
-    assert retained / sum(run.num_entries() for run in loaded) < 16
+    assert loaded == [normalize_reciprocal(run) for run in runs]
+    assert retained / sum(run.num_entries() for run in loaded) < 8
+
+
+def test_each_loaded_runs_scores_are_views_of_one_lookup_no_longer_than_its_longest_ranking(
+    tmp_path,
+):
+    # the runs' rankings have 1, 2 and 3 entries
+    for run in cli._load_runs(_overlapping_run_files(tmp_path)):
+        rankings = list(run.by_query.values())
+        assert len(rankings) == 2
+        longest = max(map(len, rankings))
+        lookup = rankings[0].scores.base
+        for ranking in rankings:
+            assert np.shares_memory(ranking.scores, lookup)
+        # one slot for rank 0 and one score per rank 1..longest
+        assert lookup.size <= longest + 1
+
+
+def test_one_xval_command_peaks_under_2_1_mib(tmp_path):
+    # each loaded run holds its codes and one lookup, about 6 B an entry;
+    # its raw float64 scores would add 0.9 MiB to fold training's peak
+    runs, full = generate_synthetic(3, 6, 20, 1000, 50)
+    paths = []
+    for run in runs:
+        paths.append(str(tmp_path / f"{run.run_tag}.run"))
+        save_run(run, paths[-1])
+    save_qrels(full, tmp_path / "full.qrels")
+    del runs, full
+    argv = ["xval", "--runs", *paths, "--qrels", str(tmp_path / "full.qrels"),
+            "--csv", str(tmp_path / "xval.csv")]
+    assert main(argv) == 0  # the doc ids join the table, the imports settle
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2.1 * 2**20
+
+
+def _rescored(run):
+    """``run`` with each score s as 3 * s + 1000.5, which keeps every
+    order and makes or breaks no tie, so only the raw scores differ."""
+    return RunList(
+        run.run_tag,
+        {
+            query_id: Ranking(ranking.docs, ranking.scores * 3 + 1000.5)
+            for query_id, ranking in run.by_query.items()
+        },
+    )
+
+
+def test_no_command_reads_a_raw_score(tmp_path, capsys, monkeypatch):
+    """Two corpora whose runs rank alike under different raw scores give
+    every command that loads runs the same bytes: stdout, stderr and files."""
+    runs, full = generate_synthetic(4, 8, 4, 40, 10)
+    corpora = {"integer": runs, "rescored": [_rescored(run) for run in runs]}
+    paths = [f"{run.run_tag}.run" for run in runs]
+    loads = ["--runs", *paths, "--qrels", "full.qrels"]
+    experiment = [*loads, "--training-qrels", "half.qrels"]
+    one_run = ["--run", paths[0], "--qrels", "full.qrels"]
+    commands = [
+        ["pool", *loads, "--target-fraction", "0.5", "--out", "half.qrels"],
+        ["pool", *loads, "--depth", "3"],
+        ["sweep", *loads, "--depths", "1:40"],
+        ["train", "--runs", *paths, "--qrels", "half.qrels", "--out-weights", "weights.csv"],
+        ["train", *loads, "--queries", "301,303,305"],
+        ["fuse", "--runs", *paths, "--method", "lc", "--weights", "weights.csv",
+         "--out", "lc.run"],
+        *(["fuse", "--runs", *paths, "--method", method, "--depth", "20"]
+          for method in ("combsum", "combmnz", "borda")),
+        ["eval", *one_run],
+        ["xval", *experiment, "--out-run", "fused.run", "--csv", "xval.csv"],
+        ["curve", *experiment],
+        ["compare", *experiment],
+        ["group-eval", *one_run],
+        ["sensitivity", *one_run, "--partials", "half.qrels"],
+    ]
+    seen = {}
+    for name, corpus in corpora.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        for run, path in zip(corpus, paths):
+            save_run(run, workdir / path)
+        save_qrels(full, workdir / "full.qrels")
+        monkeypatch.chdir(workdir)
+        printed = []
+        for argv in commands:
+            assert main(argv) == 0, argv
+            printed.append(capsys.readouterr())
+        written = {
+            path.name: path.read_bytes()
+            for path in sorted(workdir.iterdir())
+            if path.name not in paths
+        }
+        seen[name] = printed, written
+    assert all(
+        (tmp_path / "integer" / path).read_bytes() != (tmp_path / "rescored" / path).read_bytes()
+        for path in paths
+    )
+    assert sorted(seen["integer"][1]) == [
+        "full.qrels", "fused.run", "half.qrels", "lc.run", "weights.csv", "xval.csv"
+    ]
+    assert seen["integer"] == seen["rescored"]
 
 
 def test_judged_doc_ids_are_the_doc_id_tables_strs(tmp_path):

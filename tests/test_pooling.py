@@ -18,7 +18,7 @@ from rankfuse.pooling import (
     pool_sweep,
     sweep_csv,
 )
-from rankfuse.trec import Qrels, RunList, _doc_ids
+from rankfuse.trec import Qrels, Ranking, RunList, _doc_ids, parse_qrels, write_qrels
 
 
 def _run(tag, queries):
@@ -104,6 +104,21 @@ def test_make_partial_qrels_warns_on_unjudged_query():
     with pytest.warns(UserWarning, match="no judgments"):
         partial = make_partial_qrels(build_pool(runs, 1), full)
     assert partial.grades_for("q2") == {"b": 0}
+
+
+def test_a_query_with_an_empty_pool_gets_no_entry_and_the_partial_survives_a_round_trip():
+    run = RunList(
+        "t",
+        {"1": Ranking(("a", "b"), (2.0, 1.0)), "2": Ranking((), ()), "3": Ranking((), ())},
+    )
+    # query 2 is judged and query 3 is not; neither has a pooled doc
+    full = Qrels({"1": {"a": 1}, "2": {"x": 1}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # query 3 is not reported as unjudged
+        partial = make_partial_qrels(build_pool([run], 1), full)
+    assert partial.grades == {"1": {"a": 1}}
+    assert partial.query_ids == ["1"]
+    assert parse_qrels(write_qrels(partial).splitlines(), name=partial.name) == partial
 
 
 def test_make_partial_qrels_idempotent():
