@@ -4,9 +4,10 @@ A normalized run is a RunList whose scores are the reciprocal model
 score(d) = 1/(constant + rank(d)). Fusion methods: weighted linear
 combination, CombSum, CombMNZ, and Borda count. This module makes each
 fusion decision once, for its public fusers and the harness alike:
-_rank_cube turns the runs' doc codes into an int32 rank cube, its
-columns in doc-id order by the doc-id table's order key, with no doc id
-read (one query per call here, every query of an experiment in the
+_rank_cube turns the runs' doc codes into a rank cube of the narrowest
+unsigned dtype that holds the longest ranking's ranks, its columns in
+doc-id order by the doc-id table's order key, with no doc id read (one
+query per call here, every query of an experiment in the
 harness); _systems counts the systems that ranked each column; the
 method's scorer (_SCORERS, or _weighted for LC) gives each column its
 fused score from the cube, those counts and each system's rank -> value
@@ -19,6 +20,7 @@ candidates' codes. Identical inputs yield byte-identical output.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -37,6 +39,13 @@ DEFAULT_OUTPUT_DEPTH = 1000
 # score per column
 _Score = Callable[[np.ndarray, np.ndarray, Iterable[np.ndarray]], np.ndarray]
 
+# each (constant, longest)'s reciprocal lookup, while some array views it; two
+# threads that miss at once each build an equal lookup, and the later is kept
+_RECIPROCALS: weakref.WeakValueDictionary[tuple[float, int], np.ndarray] = (
+    weakref.WeakValueDictionary()
+)
+_NO_KEYS = np.empty(0, dtype=np.int32)
+
 
 def _by_reciprocal(constant: float, longest: int) -> np.ndarray:
     """The rank -> 1/(constant + rank) lookup of ranks 0..longest, 0.0 at rank 0.
@@ -46,7 +55,15 @@ def _by_reciprocal(constant: float, longest: int) -> np.ndarray:
     finite one too large for the scores of ranks 1..longest to strictly
     decrease (from about 2**53 the float spacing exceeds 1, so ranks
     share a score and the fusers would order by doc id alone).
+
+    The lookup is read-only and made once per (constant, longest): each
+    caller gets the one that some array still views (a normalized run's
+    scores, a harness call's lookups), so runs of one length share one
+    buffer, and it is freed with the last array that views it.
     """
+    lookup = _RECIPROCALS.get((constant, longest))
+    if lookup is not None:
+        return lookup
     if constant <= -1:
         raise ValueError(f"reciprocal constant must be > -1, got {constant}")
     if not math.isfinite(constant):
@@ -58,6 +75,8 @@ def _by_reciprocal(constant: float, longest: int) -> np.ndarray:
             f"reciprocal constant {constant} is too large: 1/(constant + rank) "
             f"does not strictly decrease over ranks 1..{longest}"
         )
+    lookup.flags.writeable = False
+    _RECIPROCALS[constant, longest] = lookup
     return lookup
 
 
@@ -70,12 +89,14 @@ def normalize_reciprocal(
     finite positive score, and small enough (below about 2**53) that the
     scores strictly decrease over the run's ranks; so the ranking is kept
     as it is, and each normalized query holds its input's codes array.
+    Its scores are read-only views of _by_reciprocal's one lookup of
+    ``constant`` over the run's longest ranking: runs whose longest
+    rankings are of one length share one buffer.
     """
     lengths = set(map(len, run.by_query.values()))
     by_rank = _by_reciprocal(constant, max(lengths, default=0))[1:]
-    by_rank.flags.writeable = False
-    # one read-only view of one lookup per length: the queries of the run share
-    # one buffer, and the queries of one length one scores array
+    # one view of the lookup per length: the queries of one length share one
+    # scores array
     views = {n: by_rank[:n] for n in lengths}
     by_query = {
         query_id: Ranking._of(ranking.codes, views[len(ranking)])
@@ -90,27 +111,35 @@ def _rank_cube(
     """The candidate table of ``query_ids`` over ``runs``.
 
     Returns each query's candidates, the doc-id-sorted union of the runs'
-    doc codes for it as an int32 array, and the int32 queries x runs x
-    width rank cube: ranks[i, j, c] is run j's rank 1..L of
-    candidates[i][c], 0 where run j did not rank it or c is past the
-    query's candidates; the width is the largest candidate count.
+    doc codes for it as an int32 array, and the queries x runs x width
+    rank cube: ranks[i, j, c] is run j's rank 1..L of candidates[i][c], 0
+    where run j did not rank it or c is past the query's candidates; the
+    width is the largest candidate count. Its dtype is the narrowest
+    unsigned one that holds the longest ranking's length L,
+    np.min_scalar_type(L): uint8 up to 255, uint16 up to 65535, uint32
+    beyond.
 
     No doc id is read. A query's candidates are the distinct order keys
-    of its runs' codes. Each run's ranks then go to their columns through
-    a key -> column lookup that spans those keys, when that span is no
-    larger than the query's row of the cube. When the keys spread wider,
-    as when queries share one doc-id namespace, one argsort of the
-    query's keys gives each entry its column instead, so no array grows
-    with the table. Beside the cube, at most a few arrays of one query's
-    entries and one row's size of lookup are alive at once.
+    of its runs' codes, sorted in chunks of about itemsize / 4 of the
+    call's entries, so their buffer takes about the cube's bytes at
+    most. Each run's ranks then go to their columns through a key ->
+    column lookup that spans those keys, when that span is no larger
+    than the query's row of the cube. When the keys spread wider, as
+    when queries share one doc-id namespace, one argsort of the query's
+    keys gives each entry its column instead, so no array grows with the
+    table. Beside the cube, at most a few arrays of one query's entries
+    and one row's size of lookup are alive at once.
     """
     rank_of, code_of = _order_key()
     rankings = [[run.by_query.get(q, _NO_RANKING) for run in runs] for q in query_ids]
-    keys = [_distinct_keys(row, rank_of) for row in rankings]
+    lengths = list(map(len, chain.from_iterable(rankings)))
+    longest = max(lengths, default=0)
+    dtype = np.min_scalar_type(longest)
+    chunk = dtype.itemsize * sum(lengths) // 4
+    keys = [_distinct_keys(row, rank_of, chunk) for row in rankings]
     width = max(map(len, keys), default=0)
-    ranks = np.zeros((len(query_ids), len(runs), width), dtype=np.int32)
-    longest = max(map(len, chain.from_iterable(rankings)), default=0)
-    by_position = np.arange(1, longest + 1, dtype=np.int32)
+    ranks = np.zeros((len(query_ids), len(runs), width), dtype=dtype)
+    by_position = np.arange(1, longest + 1, dtype=dtype)
     for row, (distinct, per_run) in enumerate(zip(keys, rankings)):
         if not distinct.size:
             continue
@@ -139,22 +168,57 @@ def _rank_cube(
     return [code_of[distinct] for distinct in keys], ranks
 
 
-def _distinct_keys(rankings: Sequence[Ranking], rank_of: np.ndarray) -> np.ndarray:
-    """The order keys of the docs ``rankings`` rank, each once, ascending:
-    one buffer of every key, sorted in place."""
-    keys = _keys(rankings, rank_of)
-    keys.sort()
-    return keys[_firsts(keys)]
+def _distinct_keys(
+    rankings: Sequence[Ranking], rank_of: np.ndarray, chunk: int
+) -> np.ndarray:
+    """The order keys of the docs ``rankings`` rank, each once, ascending.
+
+    The rankings are read in chunks of at most ``chunk`` entries (or one
+    ranking): each chunk's keys go after the distinct keys of the chunks
+    before it in one buffer, which is sorted in place and cut to its
+    distinct keys. When ``chunk`` holds every entry, that is one buffer
+    of every key, sorted once.
+    """
+    distinct = _NO_KEYS
+    for part in _chunks(rankings, chunk):
+        keys = _keys(part, rank_of, distinct)
+        keys.sort()
+        # compress, not keys[mask]: boolean indexing took up to 4x as long
+        distinct = keys.compress(_firsts(keys))
+        del keys  # freed before the next chunk's buffer is made
+    return distinct
 
 
-def _keys(rankings: Sequence[Ranking], rank_of: np.ndarray) -> np.ndarray:
-    """The order key of each doc ``rankings`` rank, ranking by ranking, in
-    one int32 buffer."""
-    keys = np.empty(sum(map(len, rankings)), dtype=np.int32)
-    start = 0
+def _chunks(rankings: Sequence[Ranking], chunk: int) -> Iterable[Sequence[Ranking]]:
+    """``rankings`` cut into consecutive groups, each of at most ``chunk``
+    entries or of one ranking: all in one group when they fit."""
+    if sum(map(len, rankings)) <= chunk:
+        yield rankings
+        return
+    part: list[Ranking] = []
+    held = 0
+    for ranking in rankings:
+        if part and held + len(ranking) > chunk:
+            yield part
+            part, held = [], 0
+        part.append(ranking)
+        held += len(ranking)
+    yield part
+
+
+def _keys(
+    rankings: Sequence[Ranking], rank_of: np.ndarray, before: np.ndarray = _NO_KEYS
+) -> np.ndarray:
+    """The order key of each doc ``rankings`` rank, ranking by ranking,
+    after ``before``, in one int32 buffer."""
+    keys = np.empty(before.size + sum(map(len, rankings)), dtype=np.int32)
+    keys[: before.size] = before
+    start = before.size
     for ranking in rankings:
         end = start + len(ranking)
-        keys[start:end] = rank_of.take(ranking.codes)
+        # every code is in the table, so "clip" clips none; it spares the
+        # copy that take makes into ``out`` under "raise"
+        rank_of.take(ranking.codes, out=keys[start:end], mode="clip")
         start = end
     return keys
 
@@ -319,12 +383,13 @@ def _borda(ranks: np.ndarray, systems: np.ndarray, lookups: Iterable[np.ndarray]
     """Borda points from the ranks alone: |C| + 1 - rank from each system
     that ranked the candidate, as floats; ``lookups`` is not read.
 
-    Summed as (|C| + 1) * m - (sum of the m ranks), in integers, which is
+    Summed as (|C| + 1) * m - (sum of the m ranks), in int64, which is
     exact; m is ``systems``' count and |C| counts the columns some system
-    ranked.
+    ranked. The ranks are summed into int64 too: the cube is unsigned, and
+    its own sum, uint64, less an int64 would go through float64.
     """
     candidates = np.count_nonzero(systems, axis=-1, keepdims=True)
-    return ((candidates + 1) * systems - ranks.sum(axis=1)).astype(float)
+    return ((candidates + 1) * systems - ranks.sum(axis=1, dtype=np.int64)).astype(float)
 
 
 # The scorer of each unweighted method, read by its public fuser and by the

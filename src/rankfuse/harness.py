@@ -99,7 +99,10 @@ class _RankCube(NamedTuple):
     (doc codes) and ``ranks[i]`` are fusion._rank_cube's, ``training[i]`` and
     ``relevant[i]`` whether each candidate is relevant under the training
     and the official qrels (False past its candidates), and
-    ``relevant_counts[i]`` is R(q) under the official qrels.
+    ``relevant_counts[i]`` is R(q) under the official qrels. ``ranks`` is of
+    the narrowest unsigned dtype that holds the deepest rank, so every read
+    of it indexes a lookup, compares with 0, takes its max or sums into a
+    signed accumulator; none subtracts from it.
     """
 
     query_ids: list[str]
@@ -257,11 +260,11 @@ def compare_methods(
     query of it in one pass, with the public fusers' scorers or, for LC,
     _cross_validate; then one _rank_prefix ranks and evaluates the
     scores. So each row equals the one the public per-method calls on
-    ``runs[:size]`` give. They all read one reciprocal lookup of
-    ``constant``, built once per call, so a ``constant`` of -1 or less,
-    NaN, +inf or one too large for the scores to strictly decrease over
-    ranks 1 to the deepest rank in the cube raises ValueError for Borda
-    too, as normalize_reciprocal does over its run's ranks. With LC among
+    ``runs[:size]`` give. They all read fusion._by_reciprocal's one
+    lookup of ``constant``, got once per call, so a ``constant`` of -1 or
+    less, NaN, +inf or one too large for the scores to strictly decrease
+    over ranks 1 to the deepest rank in the cube raises ValueError for
+    Borda too, as normalize_reciprocal does over its run's ranks. With LC among
     ``methods``, fewer than 2 queries raise ValueError before any prefix
     trains.
     """

@@ -7,15 +7,16 @@ import gc
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rankfuse import cli, trec
+from rankfuse import cli, harness, trec
 from rankfuse.cli import console, main
 from rankfuse.fusion import _by_reciprocal, normalize_reciprocal
-from rankfuse.harness import generate_synthetic
+from rankfuse.harness import cross_validated_fusion, generate_synthetic
 from rankfuse.pooling import build_pool, make_partial_qrels
 from rankfuse.regression import assemble_matrix, solve_ols, weights_to_csv
 from rankfuse.trec import Ranking, RunList, load_qrels, load_run, save_qrels, save_run
@@ -669,6 +670,70 @@ def test_one_xval_command_peaks_under_2_1_mib(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 2.1 * 2**20
+
+
+def _synthetic_files(tmp_path, *args):
+    """generate_synthetic(*args) saved: the run files' paths and the qrels file's."""
+    runs, full = generate_synthetic(*args)
+    paths = []
+    for run in runs:
+        paths.append(str(tmp_path / f"{run.run_tag}.run"))
+        save_run(run, paths[-1])
+    save_qrels(full, tmp_path / "full.qrels")
+    return paths, str(tmp_path / "full.qrels")
+
+
+def test_loaded_runs_of_one_depth_share_one_lookup_with_cross_validated_fusion(
+    tmp_path, monkeypatch
+):
+    paths, qrels = _synthetic_files(tmp_path, 4, 4, 3, 37, 5)
+    runs = cli._load_runs(paths)
+    lookup = runs[0].by_query["301"].scores.base
+    for run in runs:
+        for ranking in run.by_query.values():
+            assert np.shares_memory(ranking.scores, lookup)
+    # the harness's lookup at the default constant over the cube's 37 ranks
+    made = []
+
+    def recorded(constant, longest):
+        made.append(_by_reciprocal(constant, longest))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "_by_reciprocal", recorded)
+    full = cli._load_qrels(qrels)
+    cross_validated_fusion(runs, full, full)
+    assert len(made) == 1 and made[0] is lookup
+    assert not lookup.flags.writeable
+
+
+def test_a_shared_lookup_is_freed_with_the_last_run_that_views_it(tmp_path):
+    paths, _ = _synthetic_files(tmp_path, 4, 4, 2, 41, 5)
+    runs = cli._load_runs(paths)
+    lookup = weakref.ref(runs[0].by_query["301"].scores.base)
+    assert np.shares_memory(runs[1].by_query["301"].scores, lookup())
+    del runs[0]
+    gc.collect()
+    assert lookup() is not None  # the other run still views it
+    del runs
+    gc.collect()
+    assert lookup() is None
+
+
+def test_one_xval_command_peaks_under_1_6_mib(tmp_path):
+    # the runs of 1000 docs share one reciprocal lookup, and fold training's
+    # rank cube is uint16; 20 lookups and an int32 cube peaked at 1.83 MiB
+    paths, qrels = _synthetic_files(tmp_path, 3, 6, 20, 1000, 50)
+    argv = ["xval", "--runs", *paths, "--qrels", qrels, "--csv", str(tmp_path / "xval.csv")]
+    assert main(argv) == 0  # the doc ids join the table, the imports settle
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.6 * 2**20
 
 
 def _rescored(run):

@@ -509,7 +509,7 @@ def test_a_fused_ranking_keeps_its_scores_array_not_a_copy(fuse, monkeypatch):
 
 
 def test_borda_holds_one_query_cube_at_a_time():
-    # 4 queries of 800 candidates each over 100 runs: a 320 kB cube per query
+    # 4 queries of 800 candidates each over 100 runs: a 160 kB uint16 cube per query
     runs, qrels = generate_synthetic(7, 4, 100, 800, 20)
     cube = _rank_cube(runs, [qrels.query_ids[0]])[1]
     gc.collect()
@@ -531,7 +531,7 @@ def test_borda_holds_one_query_cube_at_a_time():
     # _systems' one count per column serves Borda and _rank: no bool copy of
     # the cube is made (Borda's count_nonzero and _rank's ranks > 0 each made
     # one, and the peak was 520,700 B for this 320,000 B cube)
-    assert cube.nbytes == 320_000
+    assert cube.nbytes == 160_000
     assert peak < 520_700
     # Scoring and ranking the cube: one ufunc buffer and a few width-long
     # arrays; a bool copy of the cube, a quarter of it, would not fit
@@ -648,11 +648,62 @@ def test_rank_cube_matches_a_per_doc_loop(seed, num_runs, num_queries):
     for query_ids in (every, every[::-1], ["1"], ["none"], []):
         candidates, ranks = _rank_cube(runs, query_ids)
         expected_candidates, expected = _reference_rank_cube(runs, query_ids)
+        longest = max((len(run.by_query.get(q, ())) for run in runs for q in query_ids),
+                      default=0)
         assert all(codes.dtype == np.int32 for codes in candidates)
         assert [list(_doc_ids(codes)) for codes in candidates] == expected_candidates
-        assert ranks.dtype == np.int32
+        assert ranks.dtype == np.min_scalar_type(longest)
         assert ranks.shape == (len(query_ids), num_runs, max(map(len, candidates), default=0))
         assert ranks.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "longest,dtype",
+    [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32)],
+)
+def test_rank_cube_dtype_holds_every_rank_of_the_longest_ranking(longest, dtype):
+    # Run s0 ranks ``longest`` docs, so its deepest rank would wrap to 0 (or
+    # to a small rank) in any narrower dtype; s1 and s2 rank shuffled parts of
+    # them and docs s0 does not. The docs are ids of one pool for every size.
+    rng = np.random.default_rng(longest)
+    pool = np.array([f"wide-{i:05d}" for i in range(65_536 + 64)])
+    order = pool[rng.permutation(longest + 64)]
+
+    def ranked(docs):
+        return {doc: float(len(docs) - k) for k, doc in enumerate(docs)}
+
+    runs = [
+        RunList.from_scores("s0", {"1": ranked(order[:longest]), "2": ranked(order[:3])}),
+        RunList.from_scores("s1", {"1": ranked(rng.permutation(order[longest // 2 :]))}),
+        RunList.from_scores("s2", {"1": ranked(order[-90:]), "2": ranked(order[5:50])}),
+    ]
+    candidates, ranks = _rank_cube(runs, ["1", "2"])
+    expected_candidates, expected = _reference_rank_cube(runs, ["1", "2"])
+    assert ranks.dtype == dtype
+    assert [list(_doc_ids(codes)) for codes in candidates] == expected_candidates
+    assert ranks.tolist() == expected
+    del candidates, ranks, expected
+
+    scored = [normalize_reciprocal(run, 7.3) for run in runs]
+    values = [{q: {e.doc_id: e.raw_score for e in s.entries(q)} for q in s.query_ids}
+              for s in scored]
+    positions = [{q: {e.doc_id: e.rank for e in r.entries(q)} for q in r.query_ids}
+                 for r in runs]
+    weights = np.array([0.7, -1.3, 2.1])
+    w = _weights([s.run_tag for s in scored], weights, intercept=-0.37)
+    depth = longest + 64
+    assert _raw_scores(linear_combine(scored, w, depth)) == _naive_fusion(
+        values, lambda union, present: -0.37 + _summed(weights[j] * v for j, v in present)
+    )
+    assert _raw_scores(comb_sum(scored, depth)) == _naive_fusion(
+        values, lambda union, present: _summed(v for _, v in present)
+    )
+    assert _raw_scores(comb_mnz(scored, depth)) == _naive_fusion(
+        values, lambda union, present: len(present) * _summed(v for _, v in present)
+    )
+    assert _raw_scores(borda(runs, depth)) == _naive_fusion(
+        positions, lambda union, present: float(sum(len(union) - r + 1 for _, r in present))
+    )
 
 
 def test_rank_cube_of_queries_that_share_one_namespace_holds_no_lookup_that_spans_it():
