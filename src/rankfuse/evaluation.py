@@ -159,10 +159,6 @@ class EvalReport:
     qrels_name: str
     per_query: tuple[QueryEval, ...]
 
-    @property
-    def query_ids(self) -> list[str]:
-        return [row.query_id for row in self.per_query]
-
     def mean_metrics(self) -> dict[str, float]:
         """Arithmetic means keyed by metric; NaN rows drop out."""
         return {

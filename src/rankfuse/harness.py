@@ -40,6 +40,7 @@ from .fusion import (
     DEFAULT_OUTPUT_DEPTH,
     DEFAULT_RECIPROCAL_CONSTANT,
     _by_reciprocal,
+    _check_depth,
     _rank,
     _rank_cube,
     _rankings,
@@ -206,10 +207,12 @@ def cross_validated_fusion(
     ``official_qrels``, evaluated against it. A fold whose weights are
     degenerate (no relevant training label) or ridge-regularized is
     reported with a warning. The scores, ranking and report are those
-    compare_methods gives LC at the prefix of all ``runs``.
+    compare_methods gives LC at the prefix of all ``runs``. Fewer than 2
+    runs, or ``depth`` below 1, raise ValueError before any fold trains.
     """
     if len(runs) < 2:
         raise ValueError("fusion experiments need at least 2 runs")
+    _check_depth(depth)
     cube = _judged_cube(runs, training_qrels, official_qrels)
     lookups = [_by_reciprocal(constant, int(cube.ranks.max(initial=0)))] * len(runs)
     split = split_odd_even(cube.query_ids)
@@ -266,7 +269,7 @@ def compare_methods(
     over ranks 1 to the deepest rank in the cube raises ValueError for
     Borda too, as normalize_reciprocal does over its run's ranks. With LC among
     ``methods``, fewer than 2 queries raise ValueError before any prefix
-    trains.
+    trains; with any fusion method, so does ``depth`` below 1.
     """
     unknown = [m for m in methods if m not in ALL_METHODS]
     if unknown:
@@ -276,6 +279,7 @@ def compare_methods(
     if len(runs) < 2:
         raise ValueError("fusion experiments need at least 2 runs")
     if any(method != "best-component" for method in methods):
+        _check_depth(depth)
         cube = _judged_cube(runs, training_qrels, official_qrels)
         reciprocal = _by_reciprocal(constant, int(cube.ranks.max(initial=0)))
     if "LC-mlr" in methods:

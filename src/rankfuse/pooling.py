@@ -81,7 +81,7 @@ def _entry_depths(runs: Sequence[RunList], depth: int) -> dict[str, tuple[np.nda
         keys = np.concatenate(per_query, dtype=np.int64) << 32
         keys |= np.concatenate([ranks[: len(codes)] for codes in per_query])
         keys.sort()
-        keys = keys[_firsts(keys >> 32)]
+        keys = keys.compress(_firsts(keys >> 32))
         table[query_id] = keys >> 32, keys & 0xFFFFFFFF
     return table
 

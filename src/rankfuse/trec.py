@@ -22,8 +22,8 @@ line or argument order.
 A RunList stores one Ranking per query: a read-only int32 array of
 doc-id codes in rank order and a parallel read-only float64 array of
 their raw scores. A doc's rank is its position + 1, so no rank is stored
-and no per-entry object is kept; ``Ranking.docs`` and ``RunList.entries``
-build doc ids and RunEntry views on demand. Every score is a finite
+and no per-entry object is kept; ``Ranking.docs`` and ``RunList.docs``
+build doc ids on demand. Every score is a finite
 real number and every doc id a whitespace-free token: a Ranking checks
 that where it is made, a RunList and a Qrels refuse a query id that is
 not a str where they are made, a Qrels also a doc id that is not a str
@@ -96,17 +96,6 @@ def sort_query_ids(query_ids: Iterable[str]) -> list[str]:
     if ids and all(q.isdecimal() for q in ids):
         return sorted(ids, key=lambda q: (int(q), q))
     return sorted(ids)
-
-
-@dataclass(frozen=True)
-class RunEntry:
-    """One retrieved document; ``rank`` is the canonical rank (dense, score-ordered)."""
-
-    query_id: str
-    doc_id: str
-    rank: int
-    raw_score: float
-    run_tag: str
 
 
 # The doc-id table (see the module docstring). _IDS and _CODES are only added
@@ -444,16 +433,6 @@ class RunList:
     @property
     def query_ids(self) -> list[str]:
         return sort_query_ids(self.by_query)
-
-    def entries(self, query_id: str) -> tuple[RunEntry, ...]:
-        """One query's ranking as RunEntry objects, built on each call."""
-        ranking = self.by_query.get(query_id, _NO_RANKING)
-        return tuple(
-            RunEntry(query_id, doc_id, rank, score, self.run_tag)
-            for rank, (doc_id, score) in enumerate(
-                zip(ranking.docs, ranking.scores.tolist()), start=1
-            )
-        )
 
     def docs(self, query_id: str) -> tuple[str, ...]:
         """Doc ids for one query in rank order."""

@@ -237,7 +237,7 @@ def test_criterion_06_pool_coverage_monotone_and_bounded():
         for _ in range(50):
             runs, full = _random_runset(rng)
             max_len = max(
-                len(run.entries(q)) for run in runs for q in run.query_ids
+                len(run.by_query[q]) for run in runs for q in run.query_ids
             )
             rows = pool_sweep(runs, full, range(1, max_len + 3))
             counts = [row.relevant_count for row in rows]

@@ -4,6 +4,8 @@ error reporting, and byte determinism."""
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -980,3 +982,48 @@ def test_cli_byte_determinism_across_invocations(dataset, tmp_path):
             )
             assert main([*argv, flag, str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# One process runs the sequence in its working directory, with relative
+# paths, so that its files and stderr name nothing of the directory.
+_HASH_SEED_SEQUENCE = """
+from pathlib import Path
+from rankfuse.cli import main
+
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+
+run("synth", "--seed", "11", "--num-queries", "10", "--num-systems", "5",
+    "--docs-per-query", "40", "--out-dir", "corpus")
+runs = sorted(str(path) for path in Path("corpus").glob("*.run"))
+common = ["--runs", *runs, "--qrels", "corpus/full.qrels"]
+run("pool", *common, "--target-fraction", "0.5", "--out", "half.qrels")
+training = ["--training-qrels", "half.qrels"]
+run("xval", *common, *training, "--out-run", "xval.run", "--csv", "xval.csv")
+run("compare", *common, *training, "--out", "compare.csv")
+run("fuse", "--runs", *runs, "--method", "borda", "--out", "borda.run")
+"""
+
+
+def test_cli_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
+    """The same commands under two PYTHONHASHSEEDs, so two orders of every
+    str set and str-keyed dict, write the same bytes."""
+    source = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("0", "4242"):
+        root = tmp_path / seed
+        root.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SEQUENCE], cwd=root, capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}, check=False,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        files = {
+            str(file.relative_to(root)): file.read_bytes()
+            for file in sorted(root.rglob("*")) if file.is_file()
+        }
+        outputs.append((files, done.stdout, done.stderr))
+    files = outputs[0][0]
+    assert len(files) == 11 and all(files.values())  # 5 runs, full qrels, 5 outputs
+    assert outputs[0] == outputs[1]

@@ -224,8 +224,8 @@ def test_evaluate_missing_query_scores_zero_with_warning():
 def test_evaluate_reports_each_query_once_and_reads_any_digit_id():
     run = parse_run(["\u00b2 Q0 d1 1 1.0 t", "301 Q0 d1 1 1.0 t"])
     qrels = parse_qrels(["\u00b2 0 d1 1", "301 0 d1 1"])
-    assert evaluate(run, qrels).query_ids == ["301", "\u00b2"]
-    assert evaluate(run, qrels, ["301", "301"]).query_ids == ["301"]
+    assert [row.query_id for row in evaluate(run, qrels).per_query] == ["301", "\u00b2"]
+    assert [row.query_id for row in evaluate(run, qrels, ["301", "301"]).per_query] == ["301"]
 
 
 def test_evaluate_requires_queries():

@@ -22,7 +22,7 @@ from rankfuse.fusion import (
 )
 from rankfuse.harness import compare_methods, cross_validated_fusion, generate_synthetic
 from rankfuse.regression import WeightVector
-from rankfuse.trec import Qrels, Ranking, RunEntry, RunList, _doc_ids, parse_run, write_run
+from rankfuse.trec import Qrels, Ranking, RunList, _doc_ids, parse_run, write_run
 
 
 def _run(tag, queries):
@@ -35,9 +35,19 @@ def _run(tag, queries):
     )
 
 
+def _score_map(run, query_id):
+    """One query's doc -> raw score map."""
+    return dict(zip(run.docs(query_id), run.by_query[query_id].scores.tolist()))
+
+
+def _rank_map(run, query_id):
+    """One query's doc -> rank map; a doc's rank is its position + 1."""
+    return {doc: rank for rank, doc in enumerate(run.docs(query_id), start=1)}
+
+
 def _score(run, query_id, doc_id):
     """The run's score for one doc, 0.0 for docs it did not retrieve."""
-    return {e.doc_id: e.raw_score for e in run.entries(query_id)}.get(doc_id, 0.0)
+    return _score_map(run, query_id).get(doc_id, 0.0)
 
 
 def _weights(tags, weights, intercept=0.0):
@@ -147,7 +157,7 @@ def test_linear_combine_hand_example():
     fused = linear_combine([s1, s2], _weights(["s1", "s2"], [1.0, 2.0]))
     assert linear_combine([s2, s1], _weights(["s1", "s2"], [1.0, 2.0])) == fused
     assert fused.docs("q") == ("b", "a")
-    scores = {e.doc_id: e.raw_score for e in fused.entries("q")}
+    scores = _score_map(fused, "q")
     assert scores["a"] == pytest.approx(0.7)
     assert scores["b"] == pytest.approx(1.0)
     assert fused.run_tag == "LC-mlr"
@@ -157,7 +167,7 @@ def test_linear_combine_missing_doc_scores_zero():
     s1 = RunList.from_scores("s1", {"q": {"a": 0.5}})
     s2 = RunList.from_scores("s2", {"q": {"b": 0.4}})
     fused = linear_combine([s1, s2], _weights(["s1", "s2"], [1.0, 1.0]))
-    assert {e.doc_id: e.raw_score for e in fused.entries("q")} == {"a": 0.5, "b": 0.4}
+    assert _score_map(fused, "q") == {"a": 0.5, "b": 0.4}
 
 
 def test_linear_combine_unit_weights_equals_comb_sum():
@@ -180,8 +190,8 @@ def test_linear_combine_intercept_shift_invariance():
     shifted = linear_combine(scored, _weights(tags, weights, intercept=5.0))
     for query_id in plain.query_ids:
         assert plain.docs(query_id) == shifted.docs(query_id)
-        for a, b in zip(plain.entries(query_id), shifted.entries(query_id)):
-            assert b.raw_score - a.raw_score == pytest.approx(5.0)
+        for a, b in zip(plain.by_query[query_id].scores, shifted.by_query[query_id].scores):
+            assert b - a == pytest.approx(5.0)
 
 
 def test_linear_combine_positive_scale_invariance():
@@ -222,7 +232,7 @@ def test_comb_sum_tie_breaks_by_doc_id():
     s1 = RunList.from_scores("s1", {"q": {"a": 0.5, "b": 0.25}})
     s2 = RunList.from_scores("s2", {"q": {"a": 0.25, "b": 0.5}})
     fused = comb_sum([s1, s2])
-    assert [e.raw_score for e in fused.entries("q")] == [0.75, 0.75]
+    assert fused.by_query["q"].scores.tolist() == [0.75, 0.75]
     assert fused.docs("q") == ("a", "b")
     assert fused.run_tag == "combsum"
 
@@ -232,7 +242,7 @@ def test_comb_mnz_counts_systems():
     s1 = RunList.from_scores("s1", {"q": {"a": 0.1, "b": 0.5}})
     s2 = RunList.from_scores("s2", {"q": {"a": 0.2}})
     fused = comb_mnz([s1, s2])
-    scores = {e.doc_id: e.raw_score for e in fused.entries("q")}
+    scores = _score_map(fused, "q")
     assert scores["a"] == pytest.approx(0.6)
     assert scores["b"] == pytest.approx(0.5)
     assert fused.docs("q") == ("a", "b")
@@ -263,7 +273,7 @@ def test_comb_mnz_equals_comb_sum_when_all_rank_all():
 
 def test_borda_single_run_points():
     fused = borda([_run("r", {"q": ["a", "b", "c"]})])
-    assert {e.doc_id: e.raw_score for e in fused.entries("q")} == {
+    assert _score_map(fused, "q") == {
         "a": 3.0,
         "b": 2.0,
         "c": 1.0,
@@ -273,14 +283,14 @@ def test_borda_single_run_points():
 
 def test_borda_symmetric_tie():
     fused = borda([_run("r1", {"q": ["a", "b"]}), _run("r2", {"q": ["b", "a"]})])
-    assert [e.raw_score for e in fused.entries("q")] == [3.0, 3.0]
+    assert fused.by_query["q"].scores.tolist() == [3.0, 3.0]
     assert fused.docs("q") == ("a", "b")
 
 
 def test_borda_uneven_lists():
     # C={a,b,c}: a=3+2=5, b=2+0=2, c=1+3=4
     fused = borda([_run("r1", {"q": ["a", "b", "c"]}), _run("r2", {"q": ["c", "a"]})])
-    scores = {e.doc_id: e.raw_score for e in fused.entries("q")}
+    scores = _score_map(fused, "q")
     assert scores == {"a": 5.0, "b": 2.0, "c": 4.0}
     assert fused.docs("q") == ("a", "c", "b")
 
@@ -306,7 +316,7 @@ def test_permutation_invariance_of_unweighted_methods():
 def test_depth_truncation():
     docs = [f"d{i:02d}" for i in range(30)]
     fused = comb_sum([normalize_reciprocal(_run("r", {"q": docs}))], depth=5)
-    assert len(fused.entries("q")) == 5
+    assert len(fused.by_query["q"]) == 5
 
 
 def test_fusion_determinism_bytes():
@@ -346,7 +356,7 @@ def _summed(terms):
 
 
 def _raw_scores(run):
-    return {(q, e.doc_id): e.raw_score for q in run.query_ids for e in run.entries(q)}
+    return {(q, d): v for q in run.query_ids for d, v in _score_map(run, q).items()}
 
 
 @pytest.mark.parametrize(
@@ -378,9 +388,9 @@ def test_fused_scores_equal_a_per_doc_loop_exactly(seed, num_runs, raw):
         scored, queries = runs, ["2", "3", "5", "9"]
     else:
         scored = [normalize_reciprocal(r, 7.3) for r in runs]
-    values = [{q: {e.doc_id: e.raw_score for e in s.entries(q)} for q in s.query_ids}
+    values = [{q: _score_map(s, q) for q in s.query_ids}
               for s in scored]
-    ranks = [{q: {e.doc_id: e.rank for e in r.entries(q)} for q in r.query_ids} for r in runs]
+    ranks = [{q: _rank_map(r, q) for q in r.query_ids} for r in runs]
     weights = rng.normal(size=num_runs)  # mixed signs
     w = _weights([s.run_tag for s in scored], weights, intercept=-0.37)
 
@@ -431,9 +441,9 @@ def test_fused_ties_break_by_doc_id_like_from_scores(method):
     scored = [normalize_reciprocal(r) for r in runs]
     fuse, combine, uses_ranks = _TIED[method]
     per_system = (
-        [{q: {e.doc_id: e.rank for e in r.entries(q)} for q in r.query_ids} for r in runs]
+        [{q: _rank_map(r, q) for q in r.query_ids} for r in runs]
         if uses_ranks
-        else [{q: {e.doc_id: e.raw_score for e in s.entries(q)} for q in s.query_ids}
+        else [{q: _score_map(s, q) for q in s.query_ids}
               for s in scored]
     )
     scores = {}
@@ -445,7 +455,7 @@ def test_fused_ties_break_by_doc_id_like_from_scores(method):
     full = RunList.from_scores(fused.run_tag, scores)
     top3 = {q: Ranking(r.docs[:3], r.scores[:3]) for q, r in full.by_query.items()}
     assert fused == RunList(fused.run_tag, top3)
-    assert all(len(fused.entries(q)) == 3 for q in forward)
+    assert all(len(fused.by_query[q]) == 3 for q in forward)
 
 
 def test_every_run_stores_one_ranking_of_docs_and_read_only_scores_per_query():
@@ -478,12 +488,6 @@ def test_every_run_stores_one_ranking_of_docs_and_read_only_scores_per_query():
             assert scores.shape == (len(ranking.docs),) and not scores.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 scores[0] = 0.0
-            entries = run.entries(query_id)
-            assert all(type(entry.raw_score) is float for entry in entries), name
-            assert entries == tuple(
-                RunEntry(query_id, doc_id, position + 1, score, run.run_tag)
-                for position, (doc_id, score) in enumerate(zip(ranking.docs, scores.tolist()))
-            ), name
 
 
 @pytest.mark.parametrize("fuse", [
@@ -630,7 +634,7 @@ def _reference_rank_cube(runs, query_ids):
     for q, docs in zip(query_ids, candidates):
         per_run = []
         for run in runs:
-            rank_of = {e.doc_id: e.rank for e in run.entries(q)}
+            rank_of = _rank_map(run, q)
             per_run.append([rank_of.get(d, 0) for d in docs] + [0] * (width - len(docs)))
         cube.append(per_run)
     return candidates, cube
@@ -685,9 +689,9 @@ def test_rank_cube_dtype_holds_every_rank_of_the_longest_ranking(longest, dtype)
     del candidates, ranks, expected
 
     scored = [normalize_reciprocal(run, 7.3) for run in runs]
-    values = [{q: {e.doc_id: e.raw_score for e in s.entries(q)} for q in s.query_ids}
+    values = [{q: _score_map(s, q) for q in s.query_ids}
               for s in scored]
-    positions = [{q: {e.doc_id: e.rank for e in r.entries(q)} for q in r.query_ids}
+    positions = [{q: _rank_map(r, q) for q in r.query_ids}
                  for r in runs]
     weights = np.array([0.7, -1.3, 2.1])
     w = _weights([s.run_tag for s in scored], weights, intercept=-0.37)

@@ -327,7 +327,7 @@ def _per_prefix_public_rows(runs, training, official, constant, depth):
 def test_compare_methods_equals_per_prefix_public_calls_exactly():
     runs, training, official = _prefix_runs()
     queries = official.query_ids
-    assert not any(run.entries("8") for run in runs[:4])
+    assert not any(run.docs("8") for run in runs[:4])
     assert any("D35" in run.docs(q) for run in runs[3:] for q in queries)
     expected = _per_prefix_public_rows(runs, training, official, 7.5, 9)
     rows = compare_methods(runs, training, official, FUSION_METHODS, 7.5, 9)
@@ -405,6 +405,25 @@ def test_best_component_alone_builds_no_rank_cube(monkeypatch):
         compare_methods(runs[:1], qrels, qrels, methods=["best-component"])
     with pytest.raises(ValueError, match="query set must be non-empty"):
         compare_methods(runs, qrels, Qrels({}), methods=["best-component"])
+
+
+def test_a_bad_output_depth_is_refused_before_any_fold_trains(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a rank cube was built or a fold trained")
+
+    monkeypatch.setattr(harness, "_rank_cube", refuse)
+    monkeypatch.setattr(harness, "_train_fold", refuse)
+    runs, qrels = generate_synthetic(26, 6, 3, 20, 5)
+    for experiment in (
+        lambda: cross_validated_fusion(runs, qrels, qrels, depth=0),
+        lambda: compare_methods(runs, qrels, qrels, ["LC-mlr"], depth=0),
+        lambda: compare_methods(runs, qrels, qrels, ["best-component", "combsum"], depth=0),
+    ):
+        with pytest.raises(ValueError, match="output depth must be >= 1, got 0"):
+            experiment()
+    # best-component alone builds no cube and fuses nothing, so it reads no depth
+    (row,) = compare_methods(runs, qrels, qrels, ["best-component"], depth=0)
+    assert row == FusionCurveRow("best-component", 1, **evaluate(runs[0], qrels).mean_metrics())
 
 
 def test_compare_methods_subset_and_validation():

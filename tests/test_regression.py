@@ -317,8 +317,10 @@ def test_assemble_matrix_equals_a_per_doc_loop_exactly():
     qrels = Qrels({q: {f"D{i:02d}": int(rng.integers(0, 3)) for i in range(25)} for q in "1234"})
     queries = ["5", "3", "1", "2", "4", "6"]  # "6" is retrieved by no system
 
-    values = [{q: {e.doc_id: e.raw_score for e in s.entries(q)} for q in s.query_ids}
-              for s in scored]
+    values = [
+        {q: dict(zip(s.docs(q), s.by_query[q].scores.tolist())) for q in s.query_ids}
+        for s in scored
+    ]
     keys, rows, targets = [], [], []
     for q in sorted(queries, key=int):
         union = {d for per_query in values for d in per_query.get(q, {})}

@@ -26,7 +26,6 @@ from rankfuse.trec import (
     ParseError,
     Qrels,
     Ranking,
-    RunEntry,
     RunList,
     TrecFormatError,
     load_qrels,
@@ -65,9 +64,9 @@ def test_sort_query_ids_sorts_a_non_decimal_digit_as_text():
 def test_parse_run_single_line_fields():
     run = parse_run(["301 Q0 FBIS3-1 1 12.5 runA"])
     assert run.run_tag == "runA"
-    (entry,) = run.entries("301")
-    assert (entry.query_id, entry.doc_id, entry.rank) == ("301", "FBIS3-1", 1)
-    assert entry.raw_score == 12.5
+    assert run.query_ids == ["301"]
+    assert run.docs("301") == ("FBIS3-1",)
+    assert run.by_query["301"].scores.tolist() == [12.5]
 
 
 def test_parse_run_resorts_by_score_descending():
@@ -79,7 +78,7 @@ def test_parse_run_resorts_by_score_descending():
         ]
     )
     assert run.docs("301") == ("docA", "docB")
-    assert [e.rank for e in run.entries("301")] == [1, 2]
+    assert run.by_query["301"].scores.tolist() == [9.0, 5.0]
 
 
 def test_every_decimal_string_parses_as_an_int():
@@ -188,7 +187,7 @@ def test_parse_run_accepts_any_iteration_token():
 def test_canonical_ranks_are_dense_after_from_scores():
     run = RunList.from_scores("t", {"7": {"a": 0.25, "b": 0.5, "c": 0.125}})
     assert run.docs("7") == ("b", "a", "c")
-    assert [e.rank for e in run.entries("7")] == [1, 2, 3]
+    assert run.by_query["7"].scores.tolist() == [0.5, 0.25, 0.125]
 
 
 def test_write_run_line_format():
@@ -504,15 +503,12 @@ def test_scores_that_are_all_text_are_refused_by_name():
 
 def test_entries_rank_one_to_length():
     run = RunList.from_scores("t", {"1": {"a": 1.0, "b": 3.0, "c": 3.0}, "2": {"z": 0.0}})
-    assert run.entries("1") == (
-        RunEntry("1", "b", 1, 3.0, "t"),
-        RunEntry("1", "c", 2, 3.0, "t"),
-        RunEntry("1", "a", 3, 1.0, "t"),
-    )
+    # a doc's rank is its position + 1; tied scores order by doc id
+    assert run.docs("1") == ("b", "c", "a")
+    assert run.by_query["1"].scores.tolist() == [3.0, 3.0, 1.0]
     for query_id in run.query_ids:
-        ranks = [e.rank for e in run.entries(query_id)]
+        ranks = [rank for rank, _ in enumerate(run.docs(query_id), start=1)]
         assert ranks == list(range(1, len(run.by_query[query_id]) + 1))
-    assert run.entries("missing") == ()
     assert run.docs("missing") == ()
 
 
