@@ -183,12 +183,37 @@ def _report(
     ``missing`` queries have an empty ranking: one aggregated warning. An
     empty ``query_ids`` raises ValueError, so no report is a mean of nothing.
     """
+    values = _checked_metrics(run_tag, query_ids, relevant, relevant_counts, missing)
+    return EvalReport(run_tag, qrels_name, tuple(map(QueryEval, query_ids, *values)))
+
+
+def _mean_metrics(
+    run_tag: str,
+    query_ids: Sequence[str],
+    relevant: np.ndarray,
+    relevant_counts: Sequence[int],
+    missing: int,
+) -> dict[str, float]:
+    """_report(...).mean_metrics() of the same arguments, bit for bit,
+    with the same warning and ValueError, but no QueryEval made: each
+    metric's values are averaged by the same _mean, in the same order."""
+    values = _checked_metrics(run_tag, query_ids, relevant, relevant_counts, missing)
+    return dict(zip(METRICS, map(_mean, values)))
+
+
+def _checked_metrics(
+    run_tag: str,
+    query_ids: Sequence[str],
+    relevant: np.ndarray,
+    relevant_counts: Sequence[int],
+    missing: int,
+) -> tuple[list[float], ...]:
+    """_metrics(relevant, relevant_counts), after _report's check and warning."""
     if not query_ids:
         raise ValueError("query set must be non-empty")
     if missing:
         warn(f"{missing} of {len(query_ids)} queries missing from run {run_tag!r}; they score 0")
-    values = _metrics(relevant, relevant_counts)
-    return EvalReport(run_tag, qrels_name, tuple(map(QueryEval, query_ids, *values)))
+    return _metrics(relevant, relevant_counts)
 
 
 def evaluate(

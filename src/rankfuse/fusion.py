@@ -269,21 +269,53 @@ def _rank(
     is not above it (~(key > cut), so a NaN cut keeps every column),
     still in column order, are stable-argsorted and cut to ``depth``.
     Each of the full order's first ``depth`` is at or below the cut, so
-    that is the same order. At ``depth`` >= the width the whole row is
-    sorted.
+    that is the same order. At ``depth`` >= the width every row is
+    sorted whole, by _stable_argsort.
     """
     _check_depth(depth)
     ranked = systems > 0
     keys = np.where(ranked, -scores, np.inf)
     lengths = np.minimum(np.count_nonzero(ranked, axis=1), depth)
     if depth >= keys.shape[1]:
-        return np.argsort(keys, axis=1, kind="stable"), lengths
+        return _stable_argsort(keys), lengths
     kept = ~(keys > np.partition(keys, depth - 1, axis=1)[:, depth - 1 : depth])
     order = np.empty((keys.shape[0], depth), dtype=np.intp)
     for row, key, keep in zip(order, keys, kept):
         columns = np.flatnonzero(keep)
         row[:] = columns.take(np.argsort(key.take(columns), kind="stable")[:depth])
     return order, lengths
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, axis=1, kind="stable") of a 2-D float array, from
+    one unstable argsort, which is several times faster.
+
+    Only tied keys can come out of column order: equal ones (0.0 and
+    -0.0 are equal), or NaNs, which every sort puts last in a row. When
+    some row has a tie, the groups of tied keys are numbered in sorted
+    order, and one int64 sort per row of (group, column), packed into
+    one integer, puts each group in column order.
+    """
+    order = np.argsort(keys, axis=1)
+    width = keys.shape[1]
+    if width < 2:
+        return order
+    values = keys.take(order + np.arange(0, keys.size, width)[:, None])
+    # whether each sorted key starts a group of tied keys
+    starts = np.empty(keys.shape, dtype=bool)
+    starts[:, 0] = True
+    np.not_equal(values[:, 1:], values[:, :-1], out=starts[:, 1:])
+    if np.isnan(values[:, -1]).any():  # NaN != NaN, but NaNs tie
+        starts[:, 1:] &= ~np.isnan(values[:, :-1])
+    if starts.all():
+        return order
+    keyed = np.cumsum(starts.ravel(), dtype=np.int64).reshape(keys.shape)
+    shift = (width - 1).bit_length()
+    keyed <<= shift
+    keyed |= order
+    keyed.sort(axis=1)
+    keyed &= (1 << shift) - 1
+    return keyed.astype(order.dtype, copy=False)
 
 
 def _rankings(

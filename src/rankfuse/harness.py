@@ -15,8 +15,9 @@ Protocol notes that apply throughout:
 - Each call builds one rank cube over every query and all the runs and
   judges its candidates once. Each (method, prefix size) goes one way:
   a scorer gives every query's candidate scores in one batched pass,
-  and _rank_prefix ranks and evaluates them, so its numbers equal those
-  of the public calls on ``runs[:size]``. The unweighted methods' scorers
+  and _rank_prefix ranks and evaluates them (_prefix_means gives just
+  the report's means, for compare_methods' rows), so its numbers equal
+  those of the public calls on ``runs[:size]``. The unweighted methods' scorers
   are fusion's; LC's is _cross_validate, which trains each fold and
   scores the other. The harness makes none of their decisions itself:
   fusion owns the cube, each method's scorer, the ranking and the fused
@@ -34,7 +35,14 @@ from typing import NamedTuple
 import numpy as np
 
 from ._warn import warn
-from .evaluation import METRICS, EvalReport, _relevance_table, _report, evaluate
+from .evaluation import (
+    METRICS,
+    EvalReport,
+    _mean_metrics,
+    _relevance_table,
+    _report,
+    evaluate,
+)
 from .fusion import (
     _SCORERS,
     DEFAULT_OUTPUT_DEPTH,
@@ -144,12 +152,30 @@ def _rank_prefix(
     Returns (order, lengths, report): fusion._rank's order and lengths,
     and what evaluate() gives for that fused run under the official qrels.
     """
+    order, lengths, relevant, missing = _ranked(cube, systems, scores, depth)
+    report = _report(run_tag, qrels_name, cube.query_ids, relevant, cube.relevant_counts, missing)
+    return order, lengths, report
+
+
+def _prefix_means(
+    cube: _RankCube, systems: np.ndarray, scores: np.ndarray, depth: int, run_tag: str
+) -> dict[str, float]:
+    """_rank_prefix(...)[2].mean_metrics(), bit for bit, with no report made."""
+    _, _, relevant, missing = _ranked(cube, systems, scores, depth)
+    return _mean_metrics(run_tag, cube.query_ids, relevant, cube.relevant_counts, missing)
+
+
+def _ranked(
+    cube: _RankCube, systems: np.ndarray, scores: np.ndarray, depth: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(order, lengths, relevant, missing): fusion._rank's order and
+    lengths, whether the doc at each ranked position is relevant under
+    the official qrels (False past a query's length), and how many
+    queries have an empty ranking."""
     order, lengths = _rank(systems, scores, depth)
     ranked = np.arange(order.shape[1]) < lengths[:, None]
     relevant = np.take_along_axis(cube.relevant, order, axis=1) & ranked
-    missing = int(np.count_nonzero(lengths == 0))
-    report = _report(run_tag, qrels_name, cube.query_ids, relevant, cube.relevant_counts, missing)
-    return order, lengths, report
+    return order, lengths, relevant, int(np.count_nonzero(lengths == 0))
 
 
 def _train_fold(
@@ -261,13 +287,15 @@ def compare_methods(
     non-empty and name each method once. For the fusion methods one rank
     cube is built over all ``runs``. Each prefix and method scores every
     query of it in one pass, with the public fusers' scorers or, for LC,
-    _cross_validate; then one _rank_prefix ranks and evaluates the
+    _cross_validate; then one _prefix_means ranks and evaluates the
     scores. So each row equals the one the public per-method calls on
-    ``runs[:size]`` give. They all read fusion._by_reciprocal's one
-    lookup of ``constant``, got once per call, so a ``constant`` of -1 or
-    less, NaN, +inf or one too large for the scores to strictly decrease
-    over ranks 1 to the deepest rank in the cube raises ValueError for
-    Borda too, as normalize_reciprocal does over its run's ranks. With LC among
+    ``runs[:size]`` give. Each prefix's fusion._systems counts are the
+    previous prefix's, plus its new system, added in place. They all
+    read fusion._by_reciprocal's one lookup of ``constant``, got once per
+    call, so a ``constant`` of -1 or less, NaN, +inf or one too large for
+    the scores to strictly decrease over ranks 1 to the deepest rank in
+    the cube raises ValueError for Borda too, as normalize_reciprocal
+    does over its run's ranks. With LC among
     ``methods``, fewer than 2 queries raise ValueError before any prefix
     trains; with any fusion method, so does ``depth`` below 1.
     """
@@ -292,16 +320,18 @@ def compare_methods(
             report = evaluate(runs[0], official_qrels)
             rows.append(FusionCurveRow(method, 1, **report.mean_metrics()))
             continue
+        # each prefix's _systems counts: the last one's, plus its new system
+        systems = _systems(cube.ranks[:, :1])
         for size in range(2, len(runs) + 1):
             lookups = [reciprocal] * size
-            systems = _systems(cube.ranks[:, :size])
+            systems += cube.ranks[:, size - 1] > 0
             if method == "LC-mlr":
                 scores = _cross_validate(cube, systems, tags[:size], lookups)[2]
             else:
                 scores = _SCORERS[method](cube.ranks[:, :size], systems, lookups)
-            report = _rank_prefix(cube, systems, scores, depth, method, official_qrels.name)[2]
+            means = _prefix_means(cube, systems, scores, depth, method)
             del scores  # not held while the next prefix trains: it sets the peak memory
-            rows.append(FusionCurveRow(method, size, **report.mean_metrics()))
+            rows.append(FusionCurveRow(method, size, **means))
     return rows
 
 

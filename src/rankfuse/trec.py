@@ -23,7 +23,13 @@ A RunList stores one Ranking per query: a read-only int32 array of
 doc-id codes in rank order and a parallel read-only float64 array of
 their raw scores. A doc's rank is its position + 1, so no rank is stored
 and no per-entry object is kept; ``Ranking.docs`` and ``RunList.docs``
-build doc ids on demand. Every score is a finite
+build doc ids on demand. parse_run encodes a file's docs and reads its
+scores into one codes and one scores array, and each query whose
+scores strictly decrease holds read-only views of them: one query kept
+keeps its file's two arrays. Only a query with tied or out-of-order
+scores is put in canonical order, into arrays of its own.
+
+Every score is a finite
 real number and every doc id a whitespace-free token: a Ranking checks
 that where it is made, a RunList and a Qrels refuse a query id that is
 not a str where they are made, a Qrels also a doc id that is not a str
@@ -159,18 +165,23 @@ def _check_judgments(grades: Mapping[str, Mapping[str, int]]) -> None:
                 )
 
 
-def _encode(docs: Collection[str]) -> np.ndarray:
-    """The codes of ``docs``, distinct doc ids, as a read-only int32 array;
-    an id the table lacks gets the next code. A new doc id that is not a
-    str raises TypeError, and one that is empty or holds whitespace
-    ValueError; either leaves the table as it was. Only the ids the table
-    lacks are checked."""
+def _encode(*groups: Collection[str]) -> np.ndarray:
+    """The codes of the doc ids of ``groups``, one group after another, as
+    one read-only int32 array; an id the table lacks gets the next code,
+    in the order of its first use. An id may be used more than once (a
+    run file's queries share docs). A new doc id that is not a str raises
+    TypeError, and one that is empty or holds whitespace ValueError;
+    either leaves the table as it was. Only the ids the table lacks are
+    checked. One call, under one lock, encodes them all."""
     global _NEXT_ORDER
+    size = sum(map(len, groups))
     with _TABLE_LOCK:
         known = len(_CODES)
         try:
             # one lookup per doc: an id the table lacks goes in as -1 for now
-            codes = np.fromiter(map(_CODES.setdefault, docs, repeat(-1)), np.int32, len(docs))
+            codes = np.fromiter(
+                map(_CODES.setdefault, chain.from_iterable(groups), repeat(-1)), np.int32, size
+            )
             new = _last_added(known)
             if not set(map(type, new)) <= {str}:
                 for doc_id in new:
@@ -186,8 +197,13 @@ def _encode(docs: Collection[str]) -> np.ndarray:
             _CODES.update(zip(new, count(known)))
             _IDS.extend(new)
             _NEXT_ORDER = np.empty((2, len(_IDS)), np.int32)
-            # the docs are distinct, so the new ones come in code order
-            codes[codes < 0] = np.arange(known, len(_IDS), dtype=np.int32)
+            added = np.flatnonzero(codes < 0)
+            if added.size == len(new):  # each new id used once: they come in code order
+                codes[added] = np.arange(known, len(_IDS), dtype=np.int32)
+            else:  # a new id used twice: look every doc up again
+                codes = np.fromiter(
+                    map(_CODES.__getitem__, chain.from_iterable(groups)), np.int32, size
+                )
     codes.flags.writeable = False
     return codes
 
@@ -501,15 +517,42 @@ def parse_run(lines: Iterable[str]) -> RunList:
             raise DuplicateDocError(
                 f"line {line_no}: duplicate entry for query {query_id}, doc {doc_id}"
             )
-    # each score passed the per-line checks above, so no Ranking checks it again
-    return RunList(run_tag or "", {
-        query_id: Ranking._of(*_canonical(
-            _encode(per_doc.keys()),
-            np.fromiter(per_doc.values(), np.float64, len(per_doc)),
-            per_doc,
-        ))
-        for query_id, per_doc in rows.items()
-    })
+    return RunList(run_tag or "", _rankings_of(rows))
+
+
+def _rankings_of(rows: dict[str, dict[str, float]]) -> dict[str, Ranking]:
+    """The Ranking of each query of parse_run's ``rows`` (query -> doc ->
+    score, each score checked finite), all made at once.
+
+    Every doc of the file is encoded in one _encode call, and every score
+    read into one array; each query's Ranking holds read-only views of
+    those two arrays. One comparison over the file finds the queries
+    whose scores do not strictly decrease (ties, lines out of order):
+    only those go through _canonical, which gives them arrays of their
+    own. A query whose scores strictly decrease is canonical as it is.
+    """
+    sizes = list(map(len, rows.values()))
+    codes = _encode(*rows.values())
+    scores = np.fromiter(
+        chain.from_iterable(map(dict.values, rows.values())), np.float64, len(codes)
+    )
+    scores.flags.writeable = False
+    ends = np.cumsum(sizes)
+    # each pair of neighbours that does not strictly decrease, in the query
+    # of its first (the scores are finite, so <= is "not >")
+    pairs = np.flatnonzero(scores[:-1] <= scores[1:])
+    queries = np.searchsorted(ends, pairs, side="right")
+    # the pairs that straddle two queries do not count
+    unsorted = set(queries[pairs + 1 < ends[queries]].tolist())
+    rankings: dict[str, Ranking] = {}
+    start = 0
+    for index, ((query_id, per_doc), end) in enumerate(zip(rows.items(), ends.tolist())):
+        ranked = codes[start:end], scores[start:end]
+        if index in unsorted:
+            ranked = _canonical(*ranked, per_doc)
+        rankings[query_id] = Ranking._of(*ranked)
+        start = end
+    return rankings
 
 
 def write_run(run: RunList) -> str:

@@ -776,3 +776,33 @@ def test_outputs_do_not_depend_on_the_order_ids_entered_the_table():
         weights = [(w.intercept, w.weights.tolist()) for w in (xval.weights_a, xval.weights_b)]
         outputs.append((docs, scores, xval.report, weights))
     assert outputs[0] == outputs[1]
+
+
+_SORT_KEYS = st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan)) | st.floats()
+
+
+@given(st.integers(1, 5), st.integers(1, 40), st.data())
+@settings(max_examples=200, deadline=None)
+def test_stable_argsort_equals_numpys_stable_argsort(rows, width, data):
+    # ties, 0.0 beside -0.0, +inf and NaN; width 1 and one row included
+    keys = np.array(data.draw(st.lists(_SORT_KEYS, min_size=rows * width,
+                                       max_size=rows * width))).reshape(rows, width)
+    got = fusion._stable_argsort(keys)
+    want = np.argsort(keys, axis=1, kind="stable")
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@given(st.integers(1, 4), st.integers(1, 30), st.integers(1, 40), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rank_orders_as_a_stable_argsort_at_any_depth(rows, width, depth, data):
+    # depth at, above and below the width: the full sort and the partition path
+    def table(elements):
+        return np.array(data.draw(st.lists(elements, min_size=rows * width,
+                                           max_size=rows * width))).reshape(rows, width)
+
+    scores = table(st.sampled_from((0.0, -0.0, 0.5, 1.0, 1.5, np.inf, np.nan)))
+    systems = table(st.integers(0, 2)).astype(np.int32)
+    order, lengths = fusion._rank(systems, scores, depth)
+    keys = np.where(systems > 0, -scores, np.inf)
+    assert order.tolist() == np.argsort(keys, axis=1, kind="stable")[:, :depth].tolist()
+    assert lengths.tolist() == np.minimum((systems > 0).sum(axis=1), depth).tolist()

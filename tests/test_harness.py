@@ -606,3 +606,58 @@ def test_every_warning_names_the_line_that_called_into_rankfuse(call):
         _warning_calls()[call]()
     assert caught
     assert all(w.filename == __file__ for w in caught), [(w.filename, w.lineno) for w in caught]
+
+
+def test_each_compare_row_is_its_prefix_reports_means_bit_for_bit():
+    # _prefix_runs' corpus plus query 9, which no run ranks, and query 7
+    # with no relevant doc under the official qrels (its AP and RP are NaN)
+    runs, training, official = _prefix_runs()
+    grades = {**official.grades, "7": dict.fromkeys(official.grades["7"], 0), "9": {"D00": 1}}
+    official = Qrels(grades, name="official")
+    assert not any(run.docs("9") for run in runs) and not official.relevant("7")
+    constant, depth = 7.5, 9
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        rows = compare_methods(runs, training, official, FUSION_METHODS, constant, depth)
+    missing = [str(w.message) for w in caught if "missing from run" in str(w.message)]
+    # query 8 joins at the fifth system; each text shows once, though every
+    # prefix raises it again from the same line
+    assert missing == [
+        f"{n} of 9 queries missing from run {method!r}; they score 0"
+        for method in FUSION_METHODS
+        for n in (2, 1)
+    ]
+
+    cube = harness._judged_cube(runs, training, official)
+    reciprocal = _by_reciprocal(constant, int(cube.ranks.max()))
+    tags = tuple(run.run_tag for run in runs)
+    want = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for method in FUSION_METHODS:
+            for size in range(2, len(runs) + 1):
+                lookups = [reciprocal] * size
+                systems = harness._systems(cube.ranks[:, :size])
+                if method == "LC-mlr":
+                    scores = harness._cross_validate(cube, systems, tags[:size], lookups)[2]
+                else:
+                    scores = harness._SCORERS[method](cube.ranks[:, :size], systems, lookups)
+                report = harness._rank_prefix(cube, systems, scores, depth, method, "official")[2]
+                want.append((method, size, *map(float.hex, report.mean_metrics().values())))
+    got = [(r.method, r.num_systems, *(r.value(m).hex() for m in ("map", "rp", "p10", "p20")))
+           for r in rows]
+    assert got == want
+    assert "nan" not in {cell for row in got for cell in row[2:]}  # query 7 drops out
+
+
+def test_prefix_means_refuses_an_empty_query_set_as_its_report_does():
+    runs, training, official = _prefix_runs()
+    cube = harness._judged_cube(runs, training, official)._replace(query_ids=[])
+    systems = harness._systems(cube.ranks)
+    scores = np.zeros(systems.shape)
+    for rank_and_evaluate in (
+        lambda: harness._rank_prefix(cube, systems, scores, 9, "x", "official"),
+        lambda: harness._prefix_means(cube, systems, scores, 9, "x"),
+    ):
+        with pytest.raises(ValueError, match="query set must be non-empty"):
+            rank_and_evaluate()

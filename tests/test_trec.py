@@ -1170,3 +1170,101 @@ def test_qrels_parsed_while_threads_add_their_ids_keep_each_id():
     assert all(
         doc_id is trec._IDS[trec._CODES[doc_id]] for per in again.grades.values() for doc_id in per
     )
+
+
+@pytest.fixture
+def cold_table(monkeypatch):
+    """An empty doc-id table for one test; the process's own comes back after."""
+    monkeypatch.setattr(trec, "_IDS", [])
+    monkeypatch.setattr(trec, "_CODES", {})
+    monkeypatch.setattr(trec, "_ORDER", (np.empty(0, np.int32), np.empty(0, np.int32)))
+    monkeypatch.setattr(trec, "_NEXT_ORDER", None)
+
+
+# TREC-shaped: queries share docs, query 2 comes in two blocks, query 3 ties
+# and query 2 has a line out of order; "both" is new and first used by two
+# queries of the file; blank lines between
+_TREC_SHAPED = [
+    "1 Q0 shared-a 1 9.5 t\n",
+    "1 Q0 both 2 8.0 t\n",
+    "1 Q0 only-1 3 -0.5 t\n",
+    "\n",
+    "2 Q0 shared-a 1 7.0 t\n",
+    "2 Q0 both 2 7.5 t\n",
+    "   \n",
+    "3 Q0 shared-a 1 2.0 t\n",
+    "3 Q0 only-3 2 2.0 t\n",
+    "3 Q0 both 3 2.0 t\n",
+    "3 Q0 last 4 -0.0 t\n",
+    "3 Q0 zero 5 0.0 t\n",
+    "2 Q0 only-2 3 1.0 t\n",
+    "4 Q0 only-4 1 3.0 t\n",
+    "4 Q0 shared-a 2 1.0 t\n",
+]
+
+
+def _from_lines(lines):
+    """RunList.from_scores of the same entries as ``lines``."""
+    scores: dict[str, dict[str, float]] = {}
+    for line in lines:
+        if line.split():
+            query_id, _, doc_id, _, score, _ = line.split()
+            scores.setdefault(query_id, {})[doc_id] = float(score)
+    return RunList.from_scores("t", scores)
+
+
+@pytest.mark.usefixtures("cold_table")
+def test_parse_run_of_a_file_equals_from_scores_on_a_cold_table():
+    run = parse_run(_TREC_SHAPED)
+    # codes follow the file's queries, each query's blocks together
+    assert trec._IDS == ["shared-a", "both", "only-1", "only-2", "only-3", "last", "zero", "only-4"]
+    assert {doc_id: code for code, doc_id in enumerate(trec._IDS)} == trec._CODES
+    assert run == _from_lines(_TREC_SHAPED)
+    assert list(run.by_query) == ["1", "2", "3", "4"]
+    assert run.docs("2") == ("both", "shared-a", "only-2")
+    assert run.docs("3") == ("both", "only-3", "shared-a", "last", "zero")
+    for ranking in run.by_query.values():
+        assert not ranking.codes.flags.writeable and not ranking.scores.flags.writeable
+    # the queries already in order view one codes and one scores array
+    first, fourth = run.by_query["1"], run.by_query["4"]
+    assert first.codes.base is fourth.codes.base is not None
+    assert first.scores.base is fourth.scores.base is not None
+    assert run.by_query["2"].codes.base is not first.codes.base
+
+
+@given(st.lists(st.lists(st.tuples(st.integers(0, 6), st.sampled_from((0.0, -0.0, 1.0, 2.5))),
+                         min_size=1, max_size=6, unique_by=lambda e: e[0]),
+                min_size=1, max_size=4),
+       st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_parse_run_equals_from_scores_in_any_line_order(queries, rng):
+    lines = [f"{q + 1} Q0 d{doc} 1 {score!r} t\n"
+             for q, entries in enumerate(queries) for doc, score in entries]
+    rng.shuffle(lines)
+    run = parse_run(lines)
+    assert run == _from_lines(lines)
+    for ranking in run.by_query.values():
+        assert not ranking.codes.flags.writeable and not ranking.scores.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [
+    ["1 Q0 new-before-dup-a 1 2.0 t\n", "2 Q0 new-before-dup-b 1 2.0 t\n",
+     "2 Q0 new-before-dup-b 2 1.0 t\n"],
+    ["1 Q0 new-before-space 1 2.0 t\n", "1 Q0 new id 2 1.0 t\n"],
+])
+def test_a_refused_parse_leaves_the_doc_id_table_as_it_was(bad):
+    ids, codes = list(trec._IDS), dict(trec._CODES)
+    with pytest.raises(TrecFormatError):
+        parse_run(bad)
+    assert trec._IDS == ids and trec._CODES == codes
+
+
+def test_encode_refuses_a_new_id_of_a_later_group_before_any_joins_the_table():
+    ids, codes = list(trec._IDS), dict(trec._CODES)
+    with pytest.raises(ValueError, match="'bad id' is empty or contains whitespace"):
+        trec._encode(["encode-group-a"], ["encode-group-a", "bad id"])
+    assert trec._IDS == ids and trec._CODES == codes
+    # an id new to the table and used in two groups gets one code in both
+    got = trec._encode(["encode-group-a", "encode-group-b"], ["encode-group-b"])
+    assert got.tolist() == [len(ids), len(ids) + 1, len(ids) + 1]
+    assert not got.flags.writeable
