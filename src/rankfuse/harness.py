@@ -15,9 +15,10 @@ Protocol notes that apply throughout:
 - Each call builds one rank cube over every query and all the runs and
   judges its candidates once. Each (method, prefix size) goes one way:
   a scorer gives every query's candidate scores in one batched pass,
-  and _rank_prefix ranks and evaluates them (_prefix_means gives just
-  the report's means, for compare_methods' rows), so its numbers equal
-  those of the public calls on ``runs[:size]``. The unweighted methods' scorers
+  and _ranked ranks them and finds the relevant docs, which _report
+  (for a report) or _mean_metrics (for compare_methods' rows, just the
+  report's means) evaluates, so its numbers equal those of the public
+  calls on ``runs[:size]``. The unweighted methods' scorers
   are fusion's; LC's is _cross_validate, which trains each fold and
   scores the other. The harness makes none of their decisions itself:
   fusion owns the cube, each method's scorer, the ranking and the fused
@@ -157,14 +158,6 @@ def _rank_prefix(
     return order, lengths, report
 
 
-def _prefix_means(
-    cube: _RankCube, systems: np.ndarray, scores: np.ndarray, depth: int, run_tag: str
-) -> dict[str, float]:
-    """_rank_prefix(...)[2].mean_metrics(), bit for bit, with no report made."""
-    _, _, relevant, missing = _ranked(cube, systems, scores, depth)
-    return _mean_metrics(run_tag, cube.query_ids, relevant, cube.relevant_counts, missing)
-
-
 def _ranked(
     cube: _RankCube, systems: np.ndarray, scores: np.ndarray, depth: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -287,17 +280,18 @@ def compare_methods(
     non-empty and name each method once. For the fusion methods one rank
     cube is built over all ``runs``. Each prefix and method scores every
     query of it in one pass, with the public fusers' scorers or, for LC,
-    _cross_validate; then one _prefix_means ranks and evaluates the
-    scores. So each row equals the one the public per-method calls on
-    ``runs[:size]`` give. Each prefix's fusion._systems counts are the
-    previous prefix's, plus its new system, added in place. They all
-    read fusion._by_reciprocal's one lookup of ``constant``, got once per
-    call, so a ``constant`` of -1 or less, NaN, +inf or one too large for
-    the scores to strictly decrease over ranks 1 to the deepest rank in
-    the cube raises ValueError for Borda too, as normalize_reciprocal
-    does over its run's ranks. With LC among
-    ``methods``, fewer than 2 queries raise ValueError before any prefix
-    trains; with any fusion method, so does ``depth`` below 1.
+    _cross_validate; then _ranked ranks the scores and
+    evaluation._mean_metrics gives the means _rank_prefix's report would,
+    bit for bit, with no report made. So each row equals the one the
+    public per-method calls on ``runs[:size]`` give. Each prefix's
+    fusion._systems counts are the previous prefix's, plus its new
+    system, added in place. They all read fusion._by_reciprocal's one
+    lookup of ``constant``, got once per call, so a ``constant`` of -1 or
+    less, NaN, +inf or one too large for the scores to strictly decrease
+    over ranks 1 to the deepest rank in the cube raises ValueError for
+    Borda too, as normalize_reciprocal does over its run's ranks. With LC
+    among ``methods``, fewer than 2 queries raise ValueError before any
+    prefix trains; with any fusion method, so does ``depth`` below 1.
     """
     unknown = [m for m in methods if m not in ALL_METHODS]
     if unknown:
@@ -329,8 +323,9 @@ def compare_methods(
                 scores = _cross_validate(cube, systems, tags[:size], lookups)[2]
             else:
                 scores = _SCORERS[method](cube.ranks[:, :size], systems, lookups)
-            means = _prefix_means(cube, systems, scores, depth, method)
+            relevant, missing = _ranked(cube, systems, scores, depth)[2:]
             del scores  # not held while the next prefix trains: it sets the peak memory
+            means = _mean_metrics(method, cube.query_ids, relevant, cube.relevant_counts, missing)
             rows.append(FusionCurveRow(method, size, **means))
     return rows
 

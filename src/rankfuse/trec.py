@@ -66,7 +66,7 @@ from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 
 import numpy as np
 
@@ -172,7 +172,10 @@ def _encode(*groups: Collection[str]) -> np.ndarray:
     run file's queries share docs). A new doc id that is not a str raises
     TypeError, and one that is empty or holds whitespace ValueError;
     either leaves the table as it was. Only the ids the table lacks are
-    checked. One call, under one lock, encodes them all."""
+    checked. One call, under one lock, encodes them all: one lookup per
+    doc, and one more per use of a new id only when some new id is used
+    twice (on an empty table, every doc of a file whose queries share
+    docs)."""
     global _NEXT_ORDER
     size = sum(map(len, groups))
     with _TABLE_LOCK:
@@ -197,13 +200,13 @@ def _encode(*groups: Collection[str]) -> np.ndarray:
             _CODES.update(zip(new, count(known)))
             _IDS.extend(new)
             _NEXT_ORDER = np.empty((2, len(_IDS)), np.int32)
-            added = np.flatnonzero(codes < 0)
-            if added.size == len(new):  # each new id used once: they come in code order
+            added = codes < 0
+            uses = np.count_nonzero(added)
+            if uses == len(new):  # each new id used once: they come in code order
                 codes[added] = np.arange(known, len(_IDS), dtype=np.int32)
-            else:  # a new id used twice: look every doc up again
-                codes = np.fromiter(
-                    map(_CODES.__getitem__, chain.from_iterable(groups)), np.int32, size
-                )
+            else:  # a new id used twice: look the uses of new ids up again
+                docs = compress(chain.from_iterable(groups), added.tolist())
+                codes[added] = np.fromiter(map(_CODES.__getitem__, docs), np.int32, uses)
     codes.flags.writeable = False
     return codes
 

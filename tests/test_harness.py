@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankfuse import harness
-from rankfuse.evaluation import evaluate, sensitivity_table
+from rankfuse.evaluation import _mean_metrics, evaluate, sensitivity_table
 from rankfuse.fusion import (
     _by_reciprocal,
     borda,
@@ -650,14 +650,15 @@ def test_each_compare_row_is_its_prefix_reports_means_bit_for_bit():
     assert "nan" not in {cell for row in got for cell in row[2:]}  # query 7 drops out
 
 
-def test_prefix_means_refuses_an_empty_query_set_as_its_report_does():
+def test_mean_metrics_refuses_an_empty_query_set_as_its_report_does():
     runs, training, official = _prefix_runs()
     cube = harness._judged_cube(runs, training, official)._replace(query_ids=[])
     systems = harness._systems(cube.ranks)
     scores = np.zeros(systems.shape)
+    relevant, missing = harness._ranked(cube, systems, scores, 9)[2:]
     for rank_and_evaluate in (
         lambda: harness._rank_prefix(cube, systems, scores, 9, "x", "official"),
-        lambda: harness._prefix_means(cube, systems, scores, 9, "x"),
+        lambda: _mean_metrics("x", cube.query_ids, relevant, cube.relevant_counts, missing),
     ):
         with pytest.raises(ValueError, match="query set must be non-empty"):
             rank_and_evaluate()

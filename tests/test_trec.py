@@ -323,6 +323,11 @@ def test_a_repeated_doc_is_refused_by_name_and_leaves_the_table_as_it_was():
         with pytest.raises(ValueError, match=f"^doc '{repeated}' is repeated$"):
             Ranking(docs, range(len(docs)))
         assert (trec._IDS, trec._CODES) == table
+    # a parsed file with a repeated doc, after a new doc of another query
+    with pytest.raises(DuplicateDocError, match="^line 3: .* query 2, doc repeated-f$"):
+        parse_run(["1 Q0 repeated-g 1 2.0 t\n", "2 Q0 repeated-f 1 2.0 t\n",
+                   "2 Q0 repeated-f 2 1.0 t\n"])
+    assert (trec._IDS, trec._CODES) == table
     # a score is checked first
     with pytest.raises(ValueError, match="^doc 'repeated-b': score nan is not finite$"):
         Ranking(("repeated-a", "repeated-b", "repeated-a"), (1.0, math.nan, 0.0))
@@ -1247,18 +1252,6 @@ def test_parse_run_equals_from_scores_in_any_line_order(queries, rng):
         assert not ranking.codes.flags.writeable and not ranking.scores.flags.writeable
 
 
-@pytest.mark.parametrize("bad", [
-    ["1 Q0 new-before-dup-a 1 2.0 t\n", "2 Q0 new-before-dup-b 1 2.0 t\n",
-     "2 Q0 new-before-dup-b 2 1.0 t\n"],
-    ["1 Q0 new-before-space 1 2.0 t\n", "1 Q0 new id 2 1.0 t\n"],
-])
-def test_a_refused_parse_leaves_the_doc_id_table_as_it_was(bad):
-    ids, codes = list(trec._IDS), dict(trec._CODES)
-    with pytest.raises(TrecFormatError):
-        parse_run(bad)
-    assert trec._IDS == ids and trec._CODES == codes
-
-
 def test_encode_refuses_a_new_id_of_a_later_group_before_any_joins_the_table():
     ids, codes = list(trec._IDS), dict(trec._CODES)
     with pytest.raises(ValueError, match="'bad id' is empty or contains whitespace"):
@@ -1268,3 +1261,9 @@ def test_encode_refuses_a_new_id_of_a_later_group_before_any_joins_the_table():
     got = trec._encode(["encode-group-a", "encode-group-b"], ["encode-group-b"])
     assert got.tolist() == [len(ids), len(ids) + 1, len(ids) + 1]
     assert not got.flags.writeable
+    # new ids used again after known ones, in another order
+    got = trec._encode(["encode-group-c", "encode-group-a", "encode-group-d"],
+                       ["encode-group-d", "encode-group-b", "encode-group-c"])
+    c, d = len(ids) + 2, len(ids) + 3
+    assert got.tolist() == [c, len(ids), d, d, len(ids) + 1, c]
+    assert trec._IDS[len(ids):] == [f"encode-group-{x}" for x in "abcd"]
