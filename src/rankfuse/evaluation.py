@@ -64,11 +64,6 @@ def _metrics(
     return (ap, rp, *((found_in_top(k) / k).tolist() for k in cutoffs))
 
 
-def _relevance(docs: Sequence[str], relevant: Collection[str]) -> np.ndarray:
-    """Whether each of ``docs`` is in ``relevant``, as a bool array."""
-    return np.fromiter(map(relevant.__contains__, docs), dtype=bool, count=len(docs))
-
-
 def _relevance_table(
     qrels: Qrels, query_ids: Sequence[str], codes: Sequence[np.ndarray], width: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -90,8 +85,8 @@ def _one_ranking(
     ranked_docs: Sequence[str], relevant: Collection[str], cutoffs: Sequence[int] = ()
 ) -> tuple[float, ...]:
     """_metrics of a single ranking."""
-    mask = _relevance(ranked_docs, relevant)[None, :]
-    return tuple(values[0] for values in _metrics(mask, [len(relevant)], cutoffs))
+    mask = np.fromiter(map(relevant.__contains__, ranked_docs), dtype=bool, count=len(ranked_docs))
+    return tuple(values[0] for values in _metrics(mask[None, :], [len(relevant)], cutoffs))
 
 
 def average_precision(ranked_docs: Sequence[str], relevant: Collection[str]) -> float:
@@ -151,6 +146,14 @@ def _mean(values: Iterable[float]) -> float:
     return sum(defined) / len(defined)
 
 
+def _means(values: Iterable[Iterable[float]]) -> dict[str, float]:
+    """Each metric's mean, keyed by METRICS: ``values`` holds one sequence
+    of per-query values per metric, in METRICS order. Every mean in the
+    package (a report's, a compare row's) is taken here: NaN values drop
+    out, and sum() adds the rest in query order."""
+    return dict(zip(METRICS, map(_mean, values)))
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Per-query metrics for one run under one qrels, plus their means."""
@@ -160,45 +163,11 @@ class EvalReport:
     per_query: tuple[QueryEval, ...]
 
     def mean_metrics(self) -> dict[str, float]:
-        """Arithmetic means keyed by metric; NaN rows drop out."""
-        return {
-            metric: _mean(row.value(metric) for row in self.per_query)
-            for metric in METRICS
-        }
+        """Arithmetic means keyed by metric (_means); NaN rows drop out."""
+        return _means([row.value(metric) for row in self.per_query] for metric in METRICS)
 
     def mean(self, metric: str) -> float:
         return self.mean_metrics()[metric]
-
-
-def _report(
-    run_tag: str,
-    qrels_name: str,
-    query_ids: Sequence[str],
-    relevant: np.ndarray,
-    relevant_counts: Sequence[int],
-    missing: int,
-) -> EvalReport:
-    """The EvalReport of _metrics(relevant, relevant_counts) for ``query_ids``.
-
-    ``missing`` queries have an empty ranking: one aggregated warning. An
-    empty ``query_ids`` raises ValueError, so no report is a mean of nothing.
-    """
-    values = _checked_metrics(run_tag, query_ids, relevant, relevant_counts, missing)
-    return EvalReport(run_tag, qrels_name, tuple(map(QueryEval, query_ids, *values)))
-
-
-def _mean_metrics(
-    run_tag: str,
-    query_ids: Sequence[str],
-    relevant: np.ndarray,
-    relevant_counts: Sequence[int],
-    missing: int,
-) -> dict[str, float]:
-    """_report(...).mean_metrics() of the same arguments, bit for bit,
-    with the same warning and ValueError, but no QueryEval made: each
-    metric's values are averaged by the same _mean, in the same order."""
-    values = _checked_metrics(run_tag, query_ids, relevant, relevant_counts, missing)
-    return dict(zip(METRICS, map(_mean, values)))
 
 
 def _checked_metrics(
@@ -208,12 +177,23 @@ def _checked_metrics(
     relevant_counts: Sequence[int],
     missing: int,
 ) -> tuple[list[float], ...]:
-    """_metrics(relevant, relevant_counts), after _report's check and warning."""
+    """_metrics(relevant, relevant_counts) for ``query_ids``.
+
+    ``missing`` queries have an empty ranking: one aggregated warning. An
+    empty ``query_ids`` raises ValueError, so no mean is a mean of nothing.
+    """
     if not query_ids:
         raise ValueError("query set must be non-empty")
     if missing:
         warn(f"{missing} of {len(query_ids)} queries missing from run {run_tag!r}; they score 0")
     return _metrics(relevant, relevant_counts)
+
+
+def _report(
+    run_tag: str, qrels_name: str, query_ids: Sequence[str], values: Sequence[Sequence[float]]
+) -> EvalReport:
+    """The EvalReport of _checked_metrics' ``values`` for ``query_ids``."""
+    return EvalReport(run_tag, qrels_name, tuple(map(QueryEval, query_ids, *values)))
 
 
 def evaluate(
@@ -230,7 +210,8 @@ def evaluate(
     rankings = [run.by_query.get(query_id, _NO_RANKING).codes for query_id in queries]
     mask, counts = _relevance_table(qrels, queries, rankings, max(map(len, rankings), default=0))
     missing = sum(1 for codes in rankings if not codes.size)
-    return _report(run.run_tag, qrels.name, queries, mask, counts, missing)
+    values = _checked_metrics(run.run_tag, queries, mask, counts, missing)
+    return _report(run.run_tag, qrels.name, queries, values)
 
 
 def report_csv(report: EvalReport) -> str:

@@ -15,10 +15,12 @@ Protocol notes that apply throughout:
 - Each call builds one rank cube over every query and all the runs and
   judges its candidates once. Each (method, prefix size) goes one way:
   a scorer gives every query's candidate scores in one batched pass,
-  and _ranked ranks them and finds the relevant docs, which _report
-  (for a report) or _mean_metrics (for compare_methods' rows, just the
-  report's means) evaluates, so its numbers equal those of the public
-  calls on ``runs[:size]``. The unweighted methods' scorers
+  and _ranked, the one rank-and-evaluate step, ranks them and gives
+  each query's metric values under the official qrels. xval's report is
+  _report of those values; a compare row is evaluation._means of them,
+  the one mean that EvalReport.mean_metrics takes too, with no report
+  made. So its numbers equal those of the public calls on
+  ``runs[:size]``. The unweighted methods' scorers
   are fusion's; LC's is _cross_validate, which trains each fold and
   scores the other. The harness makes none of their decisions itself:
   fusion owns the cube, each method's scorer, the ranking and the fused
@@ -39,7 +41,8 @@ from ._warn import warn
 from .evaluation import (
     METRICS,
     EvalReport,
-    _mean_metrics,
+    _checked_metrics,
+    _means,
     _relevance_table,
     _report,
     evaluate,
@@ -138,37 +141,24 @@ def _judged_cube(
     return _RankCube(query_ids, candidates, ranks, training, relevant, counts)
 
 
-def _rank_prefix(
-    cube: _RankCube,
-    systems: np.ndarray,
-    scores: np.ndarray,
-    depth: int,
-    run_tag: str,
-    qrels_name: str,
-) -> tuple[np.ndarray, np.ndarray, EvalReport]:
+def _ranked(
+    cube: _RankCube, systems: np.ndarray, scores: np.ndarray, depth: int, run_tag: str
+) -> tuple[np.ndarray, np.ndarray, tuple[list[float], ...]]:
     """Rank every query of ``cube`` by the ``scores`` of a prefix of its
     systems, whose fusion._systems counts are ``systems``, and evaluate
-    the result.
+    the result under the official qrels.
 
-    Returns (order, lengths, report): fusion._rank's order and lengths,
-    and what evaluate() gives for that fused run under the official qrels.
+    Returns (order, lengths, values): fusion._rank's order and lengths,
+    and evaluation._checked_metrics' per-query AP, RP, P@10 and P@20
+    lists, in the cube's query order. Queries with an empty ranking give
+    one warning naming ``run_tag``; an empty query set raises ValueError.
     """
-    order, lengths, relevant, missing = _ranked(cube, systems, scores, depth)
-    report = _report(run_tag, qrels_name, cube.query_ids, relevant, cube.relevant_counts, missing)
-    return order, lengths, report
-
-
-def _ranked(
-    cube: _RankCube, systems: np.ndarray, scores: np.ndarray, depth: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """(order, lengths, relevant, missing): fusion._rank's order and
-    lengths, whether the doc at each ranked position is relevant under
-    the official qrels (False past a query's length), and how many
-    queries have an empty ranking."""
     order, lengths = _rank(systems, scores, depth)
     ranked = np.arange(order.shape[1]) < lengths[:, None]
     relevant = np.take_along_axis(cube.relevant, order, axis=1) & ranked
-    return order, lengths, relevant, int(np.count_nonzero(lengths == 0))
+    missing = int(np.count_nonzero(lengths == 0))
+    values = _checked_metrics(run_tag, cube.query_ids, relevant, cube.relevant_counts, missing)
+    return order, lengths, values
 
 
 def _train_fold(
@@ -225,9 +215,11 @@ def cross_validated_fusion(
     halves concatenate into one run covering every query of
     ``official_qrels``, evaluated against it. A fold whose weights are
     degenerate (no relevant training label) or ridge-regularized is
-    reported with a warning. The scores, ranking and report are those
-    compare_methods gives LC at the prefix of all ``runs``. Fewer than 2
-    runs, or ``depth`` below 1, raise ValueError before any fold trains.
+    reported with a warning. The scores are ranked and evaluated by
+    _ranked, the step every compare_methods row goes through, so the
+    report's means (evaluation._means) are compare_methods' LC row at
+    the prefix of all ``runs``. Fewer than 2 runs, or ``depth`` below 1,
+    raise ValueError before any fold trains.
     """
     if len(runs) < 2:
         raise ValueError("fusion experiments need at least 2 runs")
@@ -238,9 +230,8 @@ def cross_validated_fusion(
     tags = tuple(run.run_tag for run in runs)
     systems = _systems(cube.ranks)
     weights_a, weights_b, scores = _cross_validate(cube, systems, tags, lookups)
-    order, lengths, report = _rank_prefix(
-        cube, systems, scores, depth, "LC-mlr", official_qrels.name
-    )
+    order, lengths, values = _ranked(cube, systems, scores, depth, "LC-mlr")
+    report = _report("LC-mlr", official_qrels.name, cube.query_ids, values)
     rankings = _rankings(cube.query_ids, cube.candidates, scores, order, lengths)
     in_fold_order = (*split.partition_a, *split.partition_b)
     fused = {query_id: rankings[query_id] for query_id in in_fold_order if query_id in rankings}
@@ -280,10 +271,11 @@ def compare_methods(
     non-empty and name each method once. For the fusion methods one rank
     cube is built over all ``runs``. Each prefix and method scores every
     query of it in one pass, with the public fusers' scorers or, for LC,
-    _cross_validate; then _ranked ranks the scores and
-    evaluation._mean_metrics gives the means _rank_prefix's report would,
-    bit for bit, with no report made. So each row equals the one the
-    public per-method calls on ``runs[:size]`` give. Each prefix's
+    _cross_validate; then _ranked, the step that ranks and evaluates
+    every prefix (xval's too), gives each query's metric values, and
+    evaluation._means, the mean EvalReport.mean_metrics takes, averages
+    them with no report made. So each row equals the one the public
+    per-method calls on ``runs[:size]`` give, bit for bit. Each prefix's
     fusion._systems counts are the previous prefix's, plus its new
     system, added in place. They all read fusion._by_reciprocal's one
     lookup of ``constant``, got once per call, so a ``constant`` of -1 or
@@ -323,10 +315,9 @@ def compare_methods(
                 scores = _cross_validate(cube, systems, tags[:size], lookups)[2]
             else:
                 scores = _SCORERS[method](cube.ranks[:, :size], systems, lookups)
-            relevant, missing = _ranked(cube, systems, scores, depth)[2:]
+            values = _ranked(cube, systems, scores, depth, method)[2]
             del scores  # not held while the next prefix trains: it sets the peak memory
-            means = _mean_metrics(method, cube.query_ids, relevant, cube.relevant_counts, missing)
-            rows.append(FusionCurveRow(method, size, **means))
+            rows.append(FusionCurveRow(method, size, **_means(values)))
     return rows
 
 

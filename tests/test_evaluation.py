@@ -12,6 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankfuse.evaluation import (
+    METRICS,
+    EvalReport,
+    QueryEval,
+    _means,
     average_precision,
     evaluate,
     format_variance,
@@ -246,6 +250,37 @@ def test_evaluate_r_zero_excluded_from_map_rp_means():
     assert means["p10"] == pytest.approx((0.1 + 0.0) / 2)
     rows = {r.query_id: r for r in report.per_query}
     assert math.isnan(rows["2"].ap) and math.isnan(rows["2"].rp)
+
+
+def test_a_report_with_no_rows_means_nan_for_every_metric():
+    means = EvalReport("t", "q", ()).mean_metrics()
+    assert list(means) == list(METRICS)
+    assert all(math.isnan(value) for value in means.values())
+
+
+def test_a_hand_built_reports_nan_rows_drop_out_of_map_and_rp_only():
+    report = EvalReport("t", "q", (
+        QueryEval("1", 0.5, 0.25, 0.5, 0.125),
+        QueryEval("2", math.nan, math.nan, 0.25, 0.625),
+        QueryEval("3", 0.25, 0.75, 0.75, 0.25),
+    ))
+    # MAP/RP over queries 1 and 3; P@10/P@20 over all three
+    assert report.mean_metrics() == {"map": 0.375, "rp": 0.5, "p10": 0.5, "p20": 1.0 / 3}
+
+
+def test_each_mean_is_the_sum_of_its_rows_in_row_order():
+    """Every mean is the built-in sum of its defined values, taken in row
+    order, over their count: no pairwise (numpy) or reordered sum."""
+    rng = np.random.default_rng(5)
+    values = rng.random((4, 97)) ** 3
+    values[:2, rng.random(97) < 0.2] = math.nan  # R(q) = 0: AP and RP only
+    report = EvalReport("t", "q", tuple(map(QueryEval, map(str, range(97)), *values.tolist())))
+    want = {}
+    for metric, column in zip(METRICS, values.tolist()):
+        defined = [value for value in column if not math.isnan(value)]
+        want[metric] = (sum(defined) / len(defined)).hex()
+    assert {m: v.hex() for m, v in report.mean_metrics().items()} == want
+    assert {m: v.hex() for m, v in _means(values.tolist()).items()} == want
 
 
 def test_evaluate_perfect_run_rp_one():

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankfuse import harness
-from rankfuse.evaluation import _mean_metrics, evaluate, sensitivity_table
+from rankfuse import evaluation, harness
+from rankfuse.evaluation import _means, _report, evaluate, sensitivity_table
 from rankfuse.fusion import (
     _by_reciprocal,
     borda,
@@ -286,14 +286,20 @@ def _kept(fused, queries):
     return RunList(fused.run_tag, {q: r for q, r in fused.by_query.items() if q in queries})
 
 
+def _hex_row(row):
+    """A QueryEval's id and its metric values' float.hex: NaN equals NaN."""
+    return (row.query_id, *(row.value(m).hex() for m in ("map", "rp", "p10", "p20")))
+
+
 def _per_prefix_public_rows(runs, training, official, constant, depth):
     """compare_methods' rows, rebuilt from the public calls one method and
     prefix at a time: normalize, train each fold's weights, fuse every
     query and keep the fold's (or the official queries), and evaluate.
 
     Each prefix's cross_validated_fusion is checked on the way against
-    the public LC chain: each fold's weights, the fused run, and its
-    fold order (fold A's queries, then fold B's).
+    the public LC chain: each fold's weights, the fused run, its fold
+    order (fold A's queries, then fold B's), and its report, which must
+    be evaluate()'s of the fused run row by row (NaN-aware, bit for bit).
     """
     queries = official.query_ids
     split = split_odd_even(queries)
@@ -313,6 +319,11 @@ def _per_prefix_public_rows(runs, training, official, constant, depth):
                     assert (got.intercept, got.rss) == (want.intercept, want.rss)
                 assert xval.fused == fused
                 assert list(xval.fused.by_query) == list(fused.by_query)
+                evaluated = evaluate(xval.fused, official, queries)
+                assert (xval.report.run_tag, xval.report.qrels_name) == (
+                    evaluated.run_tag, evaluated.qrels_name)
+                assert [_hex_row(row) for row in xval.report.per_query] == [
+                    _hex_row(row) for row in evaluated.per_query]
             elif method == "combsum":
                 fused = _kept(comb_sum(scored, depth), queries)
             elif method == "combmnz":
@@ -405,6 +416,18 @@ def test_best_component_alone_builds_no_rank_cube(monkeypatch):
         compare_methods(runs[:1], qrels, qrels, methods=["best-component"])
     with pytest.raises(ValueError, match="query set must be non-empty"):
         compare_methods(runs, qrels, Qrels({}), methods=["best-component"])
+
+
+def test_compare_rows_make_no_per_query_row(monkeypatch):
+    # a report per prefix would double the cost of its evaluation
+    def no_row(*args):
+        raise AssertionError("a QueryEval was made")
+
+    monkeypatch.setattr(evaluation, "QueryEval", no_row)
+    runs, qrels = generate_synthetic(26, 6, 3, 20, 5)
+    rows = compare_methods(runs, qrels, qrels, FUSION_METHODS)
+    assert [(row.method, row.num_systems) for row in rows] == [
+        (method, size) for method in FUSION_METHODS for size in (2, 3)]
 
 
 def test_a_bad_output_depth_is_refused_before_any_fold_trains(monkeypatch):
@@ -642,7 +665,8 @@ def test_each_compare_row_is_its_prefix_reports_means_bit_for_bit():
                     scores = harness._cross_validate(cube, systems, tags[:size], lookups)[2]
                 else:
                     scores = harness._SCORERS[method](cube.ranks[:, :size], systems, lookups)
-                report = harness._rank_prefix(cube, systems, scores, depth, method, "official")[2]
+                values = harness._ranked(cube, systems, scores, depth, method)[2]
+                report = _report(method, "official", cube.query_ids, values)
                 want.append((method, size, *map(float.hex, report.mean_metrics().values())))
     got = [(r.method, r.num_systems, *(r.value(m).hex() for m in ("map", "rp", "p10", "p20")))
            for r in rows]
@@ -655,10 +679,10 @@ def test_mean_metrics_refuses_an_empty_query_set_as_its_report_does():
     cube = harness._judged_cube(runs, training, official)._replace(query_ids=[])
     systems = harness._systems(cube.ranks)
     scores = np.zeros(systems.shape)
-    relevant, missing = harness._ranked(cube, systems, scores, 9)[2:]
+    # the step every report (xval's) and every mean (compare's rows) comes from
     for rank_and_evaluate in (
-        lambda: harness._rank_prefix(cube, systems, scores, 9, "x", "official"),
-        lambda: _mean_metrics("x", cube.query_ids, relevant, cube.relevant_counts, missing),
+        lambda: _report("x", "official", [], harness._ranked(cube, systems, scores, 9, "x")[2]),
+        lambda: _means(harness._ranked(cube, systems, scores, 9, "x")[2]),
     ):
         with pytest.raises(ValueError, match="query set must be non-empty"):
             rank_and_evaluate()
