@@ -2,12 +2,16 @@
 
 One subcommand per experiment step: pool, sweep, train, fuse, eval,
 xval, curve, compare, group-eval, sensitivity, synth. Tables are CSV
-with headers, written to stdout unless an output path is given. Exit
-code 0 on success; any failure prints one ``error: ...`` diagnostic to
-stderr and exits nonzero. Every notice, the loaders' and the command's
-alike, is raised with ``warnings.warn``; main is the one place that
-prints notices, one stderr line per distinct message. Fixed inputs (and
-seed, where applicable) produce byte-identical outputs.
+with headers, written to stdout unless an output path is given; a run
+or a qrels goes to stdout one query at a time, as to a file, and the
+same bytes go to either. Every input file, a run, a qrels or a
+``--weights`` CSV, is read by one rule: UTF-8, after an optional
+byte-order mark, with a byte that is not UTF-8 reported by its line.
+Exit code 0 on success; any failure prints one ``error: ...``
+diagnostic to stderr and exits nonzero. Every notice, the loaders' and
+the command's alike, is raised with ``warnings.warn``; main is the one
+place that prints notices, one stderr line per distinct message. Fixed
+inputs (and seed, where applicable) produce byte-identical outputs.
 
 The commands make no fusion decision: the fusers cut to ``--depth``,
 the writers write every entry, and ``linear_combine`` matches weights
@@ -26,7 +30,7 @@ import argparse
 import os
 import sys
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from . import harness, pooling
 from ._warn import warn
@@ -49,21 +53,24 @@ from .regression import (
 )
 from .trec import (
     Qrels,
+    _open_text,
+    _qrels_texts,
+    _query_texts,
+    _write_texts,
     load_qrels,
     load_run,
-    save_qrels,
-    save_run,
-    write_qrels,
-    write_run,
 )
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(texts: Iterable[str], path: str | None) -> None:
+    """Write ``texts`` in order to stdout, or to ``path`` through the
+    package's one file writer: every output of a command, a CSV, a qrels
+    or a run. Each piece is written as it is taken, so a run or a qrels
+    goes to stdout one query at a time, as to a file."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        _write_texts(texts, path)
 
 
 def _load_runs(paths: Sequence[str]) -> list:
@@ -147,10 +154,7 @@ def _cmd_pool(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     partial = pooling.make_partial_qrels(pooling.build_pool(runs, depth), full)
-    if args.out is None:
-        sys.stdout.write(write_qrels(partial))
-    else:
-        save_qrels(partial, args.out)
+    _emit(_qrels_texts(partial), args.out)
     return 0
 
 
@@ -158,7 +162,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     runs = _load_runs(args.runs)
     full = _load_qrels(args.qrels)
     rows = pooling.pool_sweep(runs, full, _parse_depths(args.depths))
-    _emit(pooling.sweep_csv(rows), args.out)
+    _emit([pooling.sweep_csv(rows)], args.out)
     return 0
 
 
@@ -169,7 +173,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     queries = _parse_queries(args.queries) or qrels.query_ids
     weights = solve_ols(assemble_matrix(scored, qrels, queries))
     _fit_warning("train", weights)
-    _emit(weights_to_csv(weights), args.out_weights)
+    _emit([weights_to_csv(weights)], args.out_weights)
     return 0
 
 
@@ -178,17 +182,13 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     if args.method == "lc":
         if args.weights is None:
             raise ValueError("--weights is required for method 'lc'")
-        with open(args.weights, encoding="utf-8") as handle:
-            # without the byte-order mark a spreadsheet's "CSV UTF-8" puts first
-            weights = weights_from_csv(handle.read().removeprefix("\ufeff"))
+        with _open_text(args.weights) as lines:
+            weights = weights_from_csv("".join(lines))
         fused = linear_combine(scored, weights, args.depth, args.tag or "LC-mlr")
     else:
         fuser = {"combsum": comb_sum, "combmnz": comb_mnz, "borda": borda}[args.method]
         fused = fuser(scored, args.depth, args.tag or args.method)
-    if args.out is None:
-        sys.stdout.write(write_run(fused))
-    else:
-        save_run(fused, args.out)
+    _emit(_query_texts(fused), args.out)
     return 0
 
 
@@ -196,7 +196,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     (run,) = _load_runs([args.run])
     qrels = _load_qrels(args.qrels)
     report = evaluate(run, qrels, _parse_queries(args.queries))
-    _emit(report_csv(report), args.csv)
+    _emit([report_csv(report)], args.csv)
     return 0
 
 
@@ -214,8 +214,8 @@ def _cmd_xval(args: argparse.Namespace) -> int:
         runs, training, official, args.constant, args.depth
     )
     if args.out_run is not None:
-        save_run(result.fused, args.out_run)
-    _emit(report_csv(result.report), args.csv)
+        _emit(_query_texts(result.fused), args.out_run)
+    _emit([report_csv(result.report)], args.csv)
     return 0
 
 
@@ -224,7 +224,7 @@ def _compare(args: argparse.Namespace, methods: Sequence[str]) -> int:
     rows = harness.compare_methods(
         runs, training, official, methods, args.constant, args.depth
     )
-    _emit(harness.curve_csv(rows), args.out)
+    _emit([harness.curve_csv(rows)], args.out)
     return 0
 
 
@@ -233,7 +233,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    return _compare(args, [token for token in args.methods.split(",") if token])
+    return _compare(args, [token.strip() for token in args.methods.split(",") if token.strip()])
 
 
 def _cmd_group_eval(args: argparse.Namespace) -> int:
@@ -242,7 +242,7 @@ def _cmd_group_eval(args: argparse.Namespace) -> int:
     mode, threshold = _parse_mode(args.mode)
     groups = harness.group_by_relcount(qrels, mode, threshold)
     reports = harness.grouped_eval(run, qrels, groups)
-    _emit(harness.group_csv(reports), args.out)
+    _emit([harness.group_csv(reports)], args.out)
     return 0
 
 
@@ -251,7 +251,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     full = _load_qrels(args.qrels)
     partials = [_load_qrels(path) for path in args.partials]
     rows = sensitivity_table(run, full, partials)
-    _emit(sensitivity_csv(rows), args.out)
+    _emit([sensitivity_csv(rows)], args.out)
     return 0
 
 
@@ -274,8 +274,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     )
     os.makedirs(args.out_dir, exist_ok=True)
     for run in runs:
-        save_run(run, os.path.join(args.out_dir, f"{run.run_tag}.run"))
-    save_qrels(qrels, os.path.join(args.out_dir, "full.qrels"))
+        _emit(_query_texts(run), os.path.join(args.out_dir, f"{run.run_tag}.run"))
+    _emit(_qrels_texts(qrels), os.path.join(args.out_dir, "full.qrels"))
     return 0
 
 

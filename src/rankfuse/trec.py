@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import unicodedata
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
@@ -100,8 +101,16 @@ def sort_query_ids(query_ids: Iterable[str]) -> list[str]:
     decimal tokens, else lexicographically."""
     ids = set(query_ids)
     if ids and all(q.isdecimal() for q in ids):
-        return sorted(ids, key=lambda q: (int(q), q))
+        return sorted(ids, key=_decimal_key)
     return sorted(ids)
+
+
+def _decimal_key(query_id: str) -> tuple[int, str, str]:
+    """The order of ``(int(query_id), query_id)`` for a decimal token, with
+    no int(), which refuses more than sys.get_int_max_str_digits() digits:
+    its digits as ASCII, without leading zeros, by length and then text."""
+    digits = "".join([str(unicodedata.decimal(c)) for c in query_id]).lstrip("0")
+    return len(digits), digits, query_id
 
 
 # The doc-id table (see the module docstring). _IDS and _CODES are only added
@@ -784,9 +793,10 @@ def _qrels_texts(qrels: Qrels) -> Iterator[str]:
 @contextmanager
 def _open_text(path: str | os.PathLike[str]) -> Iterator[Iterable[str]]:
     """The lines of the file at ``path``, read as UTF-8 text, without the
-    byte-order mark some editors put first. A byte sequence that is not
-    UTF-8 raises ParseError naming its line: only then is the file read
-    again, as bytes, to find that line."""
+    byte-order mark some editors put first: the one reader of every file
+    the package reads (runs, qrels and weights CSVs). A byte sequence that
+    is not UTF-8 raises ParseError naming its line: only then is the file
+    read again, as bytes, to find that line."""
     try:
         with open(path, encoding="utf-8") as f:
             # not the utf-8-sig codec: its decoder, written in Python, raised
@@ -816,9 +826,7 @@ def save_run(run: RunList, path: str | os.PathLike[str]) -> None:
     before the file is opened, so whatever is at ``path`` is left as it
     was.
     """
-    texts = _query_texts(run)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.writelines(texts)
+    _write_texts(_query_texts(run), path)
 
 
 def load_qrels(path: str | os.PathLike[str]) -> Qrels:
@@ -831,6 +839,11 @@ def save_qrels(qrels: Qrels, path: str | os.PathLike[str]) -> None:
     made, so no more than one query's text is held at once. Qrels
     write_qrels refuses are refused before the file is opened, so
     whatever is at ``path`` is left as it was."""
-    texts = _qrels_texts(qrels)
+    _write_texts(_qrels_texts(qrels), path)
+
+
+def _write_texts(texts: Iterable[str], path: str | os.PathLike[str]) -> None:
+    """Write ``texts`` in order to the file at ``path``, as UTF-8 with no
+    newline translation: the one writer of every file this package makes."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.writelines(texts)

@@ -351,6 +351,13 @@ def test_curve_and_compare(dataset, capsys):
     methods = {line.split(",")[0] for line in lines[1:]}
     assert methods == {"LC-mlr", "combsum", "best-component"}
 
+    # blanks around a method name are dropped, as around --queries' ids
+    assert main(
+        ["compare", "--runs", *dataset["runs"], "--qrels", dataset["qrels"],
+         "--methods", "LC-mlr, combsum ,best-component"]
+    ) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
     # Borda's points ignore the constant, but compare checks it as fuse does
     assert main(
         ["compare", "--runs", *dataset["runs"], "--qrels", dataset["qrels"],
@@ -427,6 +434,15 @@ def test_fuse_writes_the_same_bytes_to_a_file_and_to_stdout(dataset, tmp_path, c
         assert capsys.readouterr() == (out.read_bytes().decode("utf-8"), "")
 
 
+def test_pool_writes_the_same_bytes_to_a_file_and_to_stdout(dataset, tmp_path, capsys):
+    out = tmp_path / "d3.qrels"
+    pool = ["pool", "--runs", *dataset["runs"], "--qrels", dataset["qrels"], "--depth", "3"]
+    assert main([*pool, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert main(pool) == 0
+    assert capsys.readouterr() == (out.read_bytes().decode("utf-8"), "")
+
+
 def test_sensitivity_table(dataset, tmp_path, capsys):
     partial = tmp_path / "d2.qrels"
     assert main(
@@ -494,10 +510,22 @@ def test_cli_reports_parse_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-def test_cli_names_the_line_that_is_not_utf8(dataset, tmp_path, capsys):
-    bad = tmp_path / "bad.run"
-    bad.write_bytes(b"1 Q0 a 1 2 t\n1 Q0 b\xff 2 1 t\n")
-    assert main(["eval", "--run", str(bad), "--qrels", dataset["qrels"]]) == 1
+@pytest.mark.parametrize("kind", ["run", "qrels", "weights"])
+def test_cli_names_the_line_that_is_not_utf8(dataset, tmp_path, capsys, kind):
+    # every input file is read by one rule, the weights CSV of fuse --method lc too
+    bad = tmp_path / f"bad.{kind}"
+    cases = {
+        "run": (b"1 Q0 a 1 2 t\n1 Q0 b\xff 2 1 t\n",
+                ["eval", "--run", str(bad), "--qrels", dataset["qrels"]]),
+        "qrels": (b"1 0 a 1\n1 0 b\xff 1\n",
+                  ["eval", "--run", dataset["runs"][0], "--qrels", str(bad)]),
+        "weights": (b"system,weight\nsys\xff01,1.0\n__intercept__,0.0\n",
+                    ["fuse", "--runs", *dataset["runs"], "--method", "lc",
+                     "--weights", str(bad)]),
+    }
+    content, command = cases[kind]
+    bad.write_bytes(content)
+    assert main(command) == 1
     assert capsys.readouterr() == ("", "error: line 2: line is not valid UTF-8\n")
 
 
@@ -524,12 +552,16 @@ def test_cli_rejects_a_depth_below_one(dataset, capsys):
         assert err.startswith("error: output depth must be >= 1")
 
 
-def test_fuse_refuses_a_tag_that_cannot_be_read_back(dataset, capsys):
+def test_fuse_refuses_a_tag_that_cannot_be_read_back(dataset, tmp_path, capsys):
+    # refused before any query is written, to stdout (which is streamed) or to --out
     fuse = ["fuse", "--runs", *dataset["runs"], "--method", "borda"]
-    assert main([*fuse, "--tag", "a b"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: run tag 'a b' is empty or contains whitespace\n"
+    out_file = tmp_path / "refused.run"
+    for argv in ([*fuse, "--tag", "a b"], [*fuse, "--tag", "a b", "--out", str(out_file)]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: run tag 'a b' is empty or contains whitespace\n"
+        )
+    assert not out_file.exists()
     assert main([*fuse, "--tag", "a_b"]) == 0
     assert capsys.readouterr().out.splitlines()[0].endswith(" a_b")
 

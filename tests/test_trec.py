@@ -61,6 +61,20 @@ def test_sort_query_ids_sorts_a_non_decimal_digit_as_text():
     assert sort_query_ids(["10", "\u00b2", "9"]) == ["10", "9", "\u00b2"]
 
 
+def test_sort_query_ids_orders_decimal_ids_as_int_does_past_its_digit_limit():
+    # int() refuses more digits than sys.get_int_max_str_digits() (4300 by
+    # default); the order is still (int(q), q)'s, with leading zeros and
+    # non-ASCII decimal digits
+    readable = ["10", "010", "9", "0", "00", "\u0663", "0\u0663", "\u0661\u0660", "\uff19", "301"]
+    assert sort_query_ids(readable) == sorted(readable, key=lambda q: (int(q), q))
+    long_id = "1" * 5000
+    assert sort_query_ids([long_id, "2", "0" + long_id, "1" + long_id]) == [
+        "2", "0" + long_id, long_id, "1" + long_id
+    ]
+    run = parse_run([long_id + " Q0 a 1 2.0 t", "2 Q0 b 1 1.0 t"])
+    assert run.query_ids == ["2", long_id]
+
+
 def test_parse_run_single_line_fields():
     run = parse_run(["301 Q0 FBIS3-1 1 12.5 runA"])
     assert run.run_tag == "runA"
