@@ -8,10 +8,16 @@ same bytes go to either. Every input file, a run, a qrels or a
 ``--weights`` CSV, is read by one rule: UTF-8, after an optional
 byte-order mark, with a byte that is not UTF-8 reported by its line.
 Exit code 0 on success; any failure prints one ``error: ...``
-diagnostic to stderr and exits nonzero. Every notice, the loaders' and
-the command's alike, is raised with ``warnings.warn``; main is the one
-place that prints notices, one stderr line per distinct message. Fixed
-inputs (and seed, where applicable) produce byte-identical outputs.
+diagnostic to stderr and exits nonzero. When the reader of stdout
+leaves before the output ends (``rankfuse fuse ... | head``), the
+``rankfuse`` program exits 141, the status a shell gives a program
+that SIGPIPE ends, and prints no error; it first points stdout's
+descriptor at the null device, so the interpreter's exit flush cannot
+fail again. That ``os.open`` in ``console`` is the one open of a file
+outside ``trec``. Every notice, the loaders' and the command's alike,
+is raised with ``warnings.warn``; main is the one place that prints
+notices, one stderr line per distinct message. Fixed inputs (and
+seed, where applicable) produce byte-identical outputs.
 
 The commands make no fusion decision: the fusers cut to ``--depth``,
 the writers write every entry, and ``linear_combine`` matches weights
@@ -410,7 +416,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     Each distinct UserWarning message the command raises is printed once
     to stderr as ``warning: <message>``. Every warning is then raised
-    again to the caller, so that its warning filters still see it.
+    again to the caller, so that its warning filters still see it. A
+    BrokenPipeError, a reader of stdout that left, is raised to the
+    caller, not printed: console() ends the program on it.
     """
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
@@ -422,19 +430,35 @@ def main(argv: Sequence[str] | None = None) -> int:
     notices = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
     for message in dict.fromkeys(notices):
         print(f"warning: {message}", file=sys.stderr)
-    if error is not None:
+    if error is not None and not isinstance(error, BrokenPipeError):
         print(f"error: {error}", file=sys.stderr)
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if isinstance(error, BrokenPipeError):
+        raise error
     return code
 
 
 def console() -> int:
     """The ``rankfuse`` program: main(), with the UserWarnings it has printed
-    not shown a second time in Python's own format."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return main()
+    not shown a second time in Python's own format, and stdout flushed.
+
+    A reader of stdout that leaves early, during the command or before
+    the flush, ends it with status 141 and no error line. Stdout's
+    descriptor is then pointed at the null device (the recipe of
+    Python's signal docs), so what its buffer still holds goes there at
+    exit, not to a closed pipe."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # as a shell reports a program that SIGPIPE ends: 128 + 13
+    return code
 
 
 if __name__ == "__main__":

@@ -68,6 +68,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, count, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -228,8 +229,14 @@ def _last_added(known: int) -> list[str]:
 
 
 def _doc_ids(codes: np.ndarray) -> tuple[str, ...]:
-    """The doc id of each of ``codes``, the table's own str."""
-    return tuple(map(_IDS.__getitem__, codes.tolist()))
+    """The doc id of each of ``codes``, the table's own str: the package's
+    one decoder, one C-level gather from the table. ``itemgetter`` returns
+    the item itself for one code and cannot be made for none, so those
+    two are taken on their own."""
+    codes = codes.tolist()
+    if len(codes) > 1:
+        return itemgetter(*codes)(_IDS)
+    return (_IDS[codes[0]],) if codes else ()
 
 
 def _known_codes(doc_ids: Iterable[str]) -> np.ndarray:
@@ -577,12 +584,18 @@ def write_run(run: RunList) -> str:
     ``.6g`` would). A run with no empty query re-parses to an equal
     RunList, a fused run included. The scores of a query of 100 or more
     whole numbers below 1e16 in magnitude, none of them -0.0, are
-    written as the reprs of their int64s, not of their floats: the same
-    bytes, since below 1e16 a float's shortest repr is positional and
-    such a float's is its int's digits plus ".0" (see _score_texts).
+    written as the texts of their ints, not the reprs of their floats:
+    the same bytes, since below 1e16 a float's shortest repr is
+    positional and such a float's is its int's digits plus ".0". When
+    those ints all lie in 0..L, where L is the run's longest ranking
+    (the scores L..1 of a synthetic run, or 1000 - rank), their texts
+    are gathered from one table of str(0)..str(L), made once per call
+    when a query first needs it; other whole queries take the repr of
+    each int (see _score_texts).
 
     No str is made per line: each query is laid out as one list of four
-    strs per line, joined once (see _query_texts).
+    strs per line, joined once, and its doc ids are gathered from the
+    doc-id table in one call (see _query_texts).
 
     A run with entries whose tag is empty or contains whitespace, or a
     query with entries whose id is, raises ValueError, since parse_run
@@ -599,11 +612,12 @@ def _query_texts(run: RunList) -> Iterator[str]:
     made.
 
     A query of n lines is "{query_id} Q0 " and then one list of 4n strs
-    joined once: per line the doc id (the table's own str), " {rank} "
-    (made once per call), the score text, and the separator
-    " {tag}\n{query_id} Q0 " that ends the line and starts the next, or
-    " {tag}\n" after the last. The list is filled by extended-slice
-    assignment, so no per-line str or tuple is made.
+    joined once: per line the doc id (the table's own str, by _doc_ids),
+    " {rank} " (made once per call), the score text (by _score_texts,
+    from a table of whole-number texts made at most once per call), and
+    the separator " {tag}\n{query_id} Q0 " that ends the line and starts
+    the next, or " {tag}\n" after the last. The list is filled by
+    extended-slice assignment, so no per-line str or tuple is made.
     """
     tag = run.run_tag
     written = [query_id for query_id, ranking in run.by_query.items() if len(ranking)]
@@ -613,6 +627,7 @@ def _query_texts(run: RunList) -> Iterator[str]:
 
     longest = max(map(len, run.by_query.values()), default=0)
     ranks = [f" {rank} " for rank in range(1, longest + 1)]
+    wholes: list[str] = []  # str(0)..str(longest), once a query needs them
 
     def pieces() -> Iterator[str]:
         for query_id in run.query_ids:
@@ -621,9 +636,9 @@ def _query_texts(run: RunList) -> Iterator[str]:
             if not n:
                 continue
             parts = [f" {tag}\n{query_id} Q0 "] * (4 * n)
-            parts[0::4] = map(_IDS.__getitem__, ranking.codes.tolist())
+            parts[0::4] = _doc_ids(ranking.codes)
             parts[1::4] = ranks[:n]
-            parts[2::4] = _score_texts(ranking.scores)
+            parts[2::4] = _score_texts(ranking.scores, wholes, longest)
             parts[-1] = f" {tag}\n"
             yield f"{query_id} Q0 "
             yield "".join(parts)
@@ -631,12 +646,13 @@ def _query_texts(run: RunList) -> Iterator[str]:
     return pieces()
 
 
-def _score_texts(scores: np.ndarray) -> Iterator[str]:
-    """The text of each of one query's ``scores``: its shortest repr, with
-    no ".0" on a whole number (repr, which str would only call).
+def _score_texts(scores: np.ndarray, wholes: list[str], longest: int) -> Iterable[str]:
+    """The text of each of one Ranking's ``scores`` (which descend): its
+    shortest repr, with no ".0" on a whole number (repr, which str would
+    only call).
 
     When every score is a whole number below 1e16 in magnitude and none
-    is -0.0, each is written as the repr of its int64, which is faster
+    is -0.0, each is written as the text of its int64, which is faster
     and gives the same bytes: below 1e16 a float's shortest repr is
     positional, every such whole float is an int that int64 holds
     exactly, and its shortest digits are that int's digits plus ".0".
@@ -644,6 +660,13 @@ def _score_texts(scores: np.ndarray) -> Iterator[str]:
     int64. The test costs a few numpy calls, more than the ints save on
     a query of under 100 scores or on one whose first score is
     fractional, so those go straight to repr.
+
+    When those ints all lie in 0..``longest`` (the last is at least 0
+    and the first at most ``longest``, as they descend), their texts are
+    one C-level gather from ``wholes``, str(0)..str(longest), which the
+    caller shares across a call's queries and this fills the first time
+    a query needs it. It costs no more than the rank texts the caller
+    makes per call. Other whole queries take the repr of each int.
     """
     if (
         len(scores) >= 100
@@ -654,7 +677,12 @@ def _score_texts(scores: np.ndarray) -> Iterator[str]:
             & (scores.view(np.int64) != _NEGATIVE_ZERO)
         ).all()
     ):
-        return map(repr, scores.astype(np.int64).tolist())
+        ints = scores.astype(np.int64).tolist()
+        if ints[-1] >= 0 and ints[0] <= longest:
+            if not wholes:
+                wholes.extend(map(str, range(longest + 1)))
+            return itemgetter(*ints)(wholes)  # 100 or more ints: a tuple
+        return map(repr, ints)
     return map(str.removesuffix, map(repr, scores.tolist()), repeat(".0"))
 
 

@@ -1059,3 +1059,31 @@ def test_cli_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
     files = outputs[0][0]
     assert len(files) == 11 and all(files.values())  # 5 runs, full qrels, 5 outputs
     assert outputs[0] == outputs[1]
+
+
+# The installed ``rankfuse`` program, run from this checkout's source.
+_CONSOLE = "import sys; from rankfuse.cli import console; sys.exit(console())"
+
+
+def test_a_reader_that_leaves_early_ends_the_program_with_one_status_and_no_error(tmp_path):
+    """``rankfuse fuse ... | head -c N``: whether the reader takes 0 or 10
+    bytes of a large run, and stdout is buffered or not, the program exits
+    141 and writes nothing to stderr; so does a small CSV whose reader
+    leaves before the exit flush (``rankfuse eval ... | true``)."""
+    runs, qrels = _synthetic_files(tmp_path, 3, 5, 2, 1000, 50)
+    source = str(Path(cli.__file__).parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    fuse = ["fuse", "--runs", *runs, "--method", "combsum"]  # a run of about 200 kB
+    cases = [(fuse, taken, unbuffered) for taken in (0, 10) for unbuffered in (False, True)]
+    cases.append((["eval", "--run", runs[0], "--qrels", qrels], 0, False))
+    for argv, taken, unbuffered in cases:
+        with subprocess.Popen(
+            [sys.executable, "-c", _CONSOLE, *argv], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env={**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env,
+        ) as program:
+            assert len(program.stdout.read(taken)) == taken
+            program.stdout.close()
+            err = program.stderr.read()
+            status = program.wait()
+        assert (status, err.decode()) == (141, ""), (argv[0], taken, unbuffered)

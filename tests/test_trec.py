@@ -15,7 +15,7 @@ from itertools import count
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankfuse import trec
@@ -1004,8 +1004,42 @@ _WHOLE_RANKING = st.lists(_WHOLE_SCORES, min_size=1, max_size=12).map(
 ).map(lambda scores: Ranking(tuple(f"w{i}" for i in range(len(scores))), tuple(scores)))
 
 
+def _whole_query(scores):
+    return Ranking(tuple(f"w{i}" for i in range(len(scores))), tuple(map(float, scores)))
+
+
+@st.composite
+def _small_whole_queries(draw):
+    """Queries of 100 or more small whole scores, each a few drawn values
+    repeated: ints in 0..L, where L is the run's longest ranking, and the
+    edges of write_run's table of whole-number texts, 0, L, L + 1 and -1.
+    So in one run some queries fit the table and others do not."""
+    drawn = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    sizes = [k * (100 // k + 1) for k in drawn]
+    longest = max(sizes)
+    value = st.one_of(
+        st.integers(0, longest), st.sampled_from([0, longest, longest + 1, -1])
+    )
+    return {
+        str(query): _whole_query(draw(st.lists(value, min_size=k, max_size=k)) * (size // k))
+        for query, (k, size) in enumerate(zip(drawn, sizes))
+    }
+
+
 @settings(deadline=None, max_examples=200)
-@given(st.dictionaries(st.integers(0, 99).map(str), _WHOLE_RANKING, min_size=1, max_size=3))
+@given(
+    st.one_of(
+        st.dictionaries(st.integers(0, 99).map(str), _WHOLE_RANKING, min_size=1, max_size=3),
+        _small_whole_queries(),
+    )
+)
+# the longest ranking is 101: query 1 fits the table (100..0), query 2 does
+# not (102..2), nor does query 3 (99..-1)
+@example({
+    "1": _whole_query(range(100, -1, -1)),
+    "2": _whole_query(range(102, 1, -1)),
+    "3": _whole_query(range(99, -2, -1)),
+})
 def test_write_run_writes_whole_scores_as_the_reference_writer_does(by_query):
     run = RunList("t", by_query)
     assert write_run(run) == _reference_write_run(run)
@@ -1069,6 +1103,11 @@ def test_new_ids_get_one_code_each_and_a_refused_id_leaves_the_table_as_it_was()
     assert codes[1] == known and len(set(codes)) == 4
     assert ranking.docs == ("once-a", "once-known", "once-b", "once-c")
     assert [trec._CODES[doc_id] for doc_id in ranking.docs] == codes
+    # none, one and two codes decode as a per-code loop over the table does
+    for kept in (0, 1, 2):
+        part = Ranking._of(ranking.codes[:kept], ranking.scores[:kept])
+        assert part.docs == tuple([trec._IDS[code] for code in codes[:kept]])
+        assert trec._doc_ids(ranking.codes[:kept]) == part.docs
     size = len(trec._IDS)
     for docs in (("refused-a", 7, "refused-b"), ("refused-c", ["unhashable"])):
         with pytest.raises(TypeError):
